@@ -9,6 +9,15 @@ complex structure (nontrivial somewhere-injective curves have index at
 least one) and of dynamical convexity (contractible orbits have
 Conley-Zehnder index at least three, and only contractible orbits bound
 planes).
+
+Each enumeration or sweep builds one OrbitTable of the scenario's covers
+up to the multiplicity bound, so every cover's Conley-Zehnder index is
+computed once.  Inside the search a cover is its integer id: the ends of
+a component are a tuple of ids, and the bound tables are lists indexed by
+id.  The least index that can still hang below each component at each
+number of levels to go is computed once, before the search.  An
+unreachable bound is the integer sentinel INF, so the arithmetic here is
+exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
@@ -24,9 +33,10 @@ from .errors import (
     PreconditionError,
     SkeletonError,
 )
-from .orbits import CurveData, OrbitRef, cz_index, fredholm_index, is_good
+from .orbits import CurveData, OrbitRef, OrbitTable, cz_index, fredholm_index, is_good
 
-INF = float("inf")
+# Marks "no subtree fits"; larger than any index a bounded search reaches.
+INF = 1 << 62
 
 
 class ComponentKind(Enum):
@@ -168,11 +178,16 @@ def component_index(c: ComponentSkeleton) -> int:
     return fredholm_index(CurveData(c.genus, c.positive_ends, c.negative_ends, 0))
 
 
+def _underlying_genus(c: ComponentSkeleton) -> int:
+    return c.genus if c.kind is ComponentKind.SOMEWHERE_INJECTIVE else 0
+
+
 def underlying_index(c: ComponentSkeleton) -> int:
     """Fredholm index of the underlying somewhere-injective curve."""
-    genus = c.genus if c.kind is ComponentKind.SOMEWHERE_INJECTIVE else 0
     return fredholm_index(
-        CurveData(genus, c.underlying_positive_ends, c.underlying_negative_ends, 0)
+        CurveData(
+            _underlying_genus(c), c.underlying_positive_ends, c.underlying_negative_ends, 0
+        )
     )
 
 
@@ -191,20 +206,32 @@ def component_key(c: ComponentSkeleton) -> str:
 # ------------------------------------------------------------------ checks
 
 
+# Each check_* computes the component's indices and applies its rule; the
+# estimate sweep applies the rules to indices it computed once.
+
+
 def check_trivial_cover_nonnegative(c: ComponentSkeleton) -> bool:
     """Index of a branched cover of a trivial cylinder is never negative."""
+    return _trivial_cover_nonnegative(c, component_index(c))
+
+
+def _trivial_cover_nonnegative(c, ind):
     if c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
         raise PreconditionError("component is not a cover of a trivial cylinder")
-    return component_index(c) >= 0
+    return ind >= 0
 
 
 def check_cover_index_bound(c: ComponentSkeleton) -> bool:
     """ind(cover) >= d * ind(underlying) + 2(1 - d + b) for one-positive-end
     genus-zero components."""
+    return _cover_index_bound(c, component_index(c), underlying_index(c))
+
+
+def _cover_index_bound(c, ind, under):
     if c.genus != 0 or len(c.positive_ends) != 1:
         raise PreconditionError("the bound needs genus zero and one positive end")
     d, b = c.cover_degree, c.branch_count
-    return component_index(c) >= d * underlying_index(c) + 2 * (1 - d + b)
+    return ind >= d * under + 2 * (1 - d + b)
 
 
 def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
@@ -214,6 +241,12 @@ def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
     of negative ends; off covers of trivial cylinders with more than one
     negative end it is at least 5 - 2n.
     """
+    return _nontrivial_cover_bounds(
+        c, profile, component_index(c), underlying_index(c)
+    )
+
+
+def _nontrivial_cover_bounds(c, profile, ind, under):
     if not profile.generic_J:
         raise PreconditionError("the estimates assume a generic profile")
     if c.genus != 0 or len(c.positive_ends) != 1:
@@ -222,10 +255,9 @@ def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
         c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
         and not c.is_trivial_cylinder
     )
-    if nontrivial_underlying and underlying_index(c) < 1:
+    if nontrivial_underlying and under < 1:
         raise PreconditionError("underlying curve violates the generic index bound")
     n = len(c.negative_ends)
-    ind = component_index(c)
     ok = True
     if nontrivial_underlying and c.underlying_is_cylinder:
         ok = ok and ind >= n
@@ -249,14 +281,16 @@ def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
     negative hyperbolic orbit, multiply covered index-one cylinders do
     occur, so no constraint is asserted there.)
     """
+    return _cylinder_cover_index(c, profile, component_index(c), underlying_index(c))
+
+
+def _cylinder_cover_index(c, profile, ind_u, ind_under):
     if not profile.generic_J:
         raise PreconditionError("the estimate assumes a generic profile")
     if len(c.positive_ends) != 1 or len(c.negative_ends) != 1:
         raise PreconditionError("component is not a cylinder")
     if c.is_trivial_cylinder or c.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
         raise PreconditionError("component is a cover of a trivial cylinder")
-    ind_u = component_index(c)
-    ind_under = underlying_index(c)
     ok = 1 <= ind_under <= ind_u
     both_hyperbolic = _is_hyperbolic_ref(c.underlying_positive_ends[0]) and (
         _is_hyperbolic_ref(c.underlying_negative_ends[0])
@@ -273,6 +307,10 @@ def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
 def check_multi_end_cover_combination(c: ComponentSkeleton) -> bool:
     """ind + 2n >= d(2k-3) + 4(b+1) for covers whose underlying curve has
     k > 1 negative ends."""
+    return _multi_end_cover_combination(c, component_index(c))
+
+
+def _multi_end_cover_combination(c, ind):
     if c.kind is not ComponentKind.COVER_OF_NONTRIVIAL_CURVE:
         raise PreconditionError("needs a cover of a nontrivial curve")
     k = len(c.underlying_negative_ends)
@@ -280,7 +318,7 @@ def check_multi_end_cover_combination(c: ComponentSkeleton) -> bool:
         raise PreconditionError("needs more than one underlying negative end")
     n = len(c.negative_ends)
     d, b = c.cover_degree, c.branch_count
-    return component_index(c) + 2 * n >= d * (2 * k - 3) + 4 * (b + 1)
+    return ind + 2 * n >= d * (2 * k - 3) + 4 * (b + 1)
 
 
 # ------------------------------------------------------------------ profiles
@@ -346,30 +384,23 @@ def _check_convexity(orbits, profile):
             )
 
 
-def _scenario_refs(orbits, bounds):
-    refs = []
-    for orbit in orbits:
-        cap = min(orbit.validity_bound, bounds.max_total_multiplicity)
-        refs.extend(OrbitRef(orbit, m) for m in range(1, cap + 1))
-    return refs
-
-
-def _neg_multisets(refs, budget, cz):
-    """All multisets of refs with total multiplicity <= budget, with their
-    total multiplicity, cz sum, and size."""
+def _neg_multisets(ids, budget, table):
+    """Every multiset of the covers `ids` with total multiplicity <= budget,
+    in list order: (covers, their ids, cz sum)."""
     out = []
 
     def rec(start, left, acc, czsum):
-        out.append((tuple(acc), budget - left, czsum, len(acc)))
-        for j in range(start, len(refs)):
-            m = refs[j].multiplicity
+        out.append((tuple(acc), czsum))
+        for j in range(start, len(ids)):
+            i = ids[j]
+            m = table.refs[i].multiplicity
             if m <= left:
-                acc.append(refs[j])
-                rec(j, left - m, acc, czsum + cz[refs[j]])
+                acc.append(i)
+                rec(j, left - m, acc, czsum + table.cz[i])
                 acc.pop()
 
     rec(0, budget, [], 0)
-    return out
+    return [(tuple(table.refs[i] for i in ms), ms, czsum) for ms, czsum in out]
 
 
 def _sorted_ends(ends):
@@ -386,8 +417,8 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
     """
     _check_convexity(orbits, profile)
     top = bounds.max_total_multiplicity
-    refs = _scenario_refs(orbits, bounds)
-    cz = {r: cz_index(r) for r in refs}
+    table = OrbitTable(orbits, top)
+    refs, cz = table.refs, table.cz
     cap = {o.name: min(o.validity_bound, top) for o in orbits}
 
     # Trivial cylinders and branched covers of trivial cylinders.
@@ -409,15 +440,15 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
                 )
 
     # Somewhere-injective curves.
-    multisets = _neg_multisets(refs, top, cz)
-    for pos in refs:
-        pos_cz = cz[pos]
-        for neg, _, czsum, n in multisets:
-            if n == 1 and neg[0] == pos:
+    multisets = _neg_multisets(range(len(refs)), top, table)
+    for p, pos in enumerate(refs):
+        for neg, ids, czsum in multisets:
+            n = len(ids)
+            if n == 1 and ids[0] == p:
                 continue  # the trivial cylinder, emitted above
             if n == 0 and not pos.base.contractible:
                 continue  # planes bound disks; the orbit must be contractible
-            ind = (n - 1) + pos_cz - czsum
+            ind = (n - 1) + cz[p] - czsum
             if profile.generic_J and ind < 1:
                 continue
             yield ComponentSkeleton(
@@ -427,22 +458,25 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
 
     # Covers of nontrivial somewhere-injective curves.
     for d in range(2, top + 1):
-        small = _neg_multisets([r for r in refs if r.multiplicity * d <= top], top // d, cz)
-        for upos in refs:
+        small = _neg_multisets(
+            [i for i, r in enumerate(refs) if r.multiplicity * d <= top], top // d, table
+        )
+        for u, upos in enumerate(refs):
             if upos.multiplicity * d > cap[upos.base.name]:
                 continue
             pos = OrbitRef(upos.base, upos.multiplicity * d)
-            for uneg, _, czsum, k in small:
-                if k == 1 and uneg[0] == upos:
+            for uneg, ids, czsum in small:
+                k = len(ids)
+                if k == 1 and ids[0] == u:
                     continue
                 if k == 0 and not upos.base.contractible:
                     continue
-                if profile.generic_J and (k - 1) + cz[upos] - czsum < 1:
+                if profile.generic_J and (k - 1) + cz[u] - czsum < 1:
                     continue
-                yield from _covers_of(upos, pos, uneg, d, cap, bounds)
+                yield from _covers_of(upos, pos, uneg, d, cap)
 
 
-def _covers_of(upos, pos, uneg, d, cap, bounds):
+def _covers_of(upos, pos, uneg, d, cap):
     """All genus-zero degree-d covers of the underlying curve (upos, uneg)."""
     k = len(uneg)
     choices = []
@@ -649,14 +683,16 @@ def _skeleton_from_tree(root) -> BuildingSkeleton:
 
 
 def building_key(building: BuildingSkeleton) -> str:
-    """Canonical serialization; equal exactly for isomorphic buildings."""
+    """Canonical serialization; equal exactly for isomorphic buildings.
+
+    Buildings have one positive end, so the top level must hold exactly one
+    component, the root of the building's tree.
+    """
+    if len(building.levels[0].components) != 1:
+        raise SkeletonError("a building's top level must hold exactly one component")
     keys = {
         id(c): component_key(c) for l in building.levels for c in l.components
     }
-    if len(building.levels[0].components) != 1:
-        return "|".join(
-            ";".join(sorted(keys[id(c)] for c in l.components)) for l in building.levels
-        )
     nodes = [[_Node(c) for c in l.components] for l in building.levels]
     for i, matching in enumerate(building.matchings):
         flat = [
@@ -672,92 +708,101 @@ def building_key(building: BuildingSkeleton) -> str:
 
 
 class _Enumerator:
+    """Depth-first search over buildings, one level of components at a time.
+
+    Orbit covers are ids into the scenario's OrbitTable and components are
+    numbers into parallel lists, so the search indexes lists instead of
+    hashing covers.  Two tables bound what can still hang below an end
+    with r levels to go: closed[r][e] is the least index of a subtree at e
+    with no negative end (INF when there is none), open[r][e] the least
+    index of one with at most one.
+    """
+
     def __init__(self, orbits, profile, bounds, deadline):
         self.bounds = bounds
         self.deadline = deadline
         self.results = {}
-        components = list(enumerate_components(orbits, profile, bounds))
-        self.keys = {id(c): component_key(c) for c in components}
-        self.ind = {id(c): component_index(c) for c in components}
-        self.by_pos = {}
-        for c in components:
-            self.by_pos.setdefault(c.positive_ends[0], []).append(c)
-        for ref, group in self.by_pos.items():
-            group.sort(key=lambda c: (self.ind[id(c)], self.keys[id(c)]))
-        self._closed = self._closed_bounds()
-        self._open = self._open_bounds()
+        table = OrbitTable(orbits, bounds.max_total_multiplicity)
+        self.components = list(enumerate_components(orbits, profile, bounds))
+        self.keys = {id(c): component_key(c) for c in self.components}
+        self.ends = [
+            tuple(table.id_of(e) for e in c.negative_ends) for c in self.components
+        ]
+        self.ind = [
+            table.index(c.genus, c.positive_ends, c.negative_ends)
+            for c in self.components
+        ]
+        self.trivial = [c.is_trivial_cylinder for c in self.components]
+        self.by_pos = [[] for _ in table.refs]
+        for n, c in enumerate(self.components):
+            self.by_pos[table.id_of(c.positive_ends[0])].append(n)
+        for group in self.by_pos:
+            group.sort(key=lambda n: (self.ind[n], self.keys[id(self.components[n])]))
+        self._closed, self._open = self._bound_tables()
+        # What the search reads at each number of levels to go: the least
+        # index below each component, and below each end on its own.
+        self._down = [
+            [self._completion(ends, rem) for ends in self.ends]
+            for rem in range(bounds.max_levels)
+        ]
+        self._floor = [
+            [min(o, c) for o, c in zip(self._open[rem], self._closed[rem])]
+            for rem in range(bounds.max_levels + 1)
+        ]
 
-    def _closed_bounds(self):
-        levels = self.bounds.max_levels
-        table = [dict() for _ in range(levels + 1)]
-        for r in range(1, levels + 1):
-            for ref, group in self.by_pos.items():
-                best = table[r - 1].get(ref, INF)
-                for c in group:
-                    cost = self.ind[id(c)]
-                    for e in c.negative_ends:
-                        cost += table[r - 1].get(e, INF)
-                        if cost == INF:
-                            break
-                    best = min(best, cost)
-                if best < INF:
-                    table[r][ref] = best
-        return table
-
-    def _open_bounds(self):
-        levels = self.bounds.max_levels
-        table = [dict() for _ in range(levels + 1)]
-        for r in range(levels + 1):
-            for ref in self.by_pos:
-                table[r][ref] = 0
-        for r in range(1, levels + 1):
-            for ref, group in self.by_pos.items():
-                best = min(table[r][ref], table[r - 1].get(ref, 0))
-                for c in group:
-                    ends = c.negative_ends
-                    if not ends:
-                        continue
-                    closed = [self._closed[r - 1].get(e, INF) for e in ends]
+    def _bound_tables(self):
+        closed = [[INF] * len(self.by_pos)]
+        # Leaving an end open costs nothing, so no open entry is positive.
+        opened = [[0] * len(self.by_pos)]
+        for _ in range(self.bounds.max_levels):
+            prev_closed, prev_open = closed[-1], opened[-1]
+            row_closed, row_open = list(prev_closed), list(prev_open)
+            for ref, group in enumerate(self.by_pos):
+                for n in group:
+                    ends = self.ends[n]
+                    capped = [prev_closed[e] for e in ends]
+                    if INF not in capped:
+                        row_closed[ref] = min(row_closed[ref], self.ind[n] + sum(capped))
                     for i, e in enumerate(ends):
-                        cost = self.ind[id(c)] + table[r - 1].get(e, 0)
-                        for j, cl in enumerate(closed):
-                            if j == i:
-                                continue
-                            if cl == INF:
-                                cost = INF
-                                break
-                            cost += cl
-                        if cost != INF:
-                            best = min(best, cost)
-                table[r][ref] = best
-        return table
+                        others = capped[:i] + capped[i + 1 :]
+                        if INF not in others:
+                            cost = self.ind[n] + prev_open[e] + sum(others)
+                            row_open[ref] = min(row_open[ref], cost)
+            closed.append(row_closed)
+            opened.append(row_open)
+        return closed, opened
 
     def _completion(self, frontier, rem):
+        """Least index that can hang below the frontier ends within rem
+        levels, leaving at most max_negative_ends of them open (INF if the
+        ends cannot all be capped)."""
+        closed, opened = self._closed[rem], self._open[rem]
         opens = self.bounds.max_negative_ends
-        costs = sorted(
-            (
-                self._closed[rem].get(ref, INF) - self._open[rem].get(ref, 0),
-                self._closed[rem].get(ref, INF),
-                self._open[rem].get(ref, 0),
-            )
-            for ref in frontier
-        )
         total = 0
-        for saving, closed, opened in reversed(costs):
-            if opens > 0 and (closed == INF or saving > 0):
-                total += opened
+        savings = []
+        for e in frontier:
+            if closed[e] == INF:
                 opens -= 1
-            else:
-                if closed == INF:
+                if opens < 0:
                     return INF
-                total += closed
+                total += opened[e]
+            else:
+                total += closed[e]
+                if closed[e] > opened[e]:
+                    savings.append(closed[e] - opened[e])
+        if opens > 0 and savings:
+            savings.sort(reverse=True)
+            total -= sum(savings[:opens])
         return total
 
-    def _emit(self, root, total):
+    def _check_deadline(self):
         if time.monotonic() > self.deadline:
             raise EnumerationLimitError(
                 "enumeration wall-clock limit exceeded", self._partial()
             )
+
+    def _emit(self, root):
+        self._check_deadline()
         text, canon = _canonical_node(root, self.keys)
         if text in self.results:
             return
@@ -772,29 +817,19 @@ class _Enumerator:
 
     def run(self):
         roots = sorted(
-            (
-                c
-                for group in self.by_pos.values()
-                for c in group
-                if not c.is_trivial_cylinder
-            ),
-            key=lambda c: self.keys[id(c)],
+            (n for group in self.by_pos for n in group if not self.trivial[n]),
+            key=lambda n: self.keys[id(self.components[n])],
         )
-        for comp in roots:
-            ind = self.ind[id(comp)]
-            node = _Node(comp)
-            self._recurse([node], list(comp.negative_ends), 1, ind, [node])
+        for n in roots:
+            node = _Node(self.components[n])
+            self._recurse([node], list(self.ends[n]), 1, self.ind[n], node)
         return self._partial()
 
-    def _recurse(self, level_nodes, frontier, depth, total, root_holder):
+    def _recurse(self, level_nodes, frontier, depth, total, root):
         b = self.bounds
-        if time.monotonic() > self.deadline:
-            raise EnumerationLimitError(
-                "enumeration wall-clock limit exceeded", self._partial()
-            )
-        root = root_holder[0]
+        self._check_deadline()
         if len(frontier) <= b.max_negative_ends and total <= b.max_index:
-            self._emit(root, total)
+            self._emit(root)
         if depth >= b.max_levels or not frontier:
             return
         if len(frontier) > b.max_components_per_level:
@@ -804,59 +839,56 @@ class _Enumerator:
             return
         ends = []
         for node in level_nodes:
-            for ei in range(len(node.component.negative_ends)):
+            for ei in range(len(node.children)):
                 ends.append((node, ei))
-        self._assign(ends, frontier, 0, [], {}, depth, total, 0, root_holder)
+        # rest[pos]: least index below the frontier ends after position pos.
+        floor = self._floor[rem]
+        rest = [0] * len(frontier)
+        for pos in range(len(frontier) - 1, 0, -1):
+            rest[pos - 1] = rest[pos] + floor[frontier[pos]]
+        last = [0] * len(self.by_pos)
+        self._assign(ends, frontier, rest, 0, [], last, depth, total, 0, root)
 
-    def _assign(
-        self, ends, frontier, pos, chosen, last_for_ref, depth, total, pending, root_holder
-    ):
+    def _assign(self, ends, frontier, rest, pos, chosen, last, depth, total, pending, root):
         b = self.bounds
         if pos == len(frontier):
-            if all(c.is_trivial_cylinder for c in chosen):
+            if all(self.trivial[n] for n in chosen):
                 return
-            children = [_Node(c) for c in chosen]
+            children = [_Node(self.components[n]) for n in chosen]
             for (node, ei), child in zip(ends, children):
                 node.children[ei] = child
-            new_frontier = [e for c in chosen for e in c.negative_ends]
-            self._recurse(children, new_frontier, depth + 1, total, root_holder)
+            new_frontier = [e for n in chosen for e in self.ends[n]]
+            self._recurse(children, new_frontier, depth + 1, total, root)
             for node, ei in ends:
                 node.children[ei] = None
             return
         ref = frontier[pos]
-        group = self.by_pos.get(ref, ())
-        rem = b.max_levels - depth - 1
-        rest_floor = sum(
-            min(self._open[rem + 1].get(r, 0), self._closed[rem + 1].get(r, INF))
-            for r in frontier[pos + 1 :]
-        )
-        start = last_for_ref.get(ref, 0)
+        group = self.by_pos[ref]
+        down = self._down[b.max_levels - depth - 1]
+        budget = b.max_index - total - pending - rest[pos]
+        start = last[ref]
         for idx in range(start, len(group)):
-            comp = group[idx]
-            ind = self.ind[id(comp)]
-            down = self._completion(comp.negative_ends, rem)
-            if down == INF:
+            n = group[idx]
+            ind = self.ind[n]
+            below = down[n]
+            if below == INF or ind + below > budget:
                 continue
-            if total + ind + down + pending + rest_floor > b.max_index:
-                continue
-            chosen.append(comp)
-            last_for_ref[ref] = idx
+            chosen.append(n)
+            last[ref] = idx
             self._assign(
                 ends,
                 frontier,
+                rest,
                 pos + 1,
                 chosen,
-                last_for_ref,
+                last,
                 depth,
                 total + ind,
-                pending + min(down, 0),
-                root_holder,
+                pending + min(below, 0),
+                root,
             )
             chosen.pop()
-        if start:
-            last_for_ref[ref] = start
-        else:
-            last_for_ref.pop(ref, None)
+        last[ref] = start
 
 
 def enumerate_buildings(orbits, profile, bounds, time_limit=None):
@@ -911,19 +943,24 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
         violations={name: [] for name in CHECK_NAMES},
     )
 
-    def apply(name, fn, c):
+    def apply(name, ok, c):
         report.checked[name] += 1
-        if not fn(c):
+        if not ok:
             report.violations[name].append(component_key(c))
 
+    table = OrbitTable(orbits, bounds.max_total_multiplicity)
     for c in enumerate_components(orbits, profile, bounds):
         report.components += 1
+        ind = table.index(c.genus, c.positive_ends, c.negative_ends)
+        under = table.index(
+            _underlying_genus(c), c.underlying_positive_ends, c.underlying_negative_ends
+        )
         if c.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
-            apply("trivial_cover_nonnegative", check_trivial_cover_nonnegative, c)
-        apply("cover_index_bound", check_cover_index_bound, c)
+            apply("trivial_cover_nonnegative", _trivial_cover_nonnegative(c, ind), c)
+        apply("cover_index_bound", _cover_index_bound(c, ind, under), c)
         apply(
             "nontrivial_cover_bounds",
-            lambda comp: check_nontrivial_cover_bounds(comp, profile),
+            _nontrivial_cover_bounds(c, profile, ind, under),
             c,
         )
         if (
@@ -934,7 +971,7 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
         ):
             apply(
                 "cylinder_cover_index",
-                lambda comp: check_cylinder_cover_index(comp, profile),
+                _cylinder_cover_index(c, profile, ind, under),
                 c,
             )
         if (
@@ -942,7 +979,7 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
             and len(c.underlying_negative_ends) > 1
         ):
             apply(
-                "multi_end_cover_combination", check_multi_end_cover_combination, c
+                "multi_end_cover_combination", _multi_end_cover_combination(c, ind), c
             )
     return report
 
@@ -1006,8 +1043,9 @@ class PropositionReport:
 
     def lines(self):
         out = [f"buildings: {len(self.entries)}"]
-        for tag in sorted(self.tally()):
-            out.append(f"class {tag}: {self.tally()[tag]}")
+        tally = self.tally()
+        for tag in sorted(tally):
+            out.append(f"class {tag}: {tally[tag]}")
         out.append(f"counterexamples: {len(self.counterexamples)}")
         for e in self.counterexamples:
             out.append(f"counterexample: index={e.index} {e.key}")

@@ -12,7 +12,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .buildings import (
     building_key,
@@ -76,9 +76,14 @@ def _time_limit():
     if raw is None:
         return None
     try:
-        return float(raw)
+        limit = float(raw)
     except ValueError:
         raise UsageError(f"{TIME_LIMIT_ENV} must be a number, got {raw!r}")
+    if not 0 < limit < inf:  # also false for nan
+        raise UsageError(
+            f"{TIME_LIMIT_ENV} must be a finite positive number of seconds, got {raw!r}"
+        )
+    return limit
 
 
 def _report(command, lines):

@@ -141,6 +141,41 @@ def orbit_type(orbit: OrbitRef) -> OrbitType:
     return OrbitType.ELLIPTIC
 
 
+class OrbitTable:
+    """Every cover of a set of embedded orbits up to a multiplicity cap.
+
+    Cover i is refs[i], with Conley-Zehnder index cz[i].  Ids run through
+    the orbits in the order given and, within an orbit, by multiplicity, so
+    each cover's index is computed once and the ids can stand in for the
+    covers in tight loops.  Orbit names must be distinct.
+    """
+
+    def __init__(self, orbits, max_multiplicity: int):
+        self.refs = tuple(
+            OrbitRef(orbit, m)
+            for orbit in orbits
+            for m in range(1, min(orbit.validity_bound, max_multiplicity) + 1)
+        )
+        self.cz = tuple(cz_index(ref) for ref in self.refs)
+        self._ids = {(r.base.name, r.multiplicity): i for i, r in enumerate(self.refs)}
+        if len(self._ids) != len(self.refs):
+            raise OrbitDataError("orbit names in one table must be distinct")
+
+    def id_of(self, ref: OrbitRef) -> int:
+        return self._ids[ref.base.name, ref.multiplicity]
+
+    def index(self, genus: int, positive_ends, negative_ends) -> int:
+        """Fredholm index of a curve with c_tau = 0, from the table's cz."""
+        ids = self._ids
+        cz = self.cz
+        total = 2 * genus - 2 + len(positive_ends) + len(negative_ends)
+        for r in positive_ends:
+            total += cz[ids[r.base.name, r.multiplicity]]
+        for r in negative_ends:
+            total -= cz[ids[r.base.name, r.multiplicity]]
+        return total
+
+
 def is_good(orbit: OrbitRef) -> bool:
     """False exactly for even covers of a negative hyperbolic orbit."""
     base_negative = orbit.base.theta.denominator == 2

@@ -30,7 +30,7 @@ from cch.errors import (
     PreconditionError,
     SkeletonError,
 )
-from cch.orbits import OrbitRef, RotationData
+from cch.orbits import OrbitRef, OrbitTable, RotationData
 
 F = Fraction
 
@@ -219,6 +219,19 @@ def test_enumerated_components_pass_all_checks():
     assert report.ok, report.violations
 
 
+def test_table_indices_match_component_indices():
+    # The enumerator and the estimate sweep read indices from the table.
+    orbits = [ELL, NEGH, POSH]
+    bounds = EnumerationBounds(max_total_multiplicity=4)
+    table = OrbitTable(orbits, bounds.max_total_multiplicity)
+    for c in enumerate_components(orbits, GENERIC, bounds):
+        genus = c.genus if c.kind is ComponentKind.SOMEWHERE_INJECTIVE else 0
+        assert table.index(c.genus, c.positive_ends, c.negative_ends) == component_index(c)
+        assert table.index(
+            genus, c.underlying_positive_ends, c.underlying_negative_ends
+        ) == underlying_index(c)
+
+
 def test_component_enumeration_respects_validity_bounds():
     orbits = [ELL]  # validity bound 4 < multiplicity bound 6
     bounds = EnumerationBounds(max_total_multiplicity=6)
@@ -389,6 +402,27 @@ def test_enumeration_matches_brute_force_no_negative_ends():
     assert got
 
 
+@pytest.mark.parametrize("multiplicity,levels", [(3, 3), (3, 4), (4, 3), (4, 4)])
+def test_enumeration_matches_brute_force_deeper(multiplicity, levels):
+    # Multiply covered ends, several components per level and up to four
+    # levels, where the completion bounds and the symmetry breaking prune.
+    orbits = [
+        RotationData("e", F(6, 5), 4, contractible=True),
+        RotationData("h", F(1, 2), 4),
+    ]
+    bounds = EnumerationBounds(
+        max_levels=levels,
+        max_total_multiplicity=multiplicity,
+        max_index=3,
+        max_components_per_level=3,
+        max_negative_ends=1,
+    )
+    expected = brute_force_keys(orbits, CONVEX, bounds)
+    got = {building_key(b): b.total_index for b in enumerate_buildings(orbits, CONVEX, bounds)}
+    assert got == expected
+    assert len(got) == (21 if multiplicity == 3 else 61)
+
+
 def test_enumeration_requires_convex_data_when_flagged():
     bad = RotationData("c", F(1, 2), 10, contractible=True)
     with pytest.raises(DynamicalConvexityError):
@@ -420,6 +454,21 @@ def test_building_validation_matched_ends():
         BuildingSkeleton(
             (Level((lopsided,)), Level((tcyl, si(ref(ELL, 1), ())))), ((0, 1),)
         )
+
+
+def test_building_key_rejects_several_top_components():
+    # Valid as a skeleton (its graph is a tree), but it has two positive ends.
+    e1, p1 = ref(ELL, 1), ref(POSH, 1)
+    two_ends = ComponentSkeleton(
+        ComponentKind.SOMEWHERE_INJECTIVE, 1, 0, 0, (e1, e1), (), (e1, e1), ()
+    )
+    b = BuildingSkeleton(
+        (Level((trivial_cylinder(ELL, 1), si(p1, (e1,)))), Level((two_ends,))),
+        ((0, 1),),
+    )
+    assert len(b.positive_ends) == 2
+    with pytest.raises(SkeletonError):
+        building_key(b)
 
 
 def test_building_rejects_all_trivial_level():

@@ -15,6 +15,7 @@ from cch.errors import (
 from cch.orbits import (
     CurveData,
     OrbitRef,
+    OrbitTable,
     OrbitType,
     RotationData,
     cz_index,
@@ -242,3 +243,24 @@ def test_cz_matches_floor_ceil_oracle(theta, m):
     base = make_orbit(theta, 25)
     m = min(m, base.validity_bound)
     assert cz_index(OrbitRef(base, m)) == oracle_cz(theta, m)
+
+
+def test_orbit_table_ids_and_indices():
+    a, b = RotationData("a", F(6, 5), 4), RotationData("b", F(1, 2), 30)
+    table = OrbitTable([a, b], 3)
+    assert [(r.base.name, r.multiplicity) for r in table.refs] == [
+        ("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3),
+    ]
+    for i, r in enumerate(table.refs):
+        assert table.id_of(OrbitRef(r.base, r.multiplicity)) == i
+        assert table.cz[i] == cz_index(r)
+    pos, neg = (table.refs[2],), (table.refs[3], table.refs[4])
+    assert table.index(0, pos, neg) == fredholm_index(CurveData(0, pos, neg))
+    assert table.index(1, pos, ()) == fredholm_index(CurveData(1, pos, ()))
+
+
+def test_orbit_table_caps_at_validity_bound_and_rejects_shared_names():
+    table = OrbitTable([RotationData("a", F(6, 5), 4)], 10)
+    assert len(table.refs) == 4
+    with pytest.raises(OrbitDataError):
+        OrbitTable([RotationData("a", F(6, 5), 4), RotationData("a", F(1, 2), 4)], 2)

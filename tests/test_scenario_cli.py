@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -307,11 +308,45 @@ def test_scenario_parse_error_exit_code(tmp_path):
 
 
 def test_time_limit_env_truncates(monkeypatch):
-    monkeypatch.setenv("CCH_TIME_LIMIT", "0")
+    monkeypatch.setenv("CCH_TIME_LIMIT", "1e-9")
     path = str(SCENARIOS / "convex_small.json")
     code, text = run_command(["enumerate", "--scenario", path])
     assert code == 2
     assert "partial: true" in text or "error" in text
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_time_limit_env_must_be_finite_and_positive(monkeypatch, value):
+    monkeypatch.setenv("CCH_TIME_LIMIT", value)
+    path = str(SCENARIOS / "convex_small.json")
+    code, text = run_command(["enumerate", "--scenario", path])
+    assert code == 2
+    assert "error: CCH_TIME_LIMIT" in text
+    assert "partial" not in text
+
+
+# SHA-256 of every enumerate and verify-props report on the shipped
+# scenarios (verify-props exits 2 where the profile is not generic and
+# dynamically convex).  A change to the enumerator must keep them.
+REPORT_DIGESTS = {
+    ("convex_small.json", "enumerate"): (0, "f484842e229a0968f77593794b6a369120c508d5a3d42d242785ca0236925687"),
+    ("convex_small.json", "verify-props"): (0, "16da7a1272fe581f86f975c389b28f6adc3d39e4e178f34d1f9ad16d6859f051"),
+    ("ellipsoid_like.json", "enumerate"): (0, "72cd0493b4714130c4620cf9a80cf77d0baa5ebddfefe6034de8ccedc871a2c8"),
+    ("ellipsoid_like.json", "verify-props"): (0, "8fe0c1b8169650acfd58c83fe7ddd3c78edf6454fc1b915852526bb5abe4dd23"),
+    ("estimate_suite.json", "enumerate"): (0, "2fd059ffa869a261cd3123d6fe475814d5a9ca82f77ad1933d581d1d550dff43"),
+    ("estimate_suite.json", "verify-props"): (2, "c8f9d5ad387c4621f9eaef9d4ab516b3b541189898f12a54ca81139e3b508c81"),
+    ("split_cancel.json", "enumerate"): (0, "0290266e3963a421d1bf6242decd496762e6bd8490598d1a64378a55b11d1bde"),
+    ("split_cancel.json", "verify-props"): (2, "c8f9d5ad387c4621f9eaef9d4ab516b3b541189898f12a54ca81139e3b508c81"),
+}
+
+
+def test_shipped_scenario_reports_match_pinned_digests():
+    got = {}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        for command in ("enumerate", "verify-props"):
+            code, text = run_command([command, "--scenario", str(path)])
+            got[path.name, command] = (code, hashlib.sha256(text.encode()).hexdigest())
+    assert got == REPORT_DIGESTS
 
 
 def test_reports_contain_no_decimal_points():
