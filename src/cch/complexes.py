@@ -3,15 +3,25 @@
 Cylinder counts are inputs, never computed: the table supplies signed
 index-one cylinder records keyed by ordered generator pairs, and this
 module validates every algebraic constraint such counts must satisfy,
-assembles the count operator, the multiplicity operator and their product,
-verifies that the product squares to zero, and computes homology ranks by
+assembles the count operator delta and the multiplicity operator kappa,
+verifies that delta kappa delta vanishes, and computes homology ranks by
 exact elimination.
+
+delta is stored once, as sparse columns holding only nonzero entries.
+Every count record joins two generators of one homotopy class whose
+gradings differ by one, so each entry lies in a block from (class, g) to
+(class, g - 1); homology ranks are taken per block, and only blocks with a
+nonzero entry are eliminated.  The double composite is computed in
+integers: with L the lcm of the denominators of delta, (L delta) kappa
+(L delta) is formed column by column over the stored entries, and each
+nonzero entry v is reported as v / L^2, in row-major (row, column) order.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional
 
 from . import linalg
@@ -76,22 +86,31 @@ class DSquaredReport:
 class ChainComplex:
     """Generators with gradings and the count/multiplicity operators.
 
-    delta[i][j] is the coefficient of generator i in the image of
-    generator j.  The boundary operator is delta followed by kappa; its
-    entries are validated to be integers.  The d-squared report is cached
-    by verify_d_squared so later operations can insist on it.
+    delta holds sparse columns: delta[j][i] is the coefficient of generator
+    i in the image of generator j, and only nonzero entries are stored (a
+    column with none is absent).  kappa is the diagonal kappa_diag of
+    multiplicities.  The boundary operator is delta followed by kappa;
+    build_complex checks that its entries are integers.  The d-squared
+    report is cached by verify_d_squared so later operations can insist
+    on it.
     """
 
     generators: tuple
     classes: tuple
     gradings: tuple
-    delta: list
+    delta: dict
     kappa_diag: tuple
     d_squared: Optional[DSquaredReport] = field(default=None, compare=False)
 
     @property
     def boundary(self):
-        return linalg.scale_columns(self.delta, self.kappa_diag)
+        """delta kappa as {(i, j): entry}, nonzero entries only."""
+        kappa = self.kappa_diag
+        return {
+            (i, j): value * kappa[j]
+            for j, column in self.delta.items()
+            for i, value in column.items()
+        }
 
     def index_of(self, ref: OrbitRef) -> int:
         return self.generators.index(ref)
@@ -146,8 +165,7 @@ def build_complex(
     classes = tuple(r.base.homotopy_class for r in generators)
     gradings = tuple(_generator_grading(r, relative_gradings) for r in generators)
 
-    n = len(generators)
-    delta = linalg.zeros(n, n)
+    delta = {}
     for (alpha, beta), records in counts.entries.items():
         if not records:
             continue
@@ -179,32 +197,53 @@ def build_complex(
                     f"{rec.cover_degree} does not divide both end multiplicities"
                 )
             total += Fraction(rec.sign, rec.cover_degree)
-        delta[i][j] += total
+        if total:
+            delta.setdefault(j, {})[i] = total
 
     kappa_diag = tuple(r.multiplicity for r in generators)
     complex_ = ChainComplex(generators, classes, gradings, delta, kappa_diag)
-    for i, j, value in linalg.nonzero_entries(complex_.boundary):
-        if value.denominator != 1:
-            raise CoverDivisibilityError(
-                f"boundary entry {format_orbit(generators[j])} -> "
-                f"{format_orbit(generators[i])} is not an integer: {value}"
-            )
+    boundary = complex_.boundary
+    fractional = [key for key, value in boundary.items() if value.denominator != 1]
+    if fractional:
+        i, j = min(fractional)
+        raise CoverDivisibilityError(
+            f"boundary entry {format_orbit(generators[j])} -> "
+            f"{format_orbit(generators[i])} is not an integer: {boundary[i, j]}"
+        )
     return complex_
 
 
 def verify_d_squared(c: ChainComplex) -> DSquaredReport:
-    """Compute the double composite exactly and report any nonzero entry."""
-    dk = linalg.scale_columns(c.delta, c.kappa_diag)
-    dkd = linalg.mat_mul(c.delta, dk)
+    """Compute delta kappa delta exactly and report any nonzero entry.
+
+    (delta kappa)^2 is the same product with column k scaled by kappa[k].
+    """
+    kappa = c.kappa_diag
+    scale = lcm(*(v.denominator for column in c.delta.values() for v in column.values()))
+    ints = {
+        j: {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
+        for j, column in c.delta.items()
+    }
+    entries = []
+    for k, column in ints.items():
+        acc = {}
+        for j, b in column.items():
+            inner = ints.get(j)
+            if inner:
+                b *= kappa[j]
+                for i, a in inner.items():
+                    acc[i] = acc.get(i, 0) + a * b
+        entries.extend((i, k, v) for i, v in acc.items() if v)
+    entries.sort()
+    square = scale * scale
     nonzero = tuple(
-        (format_orbit(c.generators[j]), format_orbit(c.generators[i]), value)
-        for i, j, value in linalg.nonzero_entries(dkd)
+        (format_orbit(c.generators[k]), format_orbit(c.generators[i]), Fraction(v, square))
+        for i, k, v in entries
     )
-    boundary_sq = linalg.mat_mul(dk, dk)
     report = DSquaredReport(
         ok=not nonzero,
         nonzero_entries=nonzero,
-        boundary_squared_ok=linalg.is_zero(boundary_sq),
+        boundary_squared_ok=not any(v * kappa[k] for _, k, v in entries),
     )
     c.d_squared = report
     return report
@@ -216,24 +255,25 @@ def homology_ranks(c: ChainComplex):
         raise SequencingError(
             "homology requires a passing verify_d_squared report for this complex"
         )
-    boundary = c.boundary
-    blocks = {}
-    for i, ref in enumerate(c.generators):
-        blocks.setdefault((c.classes[i], c.gradings[i]), []).append(i)
+    sizes = Counter(zip(c.classes, c.gradings))
+    # Boundary entries by the block of their column; build_complex checked
+    # that every entry is an integer.
+    maps = {}
+    for (i, j), value in c.boundary.items():
+        maps.setdefault((c.classes[j], c.gradings[j]), {})[i, j] = value.numerator
+    # Zero rows and columns do not change a rank, so each block is cut
+    # down to the rows and columns that hold an entry.
+    map_rank = {}
+    for key, entries in maps.items():
+        rows = {i: r for r, i in enumerate(sorted({i for i, _ in entries}))}
+        cols = {j: r for r, j in enumerate(sorted({j for _, j in entries}))}
+        matrix = [[0] * len(cols) for _ in rows]
+        for (i, j), value in entries.items():
+            matrix[rows[i]][cols[j]] = value
+        map_rank[key] = linalg.rank(matrix)
     ranks = {}
-    for (cls, g), cols in sorted(blocks.items()):
-        rows_below = blocks.get((cls, g - 1), [])
-        rows_here = cols
-        cols_above = blocks.get((cls, g + 1), [])
-        out_rank = 0
-        if rows_below:
-            out_rank = linalg.rank([[boundary[i][j] for j in cols] for i in rows_below])
-        in_rank = 0
-        if cols_above:
-            in_rank = linalg.rank(
-                [[boundary[i][j] for j in cols_above] for i in rows_here]
-            )
-        value = len(cols) - out_rank - in_rank
+    for (cls, g), size in sorted(sizes.items()):
+        value = size - map_rank.get((cls, g), 0) - map_rank.get((cls, g + 1), 0)
         if value:
             ranks[(cls, g)] = value
     return ranks
@@ -244,15 +284,6 @@ def render_homology_report(ranks) -> list:
     for (cls, g), value in sorted(ranks.items()):
         lines.append(f"class {cls} grading {g}: rank {value}")
     return lines
-
-
-def kappa_commutation_check(c: ChainComplex) -> bool:
-    """Both ways of composing the count and multiplicity operators agree."""
-    dk = linalg.scale_columns(c.delta, c.kappa_diag)
-    kd = linalg.scale_rows(c.delta, c.kappa_diag)
-    left = linalg.scale_rows(dk, c.kappa_diag)  # kappa (delta kappa)
-    right = linalg.scale_columns(kd, c.kappa_diag)  # (kappa delta) kappa
-    return left == right
 
 
 @dataclass(frozen=True)

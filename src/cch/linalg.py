@@ -3,6 +3,11 @@
 Matrices are lists of rows of Fractions (or ints).  Rank is computed by
 fraction-free elimination on an integer matrix obtained by clearing row
 denominators, which preserves rank.
+
+The chain complex (complexes.py) keeps its differential sparse and calls
+only `rank`, on the nonzero blocks of the boundary.  The other helpers
+have no caller in the library; they stay because the benchmark's tracer
+(perfbench/tracing.py) resolves them by name.
 """
 from __future__ import annotations
 

@@ -65,12 +65,17 @@ def parse_orbit_key(text, orbits_by_name, location="orbit reference") -> OrbitRe
     return OrbitRef(orbit, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountRecord:
+    """A count entry: the cover keys as written, which emission writes back,
+    and the covers they name, resolved once when the entry is parsed."""
+
     alpha: str
     beta: str
     sign: int
     cover_degree: int
+    alpha_ref: OrbitRef
+    beta_ref: OrbitRef
 
 
 @dataclass(frozen=True)
@@ -81,17 +86,10 @@ class Scenario:
     relative_gradings: Mapping = field(default_factory=dict)
     counts: tuple = ()
 
-    def orbits_by_name(self):
-        return {o.name: o for o in self.orbits}
-
     def count_table(self) -> ModuliCountTable:
-        by_name = self.orbits_by_name()
         entries = {}
-        for i, rec in enumerate(self.counts):
-            loc = f"counts[{i}]"
-            alpha = parse_orbit_key(rec.alpha, by_name, loc + ".alpha")
-            beta = parse_orbit_key(rec.beta, by_name, loc + ".beta")
-            entries.setdefault((alpha, beta), []).append(
+        for rec in self.counts:
+            entries.setdefault((rec.alpha_ref, rec.beta_ref), []).append(
                 CylinderCount(rec.sign, rec.cover_degree)
             )
         return ModuliCountTable(entries)
@@ -222,15 +220,15 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
             raise ScenarioError("count entry must be an object", loc)
         alpha = _require(entry, "alpha", loc)
         beta = _require(entry, "beta", loc)
-        parse_orbit_key(alpha, by_name, loc + ".alpha")
-        parse_orbit_key(beta, by_name, loc + ".beta")
+        alpha_ref = parse_orbit_key(alpha, by_name, loc + ".alpha")
+        beta_ref = parse_orbit_key(beta, by_name, loc + ".beta")
         sign = _as_int(_require(entry, "sign", loc), loc + ".sign")
         if sign not in (1, -1):
             raise ScenarioError(f"sign must be 1 or -1, got {sign}", loc + ".sign")
         degree = _as_int(_require(entry, "cover_degree", loc), loc + ".cover_degree")
         if degree < 1:
             raise ScenarioError("cover_degree must be >= 1", loc + ".cover_degree")
-        counts.append(CountRecord(alpha, beta, sign, degree))
+        counts.append(CountRecord(alpha, beta, sign, degree, alpha_ref, beta_ref))
 
     return Scenario(tuple(orbits), profile, bounds, gradings, tuple(counts))
 

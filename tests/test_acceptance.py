@@ -210,10 +210,9 @@ def test_criterion_6_split_contributions_cancel():
     cx = _split_cancel_complex()
     report = verify_d_squared(cx)
     assert report.ok and report.boundary_squared_ok
-    for row in cx.boundary:
-        for v in row:
-            assert v.denominator == 1
-    assert any(v != 0 for row in cx.boundary for v in row)
+    boundary = cx.boundary
+    assert boundary
+    assert all(v != 0 and v.denominator == 1 for v in boundary.values())
 
     corrupted = _split_cancel_complex(flip_sign=True)
     bad_report = verify_d_squared(corrupted)

@@ -1,12 +1,13 @@
 import random
+import time
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cch.complexes import (
-    ChainComplex,
     CylinderCount,
     EMPTY_COUNTS,
     GluingEnds,
@@ -15,7 +16,6 @@ from cch.complexes import (
     end_contribution,
     gluing_count,
     homology_ranks,
-    kappa_commutation_check,
     render_homology_report,
     verify_d_squared,
 )
@@ -26,7 +26,15 @@ from cch.errors import (
     PreconditionError,
     SequencingError,
 )
-from cch.orbits import OrbitRef, RotationData, cz_index, grading, orbit_type, OrbitType
+from cch.orbits import (
+    OrbitRef,
+    OrbitType,
+    RotationData,
+    cz_index,
+    format_orbit,
+    grading,
+    orbit_type,
+)
 
 F = Fraction
 
@@ -66,8 +74,8 @@ def synthetic_complex(flip_sign=False):
 def test_two_elliptic_orbits_empty_counts():
     cx = build_complex([GOLD1, GOLD2], 30)
     assert len(cx.generators) == 60
-    assert all(v == 0 for row in cx.delta for v in row)
-    assert all(v == 0 for row in cx.boundary for v in row)
+    assert cx.delta == {}
+    assert cx.boundary == {}
     assert all(g % 2 == 0 for g in cx.gradings)
 
 
@@ -75,7 +83,7 @@ def test_single_positive_hyperbolic_orbit():
     o = RotationData("o", F(2), 5, contractible=True)
     cx = build_complex([o], 5)
     assert len(cx.generators) == 5
-    assert all(v == 0 for row in cx.boundary for v in row)
+    assert cx.boundary == {}
 
 
 def test_smallest_nonzero_boundary_coefficient():
@@ -86,7 +94,7 @@ def test_smallest_nonzero_boundary_coefficient():
     )
     cx = build_complex([alpha, beta], 1, {"al^1": 1, "be^1": 0}, counts)
     i, j = cx.index_of(OrbitRef(beta, 1)), cx.index_of(OrbitRef(alpha, 1))
-    assert cx.boundary[i][j] == 1
+    assert cx.boundary == {(i, j): 1}
 
 
 def test_bad_orbit_generators_are_excluded():
@@ -163,9 +171,14 @@ def test_synthetic_complex_passes_and_is_integral():
     report = verify_d_squared(cx)
     assert report.ok
     assert report.boundary_squared_ok
-    for row in cx.boundary:
-        for v in row:
-            assert v.denominator == 1
+    boundary = cx.boundary
+    assert boundary
+    assert all(v.denominator == 1 for v in boundary.values())
+    # b^1 -> c^1 carries +1 and -1: the cancelled entry is not stored.
+    keys = cx.generator_keys()
+    b, c = keys.index("b^1"), keys.index("c^1")
+    assert c not in cx.delta.get(b, {})
+    assert all(v != 0 for column in cx.delta.values() for v in column.values())
 
 
 def test_corrupted_table_reports_nonzero_entry():
@@ -334,19 +347,159 @@ def test_synthetic_contributions_sum_matches_composite():
     assert report.ok
 
 
-# ---------------------------------------------------------------- kappa form
+# ---------------------------------------------------- sparse kernel oracle
 
 
-def test_kappa_commutation_on_synthetic_and_random():
-    assert kappa_commutation_check(synthetic_complex())
-    rng = random.Random(3)
-    o = RotationData("o", F(6, 5), 4, contractible=True)
-    refs = tuple(OrbitRef(o, m) for m in range(1, 5))
-    for _ in range(25):
-        n = len(refs)
-        delta = [
-            [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        cx = ChainComplex(refs, ("0",) * n, (0,) * n, delta, (1, 2, 3, 4))
-        assert kappa_commutation_check(cx)
+def _gauss_rank(rows):
+    """Rank by plain Gaussian elimination over Fractions."""
+    m = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        head = m[rank]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][col] / head[col]
+            m[i] = [a - factor * b for a, b in zip(m[i], head)]
+        rank += 1
+    return rank
+
+
+def _dense_oracle(cx, counts):
+    """delta kappa delta entries in row-major order, whether (delta kappa)^2
+    vanishes, and homology ranks, from the count records with dense
+    Fraction matrices over the generators of cx."""
+    gens = cx.generators
+    n = len(gens)
+    pos = {ref: i for i, ref in enumerate(gens)}
+    kappa = [ref.multiplicity for ref in gens]
+    delta = [[F(0)] * n for _ in range(n)]
+    for (alpha, beta), records in counts.entries.items():
+        for rec in records:
+            delta[pos[beta]][pos[alpha]] += F(rec.sign, rec.cover_degree)
+    d_kappa = [[delta[i][j] * kappa[j] for j in range(n)] for i in range(n)]
+
+    def product(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    dkd = product(d_kappa, delta)
+    entries = [
+        (format_orbit(gens[j]), format_orbit(gens[i]), dkd[i][j])
+        for i in range(n)
+        for j in range(n)
+        if dkd[i][j] != 0
+    ]
+    square_zero = all(v == 0 for row in product(d_kappa, d_kappa) for v in row)
+    blocks = {}
+    for i, key in enumerate(zip(cx.classes, cx.gradings)):
+        blocks.setdefault(key, []).append(i)
+
+    def block_rank(rows, cols):
+        if not rows or not cols:
+            return 0
+        return _gauss_rank([[d_kappa[i][j] for j in cols] for i in rows])
+
+    ranks = {}
+    for (cls, g), here in blocks.items():
+        below, above = blocks.get((cls, g - 1), []), blocks.get((cls, g + 1), [])
+        value = len(here) - block_rank(below, here) - block_rank(here, above)
+        if value:
+            ranks[(cls, g)] = value
+    return entries, square_zero, ranks
+
+
+def _random_complex(rng):
+    """2-4 orbits in one or two classes, random gradings, and records of
+    both signs with cover degrees 1-3 between generators one grading apart."""
+    classes = rng.choice((["t"], ["t", "u"]))
+    orbits = [
+        RotationData(f"o{k}", F(6, 5), rng.randint(1, 3), homotopy_class=rng.choice(classes))
+        for k in range(rng.randint(2, 4))
+    ]
+    refs = [OrbitRef(o, m) for o in orbits for m in range(1, o.validity_bound + 1)]
+    gradings = {format_orbit(r): rng.randint(0, 2) for r in refs}
+    entries = {}
+    for alpha in refs:
+        for beta in refs:
+            if (
+                alpha.base.homotopy_class != beta.base.homotopy_class
+                or gradings[format_orbit(alpha)] - gradings[format_orbit(beta)] != 1
+                or rng.random() < 0.4
+            ):
+                continue
+            degrees = [
+                d for d in (1, 2, 3) if alpha.multiplicity % d == 0 and beta.multiplicity % d == 0
+            ]
+            entries[(alpha, beta)] = tuple(
+                CylinderCount(rng.choice((1, -1)), rng.choice(degrees))
+                for _ in range(rng.randint(1, 2))
+            )
+    counts = ModuliCountTable(entries)
+    return build_complex(orbits, 3, gradings, counts), counts
+
+
+def test_sparse_kernel_matches_dense_oracle():
+    rng = random.Random(20261018)
+    seen = {"fail": 0, "pass_nonzero": 0, "fractional": 0}
+    for _ in range(300):
+        cx, counts = _random_complex(rng)
+        entries, square_zero, ranks = _dense_oracle(cx, counts)
+        report = verify_d_squared(cx)
+        assert list(report.nonzero_entries) == entries
+        assert report.ok == (not entries)
+        assert report.boundary_squared_ok == square_zero
+        if report.ok:
+            assert homology_ranks(cx) == ranks
+            seen["pass_nonzero"] += bool(cx.delta)
+        else:
+            seen["fail"] += 1
+            with pytest.raises(SequencingError):
+                homology_ranks(cx)
+        seen["fractional"] += any(
+            v.denominator != 1 for column in cx.delta.values() for v in column.values()
+        )
+    # The grid covers failing complexes, passing ones with a nonzero
+    # differential, and differentials with fractional entries.
+    assert min(seen.values()) >= 20, seen
+
+
+def test_middle_multiplicity_weights_the_composite():
+    # a^1 -> b^1 -> c^1 and a^1 -> b^2 -> c^1 cancel in delta^2 but not in
+    # delta kappa delta, where the middle generator's multiplicity enters.
+    a = RotationData("a", F(6, 5), 1, homotopy_class="t")
+    b = RotationData("b", F(6, 5), 2, homotopy_class="t")
+    c = RotationData("c", F(6, 5), 1, homotopy_class="t")
+    counts = ModuliCountTable(
+        {
+            (OrbitRef(a, 1), OrbitRef(b, 1)): (CylinderCount(1, 1),),
+            (OrbitRef(a, 1), OrbitRef(b, 2)): (CylinderCount(1, 1),),
+            (OrbitRef(b, 1), OrbitRef(c, 1)): (CylinderCount(1, 1),),
+            (OrbitRef(b, 2), OrbitRef(c, 1)): (CylinderCount(-1, 1),),
+        }
+    )
+    cx = build_complex([a, b, c], 2, {"a^1": 2, "b^1": 1, "b^2": 1, "c^1": 0}, counts)
+    report = verify_d_squared(cx)
+    assert report.nonzero_entries == (("a^1", "c^1", F(-1)),)
+    assert not report.ok and not report.boundary_squared_ok
+
+
+def test_beatty_surrogate_ten_thousand_generators():
+    started = time.monotonic()
+    a, b = 10946, 6765  # consecutive Fibonacci numbers
+    theta1, theta2 = F(a, b), F(a, a - b)
+    bound1, bound2 = b - 1, a - b - 1
+    # Oracle: the two floor sequences partition 1..a-2.
+    values = [floor(theta1 * k) for k in range(1, bound1 + 1)]
+    values += [floor(theta2 * k) for k in range(1, bound2 + 1)]
+    assert sorted(values) == list(range(1, a - 1))
+
+    g1 = RotationData("g1", theta1, bound1, contractible=True)
+    g2 = RotationData("g2", theta2, bound2, contractible=True)
+    cx = build_complex([g1, g2], bound1)
+    assert len(cx.generators) == 10_944
+    assert verify_d_squared(cx).ok
+    assert homology_ranks(cx) == {("0", 2 * v): 1 for v in values}
+    elapsed = time.monotonic() - started
+    assert elapsed < 5.0, f"10,944-generator complex took {elapsed:.1f}s"

@@ -19,7 +19,7 @@ from cch.scenario import (
     parse_scenario,
     parse_scenario_text,
 )
-from cch.orbits import RotationData
+from cch.orbits import OrbitRef, RotationData
 
 F = Fraction
 
@@ -143,7 +143,14 @@ def scenarios(draw):
         gradings[f"{first.name}^1"] = draw(st.integers(-5, 5))
     if draw(st.booleans()) and len(orbits) > 1:
         counts.append(
-            CountRecord(f"{orbits[0].name}^1", f"{orbits[1].name}^1", 1, 1)
+            CountRecord(
+                f"{orbits[0].name}^1",
+                f"{orbits[1].name}^1",
+                1,
+                1,
+                OrbitRef(orbits[0], 1),
+                OrbitRef(orbits[1], 1),
+            )
         )
     return Scenario(tuple(orbits), profile, bounds, gradings, tuple(counts))
 
