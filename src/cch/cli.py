@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
-from fractions import Fraction
-from math import gcd, inf
+from math import inf
 
 from .buildings import (
     building_key,
@@ -47,6 +45,7 @@ from .writhe import (
     BreakingVerdict,
     EndSide,
     no_bad_break_certificate,
+    sweep_no_bad_break,
     wind_bound,
     writhe_bound,
 )
@@ -212,45 +211,30 @@ def _cmd_verify_props(args):
     return (0 if report.ok else 1), _report("verify-props", lines)
 
 
-def _grid_thetas(max_q, theta_upper):
-    out = []
-    for q in range(3, max_q + 1):
-        for p in range(1, theta_upper * q):
-            if gcd(p, q) == 1:
-                out.append((p, q))
-    return out
-
-
 def _cmd_no_bad_break(args):
     if args.grid:
-        thetas = _grid_thetas(args.max_denominator, args.theta_upper)
-        if args.seed is not None:
-            random.Random(args.seed).shuffle(thetas)
-        checked = 0
-        bad = []
-        for p, q in thetas:
-            ft = p // q
-            for d in range(1, args.max_degree + 1):
-                fdt = (d * p) // q
-                fd1t = ((d + 1) * p) // q
-                checked += 1
-                if fd1t == fdt + ft and d * (fd1t - 2 * ft - 1) - (d - 1) * fdt >= 0:
-                    bad.append((Fraction(p, q), d))
-        bad.sort()
+        for flag, value, least in (
+            ("--max-degree", args.max_degree, 1),
+            ("--max-denominator", args.max_denominator, 3),
+            ("--theta-upper", args.theta_upper, 1),
+        ):
+            if value < least:
+                raise UsageError(f"{flag} must be >= {least}, got {value}")
+        result = sweep_no_bad_break(args.max_degree, args.max_denominator, args.theta_upper)
         lines = [
             "mode: grid",
             f"max-degree: {args.max_degree}",
             f"max-denominator: {args.max_denominator}",
             f"theta-upper: {args.theta_upper}",
-            f"certificates: {checked}",
-            f"counterexamples: {len(bad)}",
+            f"certificates: {result.certificates_checked}",
+            f"counterexamples: {len(result.counterexamples)}",
         ]
-        for theta, d in bad:
+        for theta, d in result.counterexamples:
             lines.append(f"counterexample: theta={format_rational(theta)} degree={d}")
         lines.append(
-            "verdict: " + ("A-and-B-unsatisfiable" if not bad else "counterexample-found")
+            "verdict: " + ("A-and-B-unsatisfiable" if result.ok else "counterexample-found")
         )
-        return (0 if not bad else 1), _report("no-bad-break", lines)
+        return (0 if result.ok else 1), _report("no-bad-break", lines)
     if args.theta is None or args.degree is None:
         raise UsageError("provide --theta and --d, or --grid")
     theta = parse_rational(args.theta, "--theta")
@@ -331,7 +315,6 @@ def _build_parser():
     p.add_argument("--max-degree", type=int, default=200)
     p.add_argument("--max-denominator", type=int, default=50)
     p.add_argument("--theta-upper", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("bounds", help="winding and writhe bounds of a braided end")
     p.add_argument("--theta", required=True)

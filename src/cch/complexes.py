@@ -90,7 +90,8 @@ class ChainComplex:
     i in the image of generator j, and only nonzero entries are stored (a
     column with none is absent).  kappa is the diagonal kappa_diag of
     multiplicities.  The boundary operator is delta followed by kappa;
-    build_complex checks that its entries are integers.  The d-squared
+    its entries are integers when the cover degrees divide the source
+    multiplicities, which build_complex checks.  The d-squared
     report is cached by verify_d_squared so later operations can insist
     on it.
     """
@@ -147,7 +148,9 @@ def build_complex(
     Each orbit contributes covers up to min(validity bound, cap).  Count
     records must connect good generators of the same homotopy class with
     grading difference one, and each record's cover degree must divide
-    both end multiplicities.
+    both end multiplicities.  That makes every boundary entry an integer:
+    it is a sum of sign * m(alpha) / cover_degree, and each cover degree
+    divides m(alpha), which kappa multiplies in.
     """
     if max_multiplicity < 1:
         raise PreconditionError("max multiplicity must be >= 1")
@@ -201,16 +204,7 @@ def build_complex(
             delta.setdefault(j, {})[i] = total
 
     kappa_diag = tuple(r.multiplicity for r in generators)
-    complex_ = ChainComplex(generators, classes, gradings, delta, kappa_diag)
-    boundary = complex_.boundary
-    fractional = [key for key, value in boundary.items() if value.denominator != 1]
-    if fractional:
-        i, j = min(fractional)
-        raise CoverDivisibilityError(
-            f"boundary entry {format_orbit(generators[j])} -> "
-            f"{format_orbit(generators[i])} is not an integer: {boundary[i, j]}"
-        )
-    return complex_
+    return ChainComplex(generators, classes, gradings, delta, kappa_diag)
 
 
 def verify_d_squared(c: ChainComplex) -> DSquaredReport:
@@ -256,8 +250,8 @@ def homology_ranks(c: ChainComplex):
             "homology requires a passing verify_d_squared report for this complex"
         )
     sizes = Counter(zip(c.classes, c.gradings))
-    # Boundary entries by the block of their column; build_complex checked
-    # that every entry is an integer.
+    # Boundary entries by the block of their column; build_complex's
+    # divisibility check makes every entry an integer.
     maps = {}
     for (i, j), value in c.boundary.items():
         maps.setdefault((c.classes[j], c.gradings[j]), {})[i, j] = value.numerator

@@ -17,7 +17,7 @@ from typing import Mapping
 from .buildings import EnumerationBounds, GenericityProfile
 from .complexes import CylinderCount, ModuliCountTable
 from .errors import ScenarioError
-from .orbits import OrbitRef, RotationData
+from .orbits import OrbitRef, RotationData, format_orbit
 
 
 def parse_rational(text, location="rational") -> Fraction:
@@ -207,8 +207,12 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
         )
     for key in sorted(raw_gradings):
         loc = f"{source}.relative_gradings[{key!r}]"
-        parse_orbit_key(key, by_name, loc)
-        gradings[key] = _as_int(raw_gradings[key], loc)
+        canonical = format_orbit(parse_orbit_key(key, by_name, loc))
+        if canonical in gradings:
+            raise ScenarioError(
+                f"{key!r} names {canonical}, which already has a grading", loc
+            )
+        gradings[canonical] = _as_int(raw_gradings[key], loc)
 
     counts = []
     raw_counts = data.get("counts", [])

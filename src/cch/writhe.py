@@ -211,6 +211,24 @@ class BreakingSweepResult:
         return not self.counterexamples
 
 
+def _index_zero_residues(p: int, q: int, count: int):
+    """(j, s_j, c_j) for each residue j < count of d mod q where A holds.
+
+    With d = k*q + j, floor(d*p/q) = k*p + floor(j*p/q), so condition A
+    depends on j alone and the writhe slack at d is s_j + k*c_j: s_j is the
+    slack formula at d = j, c_j = q*(floor((j+1)p/q) - floor(j*p/q) -
+    2*floor(p/q) - 1) + p.
+    """
+    ft = p // q
+    t = 2 * ft + 1
+    floors = [x // q for x in range(0, (count + 1) * p, p)]
+    return [
+        (j, j * (b - a - t) + a, q * (b - a - t) + p)
+        for j, a, b in zip(range(count), floors, floors[1:])
+        if b - a == ft
+    ]
+
+
 def sweep_no_bad_break(
     max_degree: int, max_denominator: int, theta_upper: int
 ) -> BreakingSweepResult:
@@ -218,42 +236,39 @@ def sweep_no_bad_break(
 
     Covers every theta = p/q with q <= max_denominator, 0 < theta <
     theta_upper, theta not an integer or half-integer, and every degree up
-    to max_degree.  Integer arithmetic throughout.
+    to max_degree.  Each theta is decided per residue class j of d mod q
+    (`_index_zero_residues`): where A holds, s_j + k*c_j >= 0 is solved
+    exactly over the admissible k (k >= 1 when j = 0, k*q + j <=
+    max_degree).  It is linear in k, so it holds somewhere in that range
+    iff it holds at an end; the sign of c_j is not assumed.  The
+    certificate count is the number of degrees those ranges cover.
+    Counterexamples come sorted by (theta, degree).  Integer arithmetic
+    throughout.
     """
+    if max_degree < 1:
+        raise PreconditionError("max_degree must be >= 1")
+    if max_denominator < 3:
+        raise PreconditionError("max_denominator must be >= 3")
+    if theta_upper < 1:
+        raise PreconditionError("theta_upper must be >= 1")
     checked = 0
     bad = []
     for q in range(3, max_denominator + 1):
+        # Admissible k per residue j: 1 <= k*q + j <= max_degree.
+        k_bounds = [
+            (0 if j else 1, (max_degree - j) // q) for j in range(min(q, max_degree + 1))
+        ]
+        degrees = sum(max(0, last - first + 1) for first, last in k_bounds)
         for p in range(1, theta_upper * q):
             if gcd(p, q) != 1:
                 continue
-            ft = p // q
-            for d in range(1, max_degree + 1):
-                fdt = (d * p) // q
-                fd1t = ((d + 1) * p) // q
-                checked += 1
-                if fd1t == fdt + ft and d * (fd1t - 2 * ft - 1) - (d - 1) * fdt >= 0:
-                    bad.append((Fraction(p, q), d))
-    return BreakingSweepResult(checked, tuple(bad))
-
-
-class ConjectureStatus(Enum):
-    UNPROVEN = "unproven"
-
-
-@dataclass(frozen=True)
-class ConjecturalValue:
-    value: int
-    status: ConjectureStatus
-
-
-def conjecture_improved_equality(orbit: OrbitRef) -> ConjecturalValue:
-    """The improved positive-end writhe bound, flagged as unproven equality.
-
-    Nothing in this package uses the returned value as ground truth.
-    """
-    if cz_index(orbit) % 2 == 0:
-        raise PreconditionError("the conjectural equality needs an odd cz index")
-    return ConjecturalValue(
-        writhe_bound(orbit, EndSide.POSITIVE, use_improved=True),
-        ConjectureStatus.UNPROVEN,
-    )
+            checked += degrees
+            for j, s, c in _index_zero_residues(p, q, len(k_bounds)):
+                first, last = k_bounds[j]
+                if s + first * c >= 0 or s + last * c >= 0:
+                    bad.extend(
+                        (Fraction(p, q), k * q + j)
+                        for k in range(first, last + 1)
+                        if s + k * c >= 0
+                    )
+    return BreakingSweepResult(checked, tuple(sorted(bad)))

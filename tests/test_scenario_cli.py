@@ -78,6 +78,39 @@ def test_duplicate_orbit_names_rejected():
     assert "duplicate" in str(err.value)
 
 
+def _graded_pair(gradings):
+    doc = json.loads(MINIMAL)
+    doc["orbits"] = [
+        {"name": n, "theta": t, "validity_bound": 4, "homotopy_class": "f",
+         "contractible": False}
+        for n, t in (("a", "6/5"), ("b", "7/5"))
+    ]
+    doc["relative_gradings"] = gradings
+    doc["counts"] = [{"alpha": "a^1", "beta": "b^1", "sign": 1, "cover_degree": 1}]
+    return doc
+
+
+def test_relative_grading_keys_are_read_by_their_canonical_spelling(tmp_path):
+    reports = []
+    for key in ("a^1", "a^01"):
+        doc = _graded_pair({key: 7})
+        assert parse_scenario_text(json.dumps(doc)).relative_gradings == {"a^1": 7}
+        path = tmp_path / "graded.json"
+        path.write_text(json.dumps(doc))
+        reports.append(run_command(["complex", "--scenario", str(path)]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 2
+    assert "grading must drop by one, got 7 -> 2" in reports[0][1]
+
+
+def test_relative_grading_cover_spelled_twice_rejected():
+    doc = _graded_pair({"a^1": 7, "a^01": 7})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(doc))
+    assert err.value.location == "scenario.relative_gradings['a^1']"
+    assert "'a^1' names a^1, which already has a grading" in str(err.value)
+
+
 def test_json_syntax_error_carries_position():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("{ nope }")
@@ -233,19 +266,41 @@ def test_no_bad_break_hypothesis_not_met():
     assert "verdict: index-hypothesis-not-met" in text
 
 
-def test_no_bad_break_grid_seed_does_not_change_output():
-    args = [
-        "no-bad-break", "--grid",
-        "--max-degree", "12",
-        "--max-denominator", "8",
-        "--theta-upper", "3",
-    ]
-    code0, text0 = run_command(args)
-    code1, text1 = run_command(args + ["--seed", "7"])
-    code2, text2 = run_command(args + ["--seed", "99"])
-    assert code0 == code1 == code2 == 0
-    assert text0 == text1 == text2
-    assert "verdict: A-and-B-unsatisfiable" in text0
+# SHA-256 of `cch no-bad-break --grid` reports: the default grid, one
+# where some denominators exceed the degree cap, and a small one.
+GRID_DIGESTS = {
+    (): "259ab7c551bc5b968dea0b142ca55b7cde1c3a5a8a79aae2ff38dc7646a10119",
+    ("--max-degree", "37", "--max-denominator", "23", "--theta-upper", "3"):
+        "60ba0b97ca5491b7997e65e504d3063e86777200f64582f22b2016c5a207363f",
+    ("--max-degree", "12", "--max-denominator", "8", "--theta-upper", "3"):
+        "37e6c55a5c639162eb31b9cdaff4a785c990879647e2124f7755c1bc088cb47e",
+}
+
+
+def test_no_bad_break_grid_reports_match_pinned_digests():
+    got = {}
+    for extra in GRID_DIGESTS:
+        code, text = run_command(["no-bad-break", "--grid", *extra])
+        assert code == 0
+        assert "verdict: A-and-B-unsatisfiable" in text
+        got[extra] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GRID_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [
+        ("--max-degree", "-5", 1),
+        ("--max-degree", "0", 1),
+        ("--max-denominator", "2", 3),
+        ("--theta-upper", "0", 1),
+    ],
+)
+def test_no_bad_break_grid_rejects_empty_grids(flag, value, least):
+    code, text = run_command(["no-bad-break", "--grid", flag, value])
+    assert code == 2
+    assert f"error: {flag} must be >= {least}, got {value}" in text
+    assert "certificates" not in text
 
 
 def test_bounds_command():

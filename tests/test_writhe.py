@@ -1,20 +1,21 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cch import writhe
 from cch.errors import PreconditionError
 from cch.orbits import OrbitRef, RotationData
 from cch.writhe import (
     BraidEndData,
     BreakingVerdict,
-    ConjectureStatus,
     EndSide,
     TransversalityQuery,
+    _index_zero_residues,
     adjunction_combine,
     automatic_transversality,
-    conjecture_improved_equality,
     no_bad_break_certificate,
     sweep_no_bad_break,
     wind_bound,
@@ -209,25 +210,77 @@ def test_small_sweep_is_clean():
     assert result.certificates_checked > 1000
 
 
-# ---------------------------------------------------------------- conjecture
+def _brute_force_sweep(max_degree, max_denominator, theta_upper):
+    """Every (theta, d) pair decided by the certificate formula, one by one."""
+    checked, bad = 0, []
+    for q in range(3, max_denominator + 1):
+        for p in range(1, theta_upper * q):
+            if gcd(p, q) != 1:
+                continue
+            ft = p // q
+            for d in range(1, max_degree + 1):
+                fdt, fd1t = d * p // q, (d + 1) * p // q
+                checked += 1
+                if fd1t == fdt + ft and d * (fd1t - 2 * ft - 1) - (d - 1) * fdt >= 0:
+                    bad.append((F(p, q), d))
+    return checked, sorted(bad)
 
 
-def test_conjecture_value_and_status():
-    out = conjecture_improved_equality(ref(F(6, 5), 3))
-    assert out.value == 4
-    assert out.status is ConjectureStatus.UNPROVEN
+def test_residue_sweep_matches_brute_force():
+    # Degree caps below, at and at multiples of the denominators.
+    for max_degree in range(1, 41):
+        for max_denominator in range(3, 17):
+            for theta_upper in (1, 2, 3):
+                result = sweep_no_bad_break(max_degree, max_denominator, theta_upper)
+                checked, bad = _brute_force_sweep(max_degree, max_denominator, theta_upper)
+                assert result.certificates_checked == checked
+                assert list(result.counterexamples) == bad
 
 
-def test_conjecture_degree_one():
-    assert conjecture_improved_equality(ref(F(6, 5), 1)).value == 0
+def test_residue_data_matches_certificates():
+    # For d = k*q + j: condition A is decided by j alone, and where it
+    # holds the writhe slack is s_j + k*c_j.
+    for q in range(3, 12):
+        for p in range(1, 3 * q):
+            if gcd(p, q) != 1:
+                continue
+            residues = {j: (s, c) for j, s, c in _index_zero_residues(p, q, q)}
+            for d in range(1, 4 * q + 2):
+                k, j = divmod(d, q)
+                cert = no_bad_break_certificate(F(p, q), d)
+                assert (j in residues) == cert.index_zero_identity
+                if j in residues:
+                    s, c = residues[j]
+                    assert s + k * c == cert.writhe_slack
 
 
-def test_conjecture_golden_cover():
-    r = ref(F(233, 144), 2, bound=100)
-    # cz = 7, so the improved bound is (2-1)*3 - gcd(2,3) + 1 = 3.
-    assert conjecture_improved_equality(r).value == 3
+def test_sweep_solves_each_residue_class_exactly(monkeypatch):
+    # The real residue data never yields a counterexample, so the solve over
+    # k runs here on synthetic data where c_j takes every sign.
+    def residues(p, q, count):
+        return [(j, (p + j) % 5 - 2, j % 3 - 1) for j in range(count)]
+
+    monkeypatch.setattr(writhe, "_index_zero_residues", residues)
+    for max_degree in range(1, 31):
+        for max_denominator in (3, 5, 8, 10):
+            result = sweep_no_bad_break(max_degree, max_denominator, 2)
+            expected = []
+            for q in range(3, max_denominator + 1):
+                for p in range(1, 2 * q):
+                    if gcd(p, q) != 1:
+                        continue
+                    data = {j: (s, c) for j, s, c in residues(p, q, q)}
+                    for d in range(1, max_degree + 1):
+                        s, c = data[d % q]
+                        if s + (d // q) * c >= 0:
+                            expected.append((F(p, q), d))
+            assert result.counterexamples == tuple(sorted(expected))
+            assert not result.ok
 
 
-def test_conjecture_rejects_even_cz():
+@pytest.mark.parametrize(
+    "bounds", [(0, 12, 2), (-5, 12, 2), (10, 2, 2), (10, 12, 0)]
+)
+def test_sweep_rejects_empty_grids(bounds):
     with pytest.raises(PreconditionError):
-        conjecture_improved_equality(ref(2, 1))
+        sweep_no_bad_break(*bounds)
