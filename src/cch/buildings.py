@@ -2,13 +2,13 @@
 
 A component is a branched cover of a trivial cylinder, a cover of a
 nontrivial somewhere-injective curve, or a somewhere-injective curve
-itself.  Buildings stack components into levels with end-matching
-bijections.  The enumerator generates every skeleton within configured
-bounds, subject to the combinatorial surrogates of a generic almost
-complex structure (nontrivial somewhere-injective curves have index at
-least one) and of dynamical convexity (contractible orbits have
-Conley-Zehnder index at least three, and only contractible orbits bound
-planes).
+itself.  A building is the tree of its components, each hanging from a
+negative end of the one above it.  The enumerator generates every
+skeleton within configured bounds, subject to the combinatorial
+surrogates of a generic almost complex structure (nontrivial
+somewhere-injective curves have index at least one) and of dynamical
+convexity (contractible orbits have Conley-Zehnder index at least three,
+and only contractible orbits bound planes).
 
 Each enumeration or sweep builds one OrbitTable of the scenario's covers
 up to the multiplicity bound, so every cover's Conley-Zehnder index is
@@ -516,195 +516,101 @@ def _covers_of(upos, pos, uneg, d, cap):
 
 
 @dataclass(frozen=True)
-class Level:
-    components: tuple
+class BuildingNode:
+    """A component of a building and the subtrees at its negative ends.
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
-            raise SkeletonError("a level must contain at least one component")
-
-    @property
-    def has_nontrivial(self) -> bool:
-        return any(not c.is_trivial_cylinder for c in self.components)
-
-    @property
-    def negative_ends(self):
-        return tuple(e for c in self.components for e in c.negative_ends)
-
-    @property
-    def positive_ends(self):
-        return tuple(e for c in self.components for e in c.positive_ends)
-
-
-@dataclass(frozen=True)
-class BuildingSkeleton:
-    """Levels of components with bijective end matchings between neighbors.
-
-    matchings[i][j] is the flattened positive-end position in level i+1
-    matched to the j-th flattened negative end of level i.
+    children holds one subtree per negative end, in end order; a node on
+    the bottom level has none.
     """
 
-    levels: tuple
-    matchings: tuple
+    component: ComponentSkeleton
+    children: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "matchings", tuple(tuple(m) for m in self.matchings))
-        if not self.levels:
-            raise SkeletonError("a building needs at least one level")
-        if len(self.matchings) != len(self.levels) - 1:
-            raise SkeletonError("one matching is required per adjacent level pair")
-        if len(self.levels) > 1 and not all(l.has_nontrivial for l in self.levels):
-            raise SkeletonError(
-                "every level of a multi-level building needs a nontrivial component"
-            )
-        for i, matching in enumerate(self.matchings):
-            neg = self.levels[i].negative_ends
-            pos = self.levels[i + 1].positive_ends
-            if len(matching) != len(neg) or len(pos) != len(neg):
-                raise SkeletonError("matching is not a bijection of adjacent ends")
-            if sorted(matching) != list(range(len(pos))):
-                raise SkeletonError("matching is not a bijection of adjacent ends")
-            for j, target in enumerate(matching):
-                if neg[j] != pos[target]:
-                    raise SkeletonError("matched ends must reference equal orbits")
-        self._check_tree()
-
-    def _check_tree(self):
-        # Genus zero with connectedness means the component graph is a tree.
-        ids = {}
-        for li, level in enumerate(self.levels):
-            for ci, _ in enumerate(level.components):
-                ids[(li, ci)] = len(ids)
-        edges = []
-        for i, matching in enumerate(self.matchings):
-            neg_owner = [
-                ci
-                for ci, c in enumerate(self.levels[i].components)
-                for _ in c.negative_ends
-            ]
-            pos_owner = [
-                ci
-                for ci, c in enumerate(self.levels[i + 1].components)
-                for _ in c.positive_ends
-            ]
-            for j, target in enumerate(matching):
-                edges.append(((i, neg_owner[j]), (i + 1, pos_owner[target])))
-        if len(edges) != len(ids) - 1:
-            raise SkeletonError("building graph is not a tree (genus would be positive)")
-        seen = {(0, 0)}
-        frontier = [(0, 0)]
-        adj = {}
-        for a, b in edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while frontier:
-            node = frontier.pop()
-            for other in adj.get(node, ()):
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        if len(seen) != len(ids):
-            raise SkeletonError("building graph is not connected")
-
-    @property
-    def total_index(self) -> int:
-        return sum(component_index(c) for l in self.levels for c in l.components)
-
-    @property
-    def positive_ends(self):
-        return self.levels[0].positive_ends
-
-    @property
-    def negative_ends(self):
-        return self.levels[-1].negative_ends
-
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            len(self.levels) == 1
-            and len(self.levels[0].components) == 1
-            and self.levels[0].components[0].is_trivial_cylinder
-        )
+        object.__setattr__(self, "children", tuple(self.children))
 
 
-class _Node:
-    __slots__ = ("component", "children")
-
-    def __init__(self, component):
-        self.component = component
-        self.children = [None] * len(component.negative_ends)
-
-
-def _canonical_node(node, keys):
+def _canonical_node(node):
     """Return (serialization, node with children canonically ordered)."""
     comp = node.component
-    child_data = []
-    for child in node.children:
-        if child is None:
-            child_data.append(("!", None))
-        else:
-            child_data.append(_canonical_node(child, keys))
-    # Sort subtree serializations within runs of equal negative-end refs.
     ends = comp.negative_ends
-    ordered = list(child_data)
+    if not node.children:
+        return component_key(comp) + "(" + ",".join(["!"] * len(ends)) + ")", node
+    if len(node.children) != len(ends):
+        raise SkeletonError("a node needs one subtree per negative end, or none")
+    child_data = []
+    for end, child in zip(ends, node.children):
+        if child.component.positive_ends != (end,):
+            raise SkeletonError("a subtree's positive end must be the end it hangs from")
+        child_data.append(_canonical_node(child))
+    # Sort subtree serializations within runs of equal negative-end refs.
     i = 0
     while i < len(ends):
         j = i
         while j < len(ends) and ends[j] == ends[i]:
             j += 1
-        ordered[i:j] = sorted(ordered[i:j], key=lambda t: t[0])
+        child_data[i:j] = sorted(child_data[i:j], key=lambda t: t[0])
         i = j
-    new = _Node(comp)
-    new.children = [t[1] for t in ordered]
-    text = keys[id(comp)] + "(" + ",".join(t[0] for t in ordered) + ")"
-    return text, new
+    text = component_key(comp) + "(" + ",".join(t[0] for t in child_data) + ")"
+    return text, BuildingNode(comp, tuple(t[1] for t in child_data))
 
 
-def _skeleton_from_tree(root) -> BuildingSkeleton:
-    levels = []
-    matchings = []
-    current = [root]
-    while current:
-        levels.append(Level(tuple(n.component for n in current)))
-        nxt = []
-        matching = []
-        any_child = any(c is not None for n in current for c in n.children)
-        if not any_child:
-            break
-        for node in current:
-            for child in node.children:
-                matching.append(len(nxt))
-                nxt.append(child)
-        matchings.append(tuple(matching))
-        current = nxt
-    return BuildingSkeleton(tuple(levels), tuple(matchings))
+@dataclass(frozen=True)
+class BuildingSkeleton:
+    """A genus-zero building with one positive end, as its tree of components.
+
+    The root is the top level's one component.  Genus zero and
+    connectedness make the component graph a tree, so the tree is the whole
+    building: level i holds the components at depth i, and the constructor
+    orders every node's subtrees canonically.  key is then equal exactly
+    for isomorphic buildings.
+    """
+
+    root: BuildingNode
+    levels: tuple = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, compare=False)
+    total_index: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key, root = _canonical_node(self.root)
+        nodes = [root]
+        levels = []
+        while nodes:
+            levels.append(nodes)
+            nodes = [child for node in nodes for child in node.children]
+        for level in levels[:-1]:
+            if any(n.component.negative_ends and not n.children for n in level):
+                raise SkeletonError("an end above the bottom level needs a subtree")
+        if len(levels) > 1 and any(
+            all(n.component.is_trivial_cylinder for n in level) for level in levels
+        ):
+            raise SkeletonError(
+                "every level of a multi-level building needs a nontrivial component"
+            )
+        levels = tuple(tuple(n.component for n in level) for level in levels)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(
+            self, "total_index", sum(component_index(c) for l in levels for c in l)
+        )
+
+    @property
+    def positive_ends(self):
+        return self.root.component.positive_ends
+
+    @property
+    def negative_ends(self):
+        return tuple(e for c in self.levels[-1] for e in c.negative_ends)
+
+    @property
+    def is_trivial(self) -> bool:
+        return len(self.levels) == 1 and self.root.component.is_trivial_cylinder
 
 
 def building_key(building: BuildingSkeleton) -> str:
-    """Canonical serialization; equal exactly for isomorphic buildings.
-
-    Buildings have one positive end, so the top level must hold exactly one
-    component, the root of the building's tree.
-    """
-    if len(building.levels[0].components) != 1:
-        raise SkeletonError("a building's top level must hold exactly one component")
-    keys = {
-        id(c): component_key(c) for l in building.levels for c in l.components
-    }
-    nodes = [[_Node(c) for c in l.components] for l in building.levels]
-    for i, matching in enumerate(building.matchings):
-        flat = [
-            (node, ei)
-            for node in nodes[i]
-            for ei in range(len(node.component.negative_ends))
-        ]
-        for j, target in enumerate(matching):
-            node, ei = flat[j]
-            node.children[ei] = nodes[i + 1][target]
-    text, _ = _canonical_node(nodes[0][0], keys)
-    return text
+    """Canonical serialization; equal exactly for isomorphic buildings."""
+    return building.key
 
 
 class _Enumerator:
@@ -724,7 +630,7 @@ class _Enumerator:
         self.results = {}
         table = OrbitTable(orbits, bounds.max_total_multiplicity)
         self.components = list(enumerate_components(orbits, profile, bounds))
-        self.keys = {id(c): component_key(c) for c in self.components}
+        self.keys = [component_key(c) for c in self.components]
         self.ends = [
             tuple(table.id_of(e) for e in c.negative_ends) for c in self.components
         ]
@@ -737,7 +643,7 @@ class _Enumerator:
         for n, c in enumerate(self.components):
             self.by_pos[table.id_of(c.positive_ends[0])].append(n)
         for group in self.by_pos:
-            group.sort(key=lambda n: (self.ind[n], self.keys[id(self.components[n])]))
+            group.sort(key=lambda n: (self.ind[n], self.keys[n]))
         self._closed, self._open = self._bound_tables()
         # What the search reads at each number of levels to go: the least
         # index below each component, and below each end on its own.
@@ -801,16 +707,27 @@ class _Enumerator:
                 "enumeration wall-clock limit exceeded", self._partial()
             )
 
-    def _emit(self, root):
+    def _emit(self, stack):
         self._check_deadline()
-        text, canon = _canonical_node(root, self.keys)
-        if text in self.results:
+        # The stack holds each level's components in the order of the ends
+        # above them, so the tree is built from the bottom level up.
+        below = [BuildingNode(self.components[n]) for n in stack[-1]]
+        for level in reversed(stack[:-1]):
+            nodes = []
+            pos = 0
+            for n in level:
+                k = len(self.ends[n])
+                nodes.append(BuildingNode(self.components[n], below[pos : pos + k]))
+                pos += k
+            below = nodes
+        b = BuildingSkeleton(below[0])
+        if b.key in self.results:
             return
         if len(self.results) >= self.bounds.max_buildings:
             raise EnumerationLimitError(
                 "enumeration building limit exceeded", self._partial()
             )
-        self.results[text] = _skeleton_from_tree(canon)
+        self.results[b.key] = b
 
     def _partial(self):
         return [self.results[k] for k in sorted(self.results)]
@@ -818,18 +735,18 @@ class _Enumerator:
     def run(self):
         roots = sorted(
             (n for group in self.by_pos for n in group if not self.trivial[n]),
-            key=lambda n: self.keys[id(self.components[n])],
+            key=lambda n: self.keys[n],
         )
         for n in roots:
-            node = _Node(self.components[n])
-            self._recurse([node], list(self.ends[n]), 1, self.ind[n], node)
+            self._recurse([[n]], list(self.ends[n]), 1, self.ind[n])
         return self._partial()
 
-    def _recurse(self, level_nodes, frontier, depth, total, root):
+    def _recurse(self, stack, frontier, depth, total):
+        """stack: the components chosen so far, one list per level."""
         b = self.bounds
         self._check_deadline()
         if len(frontier) <= b.max_negative_ends and total <= b.max_index:
-            self._emit(root)
+            self._emit(stack)
         if depth >= b.max_levels or not frontier:
             return
         if len(frontier) > b.max_components_per_level:
@@ -837,30 +754,23 @@ class _Enumerator:
         rem = b.max_levels - depth
         if total + self._completion(frontier, rem) > b.max_index:
             return
-        ends = []
-        for node in level_nodes:
-            for ei in range(len(node.children)):
-                ends.append((node, ei))
         # rest[pos]: least index below the frontier ends after position pos.
         floor = self._floor[rem]
         rest = [0] * len(frontier)
         for pos in range(len(frontier) - 1, 0, -1):
             rest[pos - 1] = rest[pos] + floor[frontier[pos]]
         last = [0] * len(self.by_pos)
-        self._assign(ends, frontier, rest, 0, [], last, depth, total, 0, root)
+        self._assign(stack, frontier, rest, 0, [], last, depth, total, 0)
 
-    def _assign(self, ends, frontier, rest, pos, chosen, last, depth, total, pending, root):
+    def _assign(self, stack, frontier, rest, pos, chosen, last, depth, total, pending):
         b = self.bounds
         if pos == len(frontier):
             if all(self.trivial[n] for n in chosen):
                 return
-            children = [_Node(self.components[n]) for n in chosen]
-            for (node, ei), child in zip(ends, children):
-                node.children[ei] = child
             new_frontier = [e for n in chosen for e in self.ends[n]]
-            self._recurse(children, new_frontier, depth + 1, total, root)
-            for node, ei in ends:
-                node.children[ei] = None
+            stack.append(chosen)
+            self._recurse(stack, new_frontier, depth + 1, total)
+            stack.pop()
             return
         ref = frontier[pos]
         group = self.by_pos[ref]
@@ -876,7 +786,7 @@ class _Enumerator:
             chosen.append(n)
             last[ref] = idx
             self._assign(
-                ends,
+                stack,
                 frontier,
                 rest,
                 pos + 1,
@@ -885,7 +795,6 @@ class _Enumerator:
                 depth,
                 total + ind,
                 pending + min(below, 0),
-                root,
             )
             chosen.pop()
         last[ref] = start
@@ -995,11 +904,10 @@ CASE_SPLIT_PLANE = "index-two:split-off-plane"
 def _is_split_plane_shape(b: BuildingSkeleton) -> bool:
     if len(b.levels) != 2:
         return False
-    top = b.levels[0].components
-    bottom = b.levels[1].components
-    if len(top) != 1 or len(bottom) != 2:
+    bottom = b.levels[1]
+    if len(bottom) != 2:
         return False
-    cover = top[0]
+    cover = b.root.component
     if cover.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
         return False
     if len(cover.negative_ends) != 2 or component_index(cover) != 0:
@@ -1015,10 +923,7 @@ def _is_split_plane_shape(b: BuildingSkeleton) -> bool:
 
 @dataclass
 class PropositionEntry:
-    key: str
-    index: int
-    levels: int
-    negative_ends: int
+    building: BuildingSkeleton
     classification: str
     ok: bool
 
@@ -1048,7 +953,7 @@ class PropositionReport:
             out.append(f"class {tag}: {tally[tag]}")
         out.append(f"counterexamples: {len(self.counterexamples)}")
         for e in self.counterexamples:
-            out.append(f"counterexample: index={e.index} {e.key}")
+            out.append(f"counterexample: index={e.building.total_index} {e.building.key}")
         return out
 
 
@@ -1072,9 +977,7 @@ def classify_building(b: BuildingSkeleton):
             return (CASE_ONE_LEVEL, True)
         if nlev == 2:
             cylinders = all(
-                len(l.components) == 1
-                and len(l.components[0].positive_ends) == 1
-                and len(l.components[0].negative_ends) == 1
+                len(l) == 1 and len(l[0].positive_ends) == 1 and len(l[0].negative_ends) == 1
                 for l in b.levels
             )
             if cylinders:
@@ -1098,20 +1001,17 @@ def verify_propositions(orbits, profile, bounds, time_limit=None) -> Proposition
         raise PreconditionError(
             "proposition verification assumes a generic, dynamically convex profile"
         )
-    report = PropositionReport()
     if not orbits:
-        return report
+        return PropositionReport()
     bounds = replace(bounds, max_negative_ends=min(bounds.max_negative_ends, 1))
-    for b in enumerate_buildings(orbits, profile, bounds, time_limit=time_limit):
-        tag, ok = classify_building(b)
-        report.entries.append(
-            PropositionEntry(
-                key=building_key(b),
-                index=b.total_index,
-                levels=len(b.levels),
-                negative_ends=len(b.negative_ends),
-                classification=tag,
-                ok=ok,
-            )
-        )
-    return report
+    return classify_buildings(
+        enumerate_buildings(orbits, profile, bounds, time_limit=time_limit)
+    )
+
+
+def classify_buildings(buildings) -> PropositionReport:
+    """Classify each building, in order; verify_propositions on a list of
+    buildings, such as the partial results of an enumeration limit error."""
+    return PropositionReport(
+        [PropositionEntry(b, *classify_building(b)) for b in buildings]
+    )

@@ -13,7 +13,7 @@ import sys
 from math import inf
 
 from .buildings import (
-    building_key,
+    classify_buildings,
     enumerate_buildings,
     verify_propositions,
 )
@@ -170,45 +170,48 @@ def _cmd_index(args):
     return 0, _report("index", lines)
 
 
+def _building_line(b, classification=None):
+    tag = "" if classification is None else f"class={classification} "
+    return (
+        f"building: index={b.total_index} levels={len(b.levels)} "
+        f"negative-ends={len(b.negative_ends)} {tag}key={b.key}"
+    )
+
+
+# A search stopped by a limit reports what it found under "partial: true"
+# and exits 2.
+
+
 def _cmd_enumerate(args):
     scenario = parse_scenario(args.scenario)
     lines = _scenario_echo(scenario)
+    code = 0
     try:
         buildings = enumerate_buildings(
             scenario.orbits, scenario.profile, scenario.bounds, time_limit=_time_limit()
         )
     except EnumerationLimitError as err:
         lines.append("partial: true")
-        lines.append(f"buildings: {len(err.partial)}")
-        for b in err.partial:
-            lines.append(
-                f"building: index={b.total_index} levels={len(b.levels)} "
-                f"negative-ends={len(b.negative_ends)} key={building_key(b)}"
-            )
-        return 2, _report("enumerate", lines)
+        buildings, code = err.partial, 2
     lines.append(f"buildings: {len(buildings)}")
-    for b in buildings:
-        lines.append(
-            f"building: index={b.total_index} levels={len(b.levels)} "
-            f"negative-ends={len(b.negative_ends)} key={building_key(b)}"
-        )
-    return 0, _report("enumerate", lines)
+    lines.extend(_building_line(b) for b in buildings)
+    return code, _report("enumerate", lines)
 
 
 def _cmd_verify_props(args):
     scenario = parse_scenario(args.scenario)
     lines = _scenario_echo(scenario)
-    report = verify_propositions(
-        scenario.orbits, scenario.profile, scenario.bounds, time_limit=_time_limit()
-    )
-    for entry in report.entries:
-        lines.append(
-            f"building: index={entry.index} levels={entry.levels} "
-            f"negative-ends={entry.negative_ends} class={entry.classification} "
-            f"key={entry.key}"
+    try:
+        report = verify_propositions(
+            scenario.orbits, scenario.profile, scenario.bounds, time_limit=_time_limit()
         )
+        code = 0 if report.ok else 1
+    except EnumerationLimitError as err:
+        lines.append("partial: true")
+        report, code = classify_buildings(err.partial), 2
+    lines.extend(_building_line(e.building, e.classification) for e in report.entries)
     lines.extend(report.lines())
-    return (0 if report.ok else 1), _report("verify-props", lines)
+    return code, _report("verify-props", lines)
 
 
 def _cmd_no_bad_break(args):

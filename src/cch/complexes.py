@@ -250,20 +250,21 @@ def homology_ranks(c: ChainComplex):
             "homology requires a passing verify_d_squared report for this complex"
         )
     sizes = Counter(zip(c.classes, c.gradings))
-    # Boundary entries by the block of their column; build_complex's
-    # divisibility check makes every entry an integer.
     maps = {}
     for (i, j), value in c.boundary.items():
-        maps.setdefault((c.classes[j], c.gradings[j]), {})[i, j] = value.numerator
+        maps.setdefault((c.classes[j], c.gradings[j]), {})[i, j] = value
     # Zero rows and columns do not change a rank, so each block is cut
-    # down to the rows and columns that hold an entry.
+    # down to the rows and columns that hold an entry.  Scaling a block by
+    # the lcm of its denominators does not change its rank either, and
+    # makes every entry an integer (build_complex's entries already are).
     map_rank = {}
     for key, entries in maps.items():
+        scale = lcm(*(v.denominator for v in entries.values()))
         rows = {i: r for r, i in enumerate(sorted({i for i, _ in entries}))}
         cols = {j: r for r, j in enumerate(sorted({j for _, j in entries}))}
         matrix = [[0] * len(cols) for _ in rows]
         for (i, j), value in entries.items():
-            matrix[rows[i]][cols[j]] = value
+            matrix[rows[i]][cols[j]] = value.numerator * (scale // value.denominator)
         map_rank[key] = linalg.rank(matrix)
     ranks = {}
     for (cls, g), size in sorted(sizes.items()):

@@ -39,7 +39,6 @@ class EnumerationLimitError(CCHError):
     def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial
-        self.partial_results = True
 
 
 class BadOrbitError(CCHError):

@@ -108,11 +108,6 @@ def automatic_transversality(q: TransversalityQuery) -> bool:
     return 2 * q.genus - 2 + q.h_plus < q.index
 
 
-def adjunction_combine(chi: int, writhe_plus: int, writhe_minus: int) -> int:
-    """Twice the singularity count: chi + writhe(top) - writhe(bottom)."""
-    return chi + writhe_plus - writhe_minus
-
-
 class BreakingVerdict(Enum):
     BREAKING_EXCLUDED = "breaking-excluded"
     INDEX_HYPOTHESIS_NOT_MET = "index-hypothesis-not-met"

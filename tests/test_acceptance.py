@@ -110,9 +110,10 @@ def test_criterion_3_low_index_building_classification():
     profile = GenericityProfile(True, True, True)
     report = verify_propositions(orbits, profile, EnumerationBounds())
     assert report.entries
-    assert report.ok, [e.key for e in report.counterexamples]
+    assert report.ok, [e.building.key for e in report.counterexamples]
     for entry in report.entries:
-        if entry.index == 2 and entry.negative_ends == 1:
+        b = entry.building
+        if b.total_index == 2 and len(b.negative_ends) == 1:
             assert entry.classification in (
                 "index-two:one-level",
                 "index-two:two-cylinder-levels",
@@ -126,7 +127,7 @@ def test_criterion_3_low_index_building_classification():
         tag, ok = classify_building(b)
         if tag != "index-two:split-off-plane":
             continue
-        planes = [c for c in b.levels[1].components if not c.negative_ends]
+        planes = [c for c in b.levels[1] if not c.negative_ends]
         if planes[0].positive_ends[0].multiplicity == 1:
             found_embedded_split = True
     assert found_embedded_split

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 from cch.buildings import (
+    BuildingNode,
     BuildingSkeleton,
     ComponentKind,
     ComponentSkeleton,
     EnumerationBounds,
     GenericityProfile,
-    Level,
     building_key,
     check_cover_index_bound,
     check_cylinder_cover_index,
@@ -271,7 +271,7 @@ def test_single_plane_enumeration():
     assert len(b.levels) == 1
     assert b.total_index == 2
     assert len(b.negative_ends) == 0
-    assert b.levels[0].components[0].kind is ComponentKind.SOMEWHERE_INJECTIVE
+    assert b.root.component.kind is ComponentKind.SOMEWHERE_INJECTIVE
 
 
 def test_index_one_enumeration_gives_one_level_cylinders():
@@ -282,7 +282,7 @@ def test_index_one_enumeration_gives_one_level_cylinders():
     for b in out:
         assert len(b.levels) == 1
         assert len(b.negative_ends) == 1
-        assert len(b.levels[0].components) == 1
+        assert len(b.levels[0]) == 1
 
 
 def test_two_level_chains_and_split_plane_shapes_appear():
@@ -300,9 +300,7 @@ def test_enumeration_respects_every_bound():
     assert out
     for b in out:
         assert len(b.levels) <= bounds.max_levels
-        assert all(
-            len(l.components) <= bounds.max_components_per_level for l in b.levels
-        )
+        assert all(len(l) <= bounds.max_components_per_level for l in b.levels)
         assert b.total_index <= bounds.max_index
         assert len(b.negative_ends) <= bounds.max_negative_ends
         assert len(b.positive_ends) == 1
@@ -320,6 +318,19 @@ def test_enumeration_is_deterministic_and_duplicate_free():
     assert keys_a == sorted(keys_a)
 
 
+def tree_from_levels(levels):
+    # Level i + 1 lists the components at the negative ends of level i,
+    # in order.
+    below = [BuildingNode(c) for c in levels[-1]]
+    for level in reversed(levels[:-1]):
+        ends = iter(below)
+        below = [
+            BuildingNode(c, [next(ends) for _ in c.negative_ends]) for c in level
+        ]
+    (root,) = below
+    return root
+
+
 def brute_force_keys(orbits, profile, bounds):
     # Reference enumeration: no index pruning, no bound tables, no canonical
     # ordering; assemble level lists directly and dedupe by canonical key.
@@ -331,11 +342,7 @@ def brute_force_keys(orbits, profile, bounds):
     found = {}
 
     def emit(levels):
-        skeleton_levels = tuple(Level(tuple(l)) for l in levels)
-        matchings = tuple(
-            tuple(range(len(levels[i + 1]))) for i in range(len(levels) - 1)
-        )
-        b = BuildingSkeleton(skeleton_levels, matchings)
+        b = BuildingSkeleton(tree_from_levels(levels))
         if b.total_index <= bounds.max_index and not b.is_trivial:
             found[building_key(b)] = b.total_index
 
@@ -444,44 +451,65 @@ def test_building_validation_matched_ends():
     plane = si(ref(ELL, 1), ())
     tcyl = trivial_cylinder(ELL, 1)
     good = BuildingSkeleton(
-        (Level((pants,)), Level((tcyl, plane))), ((0, 1),)
+        BuildingNode(pants, [BuildingNode(tcyl), BuildingNode(plane)])
     )
     assert good.total_index == 2
     assert len(good.negative_ends) == 1
+    # Subtrees at equal ends are ordered by their keys: "btc[..." < "si[...".
+    assert good.levels == ((pants,), (tcyl, plane))
     lopsided = branched_cover(ELL, (1, 2))
     with pytest.raises(SkeletonError):
         # Matched ends must reference equal orbits: e^2 cannot meet a plane at e^1.
         BuildingSkeleton(
-            (Level((lopsided,)), Level((tcyl, si(ref(ELL, 1), ())))), ((0, 1),)
+            BuildingNode(lopsided, [BuildingNode(tcyl), BuildingNode(plane)])
         )
 
 
-def test_building_key_rejects_several_top_components():
-    # Valid as a skeleton (its graph is a tree), but it has two positive ends.
-    e1, p1 = ref(ELL, 1), ref(POSH, 1)
-    two_ends = ComponentSkeleton(
-        ComponentKind.SOMEWHERE_INJECTIVE, 1, 0, 0, (e1, e1), (), (e1, e1), ()
-    )
-    b = BuildingSkeleton(
-        (Level((trivial_cylinder(ELL, 1), si(p1, (e1,)))), Level((two_ends,))),
-        ((0, 1),),
-    )
-    assert len(b.positive_ends) == 2
+def test_building_rejects_wrong_number_of_subtrees():
+    pants = branched_cover(ELL, (1, 1))
     with pytest.raises(SkeletonError):
-        building_key(b)
+        BuildingSkeleton(BuildingNode(pants, [BuildingNode(si(ref(ELL, 1), ()))]))
+
+
+def test_building_rejects_branch_stopping_above_bottom_level():
+    # The first end of the pants carries a two-level branch, the second
+    # none: its end would sit above the bottom level with nothing below it.
+    pants = branched_cover(ELL, (1, 1))
+    e1, p1 = ref(ELL, 1), ref(POSH, 1)
+    branch = BuildingNode(si(e1, (p1,)), [BuildingNode(si(p1, ()))])
+    with pytest.raises(SkeletonError):
+        BuildingSkeleton(BuildingNode(pants, [branch, BuildingNode(si(e1, (e1,)))]))
+    # With a subtree at every end above the bottom level it is a building.
+    b = BuildingSkeleton(
+        BuildingNode(
+            pants,
+            [branch, BuildingNode(trivial_cylinder(ELL, 1), [BuildingNode(si(e1, ()))])],
+        )
+    )
+    assert len(b.levels) == 3
 
 
 def test_building_rejects_all_trivial_level():
     tcyl = trivial_cylinder(ELL, 1)
     with pytest.raises(SkeletonError):
-        BuildingSkeleton((Level((tcyl,)), Level((tcyl,))), ((0,),))
+        BuildingSkeleton(BuildingNode(tcyl, [BuildingNode(tcyl)]))
+
+
+def test_building_key_is_independent_of_subtree_order():
+    pants = branched_cover(ELL, (1, 1))
+    plane = si(ref(ELL, 1), ())
+    tcyl = trivial_cylinder(ELL, 1)
+    a = BuildingSkeleton(BuildingNode(pants, [BuildingNode(tcyl), BuildingNode(plane)]))
+    b = BuildingSkeleton(BuildingNode(pants, [BuildingNode(plane), BuildingNode(tcyl)]))
+    assert a.key == b.key == building_key(a)
+    assert a == b
 
 
 def test_classification_of_split_plane_building():
     pants = branched_cover(ELL, (1, 1))
     plane = si(ref(ELL, 1), ())
     tcyl = trivial_cylinder(ELL, 1)
-    b = BuildingSkeleton((Level((pants,)), Level((tcyl, plane))), ((0, 1),))
+    b = BuildingSkeleton(BuildingNode(pants, [BuildingNode(tcyl), BuildingNode(plane)]))
     assert classify_building(b) == ("index-two:split-off-plane", True)
 
 
@@ -492,7 +520,7 @@ def test_verify_propositions_clean_scenario():
     orbits = [ELL, POSH, RotationData("h", F(1, 2), 30)]
     report = verify_propositions(orbits, CONVEX, EnumerationBounds())
     assert report.entries
-    assert report.ok, [e.key for e in report.counterexamples]
+    assert report.ok, [e.building.key for e in report.counterexamples]
     tags = report.tally()
     assert tags.get("index-two:split-off-plane", 0) >= 1
 

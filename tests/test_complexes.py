@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cch.complexes import (
+    ChainComplex,
     CylinderCount,
     EMPTY_COUNTS,
     GluingEnds,
@@ -252,6 +253,22 @@ def test_homology_invariant_under_generator_permutation_and_sign_flip():
     assert ranks_for([c, a, b], False) == base
     assert ranks_for([b, c, a], False) == base
     assert ranks_for([a, b, c], True) == base
+
+
+def test_homology_rank_is_taken_over_the_rationals():
+    # A hand-built complex with a fractional entry: the two columns of the
+    # block are proportional over Q, (1/2, 1) and (1, 2), so it has rank one.
+    a = RotationData("a", F(6, 5), 2, homotopy_class="f")
+    b = RotationData("b", F(6, 5), 2, homotopy_class="f")
+    cx = ChainComplex(
+        generators=(OrbitRef(a, 1), OrbitRef(a, 2), OrbitRef(b, 1), OrbitRef(b, 2)),
+        classes=("f",) * 4,
+        gradings=(1, 1, 0, 0),
+        delta={0: {2: F(1, 2), 3: F(1)}, 1: {2: F(1), 3: F(2)}},
+        kappa_diag=(1, 1, 1, 1),
+    )
+    assert verify_d_squared(cx).ok
+    assert homology_ranks(cx) == {("f", 0): 1, ("f", 1): 1}
 
 
 def test_default_relative_grading_is_cz_minus_one():

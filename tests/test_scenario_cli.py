@@ -372,9 +372,33 @@ def test_scenario_parse_error_exit_code(tmp_path):
 def test_time_limit_env_truncates(monkeypatch):
     monkeypatch.setenv("CCH_TIME_LIMIT", "1e-9")
     path = str(SCENARIOS / "convex_small.json")
-    code, text = run_command(["enumerate", "--scenario", path])
-    assert code == 2
-    assert "partial: true" in text or "error" in text
+    for command in ("enumerate", "verify-props"):
+        code, text = run_command([command, "--scenario", path])
+        assert code == 2
+        assert f"command: {command}\n" in text
+        assert "partial: true\n" in text
+        assert "error" not in text
+
+
+def test_building_limit_keeps_partial_results(tmp_path):
+    # Both commands report the buildings found before the limit, the same
+    # ones, and verify-props classifies them.
+    doc = json.loads((SCENARIOS / "convex_small.json").read_text())
+    doc["bounds"]["max_buildings"] = 7
+    path = tmp_path / "limited.json"
+    path.write_text(json.dumps(doc))
+    keys = {}
+    for command in ("enumerate", "verify-props"):
+        code, text = run_command([command, "--scenario", str(path)])
+        assert code == 2
+        assert "partial: true\n" in text
+        assert "buildings: 7\n" in text
+        lines = [l for l in text.splitlines() if l.startswith("building: ")]
+        keys[command] = [l.split(" key=", 1)[1] for l in lines]
+    assert len(keys["enumerate"]) == 7
+    assert keys["verify-props"] == keys["enumerate"]
+    assert "counterexamples: 0\n" in text
+    assert all(" class=" in l for l in lines)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -400,6 +424,28 @@ REPORT_DIGESTS = {
     ("split_cancel.json", "enumerate"): (0, "0290266e3963a421d1bf6242decd496762e6bd8490598d1a64378a55b11d1bde"),
     ("split_cancel.json", "verify-props"): (2, "c8f9d5ad387c4621f9eaef9d4ab516b3b541189898f12a54ca81139e3b508c81"),
 }
+
+
+# The same at levels 5, multiplicity 8, index 4 on convex_small, where
+# buildings reach five levels; the shipped scenarios never do.
+DEEP_DIGESTS = {
+    "enumerate": "74a701a4194494e5d1efcae4795c45f2dd000dc9987b35eb8d6da1479f7f40b6",
+    "verify-props": "f6b86b133e24f423ba1bd9793d780f29a0817d770a73869195c90184d96b731a",
+}
+
+
+def test_five_level_reports_match_pinned_digests(tmp_path):
+    doc = json.loads((SCENARIOS / "convex_small.json").read_text())
+    doc["bounds"].update(max_levels=5, max_total_multiplicity=8, max_index=4)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    got = {}
+    for command in DEEP_DIGESTS:
+        code, text = run_command([command, "--scenario", str(path)])
+        assert code == 0
+        assert "levels=5 " in text
+        got[command] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == DEEP_DIGESTS
 
 
 def test_shipped_scenario_reports_match_pinned_digests():

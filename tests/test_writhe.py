@@ -14,7 +14,6 @@ from cch.writhe import (
     EndSide,
     TransversalityQuery,
     _index_zero_residues,
-    adjunction_combine,
     automatic_transversality,
     no_bad_break_certificate,
     sweep_no_bad_break,
@@ -138,11 +137,6 @@ def test_transversality_validates_end_count():
 # ---------------------------------------------------------------- adjunction
 
 
-def test_adjunction_examples():
-    assert adjunction_combine(-1, 6, 5) == 0
-    assert adjunction_combine(0, 4, 4) == 0
-
-
 @given(
     st.tuples(st.integers(1, 400), st.integers(3, 40)).filter(
         lambda pq: F(pq[0], pq[1]).denominator > 2
@@ -159,7 +153,8 @@ def test_step_chain_specializes_to_certificate_slack(pq, d):
     w_plus = d * fd1t
     wind_mid = ft
     w_minus = (d - 1) * (fdt + 1)
-    combined = adjunction_combine(-1, w_plus, 2 * d * wind_mid + w_minus)
+    # chi + writhe(top) - writhe(bottom), with chi = -1.
+    combined = -1 + w_plus - (2 * d * wind_mid + w_minus)
     cert = no_bad_break_certificate(theta, d)
     assert combined == cert.writhe_slack
 
