@@ -629,7 +629,11 @@ class _Enumerator:
         self.deadline = deadline
         self.results = {}
         table = OrbitTable(orbits, bounds.max_total_multiplicity)
-        self.components = list(enumerate_components(orbits, profile, bounds))
+        # The setup can outlast the search, so the deadline bounds it too.
+        self.components = []
+        for c in enumerate_components(orbits, profile, bounds):
+            self._check_deadline()
+            self.components.append(c)
         self.keys = [component_key(c) for c in self.components]
         self.ends = [
             tuple(table.id_of(e) for e in c.negative_ends) for c in self.components
@@ -661,6 +665,7 @@ class _Enumerator:
         # Leaving an end open costs nothing, so no open entry is positive.
         opened = [[0] * len(self.by_pos)]
         for _ in range(self.bounds.max_levels):
+            self._check_deadline()
             prev_closed, prev_open = closed[-1], opened[-1]
             row_closed, row_open = list(prev_closed), list(prev_open)
             for ref, group in enumerate(self.by_pos):

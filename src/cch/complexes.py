@@ -1,20 +1,21 @@
 """Rational chain complexes on good orbit covers.
 
-Cylinder counts are inputs, never computed: the table supplies signed
-index-one cylinder records keyed by ordered generator pairs, and this
-module validates every algebraic constraint such counts must satisfy,
-assembles the count operator delta and the multiplicity operator kappa,
-verifies that delta kappa delta vanishes, and computes homology ranks by
-exact elimination.
+Cylinder counts are inputs, never computed: a sequence of CountRecords,
+each one signed index-one cylinder between two covers.  This module
+groups the records by the orbit-table ids of their ends, validates every
+algebraic constraint such counts must satisfy, assembles the count
+operator delta and the multiplicity operator kappa, verifies that delta
+kappa delta vanishes, and computes homology ranks by exact elimination.
 
 delta is stored once, as sparse columns holding only nonzero entries.
 Every count record joins two generators of one homotopy class whose
 gradings differ by one, so each entry lies in a block from (class, g) to
-(class, g - 1); homology ranks are taken per block, and only blocks with a
-nonzero entry are eliminated.  The double composite is computed in
-integers: with L the lcm of the denominators of delta, (L delta) kappa
-(L delta) is formed column by column over the stored entries, and each
-nonzero entry v is reported as v / L^2, in row-major (row, column) order.
+(class, g - 1); homology ranks are taken per block of delta, and only
+blocks with a nonzero entry are eliminated.  The double composite is
+computed in integers: with L the lcm of the denominators of delta,
+(L delta) kappa (L delta) is formed column by column over the stored
+entries, and each nonzero entry v is reported as v / L^2, in row-major
+(row, column) order.
 """
 from __future__ import annotations
 
@@ -32,38 +33,30 @@ from .errors import (
     PreconditionError,
     SequencingError,
 )
-from .orbits import OrbitRef, cz_index, format_orbit, grading, is_good
+from .orbits import OrbitRef, OrbitTable, format_orbit, is_good
 
 
-@dataclass(frozen=True)
-class CylinderCount:
+@dataclass(frozen=True, slots=True)
+class CountRecord:
+    """One signed index-one cylinder from alpha to beta that covers its
+    underlying cylinder cover_degree times.
+
+    alpha and beta are the cover keys as written, which scenario emission
+    writes back; alpha_ref and beta_ref are the covers they name.
+    """
+
+    alpha: str
+    beta: str
     sign: int
     cover_degree: int
+    alpha_ref: OrbitRef
+    beta_ref: OrbitRef
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise PreconditionError(f"sign must be +1 or -1, got {self.sign}")
         if self.cover_degree < 1:
             raise PreconditionError("cover degree must be >= 1")
-
-
-@dataclass(frozen=True)
-class ModuliCountTable:
-    """Signed index-one cylinder records keyed by ordered (source, target)."""
-
-    entries: Mapping
-
-    def __post_init__(self):
-        normalized = {}
-        for (alpha, beta), records in self.entries.items():
-            normalized[(alpha, beta)] = tuple(records)
-        object.__setattr__(self, "entries", normalized)
-
-    def records(self, alpha: OrbitRef, beta: OrbitRef):
-        return self.entries.get((alpha, beta), ())
-
-
-EMPTY_COUNTS = ModuliCountTable({})
 
 
 @dataclass
@@ -103,27 +96,11 @@ class ChainComplex:
     kappa_diag: tuple
     d_squared: Optional[DSquaredReport] = field(default=None, compare=False)
 
-    @property
-    def boundary(self):
-        """delta kappa as {(i, j): entry}, nonzero entries only."""
-        kappa = self.kappa_diag
-        return {
-            (i, j): value * kappa[j]
-            for j, column in self.delta.items()
-            for i, value in column.items()
-        }
 
-    def index_of(self, ref: OrbitRef) -> int:
-        return self.generators.index(ref)
-
-    def generator_keys(self):
-        return tuple(format_orbit(g) for g in self.generators)
-
-
-def _generator_grading(ref: OrbitRef, relative_gradings) -> int:
+def _generator_grading(ref: OrbitRef, cz: int, relative_gradings) -> int:
     key = format_orbit(ref)
     if ref.base.contractible:
-        value = grading(ref)
+        value = cz - 1
         if key in relative_gradings and relative_gradings[key] != value:
             raise GradingMismatchError(
                 f"{key}: contractible generators carry the absolute grading "
@@ -134,54 +111,75 @@ def _generator_grading(ref: OrbitRef, relative_gradings) -> int:
         return relative_gradings[key]
     # Default representative of the relative grading in the fixed
     # trivialization; classes may be shifted wholesale by user input.
-    return cz_index(ref) - 1
+    return cz - 1
 
 
 def build_complex(
     orbits,
     max_multiplicity: int,
     relative_gradings: Optional[Mapping] = None,
-    counts: ModuliCountTable = EMPTY_COUNTS,
+    counts=(),
 ) -> ChainComplex:
     """Assemble the complex on all good covers up to the multiplicity cap.
 
-    Each orbit contributes covers up to min(validity bound, cap).  Count
-    records must connect good generators of the same homotopy class with
-    grading difference one, and each record's cover degree must divide
-    both end multiplicities.  That makes every boundary entry an integer:
-    it is a sum of sign * m(alpha) / cover_degree, and each cover degree
-    divides m(alpha), which kappa multiplies in.
+    Each orbit contributes covers up to min(validity bound, cap); orbit
+    names must be distinct.  counts is a sequence of CountRecords.  The
+    records of each ordered pair of covers must connect good generators of
+    the same homotopy class with grading difference one, and each record's
+    cover degree must divide both end multiplicities; pairs are checked in
+    the order of their first record.  That makes every boundary entry an
+    integer: it is a sum of sign * m(alpha) / cover_degree, and each cover
+    degree divides m(alpha), which kappa multiplies in.
     """
     if max_multiplicity < 1:
         raise PreconditionError("max multiplicity must be >= 1")
     relative_gradings = dict(relative_gradings or {})
-    generators = []
-    for orbit in orbits:
-        cap = min(orbit.validity_bound, max_multiplicity)
-        for m in range(1, cap + 1):
-            ref = OrbitRef(orbit, m)
-            if is_good(ref):
-                generators.append(ref)
-    generators.sort(key=lambda r: (r.base.homotopy_class,))
-    generators = tuple(generators)
-    index = {ref: i for i, ref in enumerate(generators)}
+    table = OrbitTable(orbits, max_multiplicity)
+    ids = sorted(
+        (i for i, ref in enumerate(table.refs) if is_good(ref)),
+        key=lambda i: table.refs[i].base.homotopy_class,
+    )
+    generators = tuple(table.refs[i] for i in ids)
+    position = [None] * len(table.refs)
+    for p, i in enumerate(ids):
+        position[i] = p
     classes = tuple(r.base.homotopy_class for r in generators)
-    gradings = tuple(_generator_grading(r, relative_gradings) for r in generators)
+    gradings = tuple(
+        _generator_grading(table.refs[i], table.cz[i], relative_gradings) for i in ids
+    )
+    kappa_diag = tuple(r.multiplicity for r in generators)
+
+    def locate(ref):
+        """The generator position of ref, or ref itself if it is none."""
+        try:
+            p = position[table.id_of(ref)]
+        except KeyError:
+            return ref
+        return p if p is not None and generators[p] == ref else ref
+
+    # Group the records by the generator positions of their ends.  Each
+    # OrbitRef object is located once: records parsed from one spelling
+    # share it, so the loop hashes ints, not covers.
+    located = {}
+    groups = {}
+    for rec in counts:
+        j = located.get(id(rec.alpha_ref))
+        if j is None:
+            j = located[id(rec.alpha_ref)] = locate(rec.alpha_ref)
+        i = located.get(id(rec.beta_ref))
+        if i is None:
+            i = located[id(rec.beta_ref)] = locate(rec.beta_ref)
+        groups.setdefault((j, i), []).append(rec)
 
     delta = {}
-    for (alpha, beta), records in counts.entries.items():
-        if not records:
-            continue
-        for ref in (alpha, beta):
-            if not is_good(ref):
-                raise BadOrbitError(
-                    f"{format_orbit(ref)} is a bad orbit and not a generator"
-                )
-            if ref not in index:
-                raise BadOrbitError(
-                    f"{format_orbit(ref)} is not among the generators of this complex"
-                )
-        i, j = index[beta], index[alpha]
+    for (j, i), records in groups.items():
+        alpha, beta = records[0].alpha_ref, records[0].beta_ref
+        for where, ref in ((j, alpha), (i, beta)):
+            if isinstance(where, OrbitRef):
+                raise BadOrbitError(format_orbit(ref) + (
+                    " is not among the generators of this complex"
+                    if is_good(ref) else " is a bad orbit and not a generator"
+                ))
         if classes[j] != classes[i]:
             raise GradingMismatchError(
                 f"{format_orbit(alpha)} -> {format_orbit(beta)}: generators lie "
@@ -192,18 +190,21 @@ def build_complex(
                 f"{format_orbit(alpha)} -> {format_orbit(beta)}: grading must drop "
                 f"by one, got {gradings[j]} -> {gradings[i]}"
             )
-        total = Fraction(0)
+        # The entry is the sum of sign / cover_degree, taken as one integer
+        # numerator over the lcm of the degrees.
+        scale = lcm(*(rec.cover_degree for rec in records))
+        total = 0
         for rec in records:
-            if alpha.multiplicity % rec.cover_degree or beta.multiplicity % rec.cover_degree:
+            degree = rec.cover_degree
+            if kappa_diag[j] % degree or kappa_diag[i] % degree:
                 raise CoverDivisibilityError(
                     f"{format_orbit(alpha)} -> {format_orbit(beta)}: cover degree "
-                    f"{rec.cover_degree} does not divide both end multiplicities"
+                    f"{degree} does not divide both end multiplicities"
                 )
-            total += Fraction(rec.sign, rec.cover_degree)
+            total += rec.sign * (scale // degree)
         if total:
-            delta.setdefault(j, {})[i] = total
+            delta.setdefault(j, {})[i] = Fraction(total, scale)
 
-    kappa_diag = tuple(r.multiplicity for r in generators)
     return ChainComplex(generators, classes, gradings, delta, kappa_diag)
 
 
@@ -250,21 +251,23 @@ def homology_ranks(c: ChainComplex):
             "homology requires a passing verify_d_squared report for this complex"
         )
     sizes = Counter(zip(c.classes, c.gradings))
-    maps = {}
-    for (i, j), value in c.boundary.items():
-        maps.setdefault((c.classes[j], c.gradings[j]), {})[i, j] = value
-    # Zero rows and columns do not change a rank, so each block is cut
-    # down to the rows and columns that hold an entry.  Scaling a block by
-    # the lcm of its denominators does not change its rank either, and
-    # makes every entry an integer (build_complex's entries already are).
+    blocks = {}
+    for j, column in c.delta.items():
+        blocks.setdefault((c.classes[j], c.gradings[j]), {})[j] = column
+    # The boundary's column j is delta's column j times kappa_j = m(j) >= 1,
+    # and scaling a column by a nonzero number does not change a rank, so
+    # each block's rank is taken from delta.  Zero rows and columns do not
+    # change a rank either, so each block is cut down to the rows and
+    # columns that hold an entry (delta stores no zero).  Scaling the block
+    # by the lcm of its denominators makes every entry an integer.
     map_rank = {}
-    for key, entries in maps.items():
-        scale = lcm(*(v.denominator for v in entries.values()))
-        rows = {i: r for r, i in enumerate(sorted({i for i, _ in entries}))}
-        cols = {j: r for r, j in enumerate(sorted({j for _, j in entries}))}
-        matrix = [[0] * len(cols) for _ in rows]
-        for (i, j), value in entries.items():
-            matrix[rows[i]][cols[j]] = value.numerator * (scale // value.denominator)
+    for key, columns in blocks.items():
+        scale = lcm(*(v.denominator for col in columns.values() for v in col.values()))
+        rows = {i: r for r, i in enumerate(sorted({i for col in columns.values() for i in col}))}
+        matrix = [[0] * len(columns) for _ in rows]
+        for k, j in enumerate(sorted(columns)):
+            for i, value in columns[j].items():
+                matrix[rows[i]][k] = value.numerator * (scale // value.denominator)
         map_rank[key] = linalg.rank(matrix)
     ranks = {}
     for (cls, g), size in sorted(sizes.items()):

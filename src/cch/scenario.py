@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .buildings import EnumerationBounds, GenericityProfile
-from .complexes import CylinderCount, ModuliCountTable
+from .complexes import CountRecord
 from .errors import ScenarioError
 from .orbits import OrbitRef, RotationData, format_orbit
 
@@ -65,19 +65,6 @@ def parse_orbit_key(text, orbits_by_name, location="orbit reference") -> OrbitRe
     return OrbitRef(orbit, m)
 
 
-@dataclass(frozen=True, slots=True)
-class CountRecord:
-    """A count entry: the cover keys as written, which emission writes back,
-    and the covers they name, resolved once when the entry is parsed."""
-
-    alpha: str
-    beta: str
-    sign: int
-    cover_degree: int
-    alpha_ref: OrbitRef
-    beta_ref: OrbitRef
-
-
 @dataclass(frozen=True)
 class Scenario:
     orbits: tuple
@@ -86,13 +73,9 @@ class Scenario:
     relative_gradings: Mapping = field(default_factory=dict)
     counts: tuple = ()
 
-    def count_table(self) -> ModuliCountTable:
-        entries = {}
-        for rec in self.counts:
-            entries.setdefault((rec.alpha_ref, rec.beta_ref), []).append(
-                CylinderCount(rec.sign, rec.cover_degree)
-            )
-        return ModuliCountTable(entries)
+    def count_table(self) -> tuple:
+        """The count records in file order, as build_complex takes them."""
+        return self.counts
 
 
 def _require(mapping, key, location):
@@ -218,14 +201,25 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
     raw_counts = data.get("counts", [])
     if not isinstance(raw_counts, list):
         raise ScenarioError("counts must be an array", f"{source}.counts")
+    # Each spelling of a key is resolved once, and records spelled alike
+    # share the cover.  Only resolutions that succeed are kept, so a bad
+    # key raises where it first occurs.
+    resolved = {}
+
+    def resolve(text, location):
+        ref = resolved.get(text) if isinstance(text, str) else None
+        if ref is None:
+            ref = resolved[text] = parse_orbit_key(text, by_name, location)
+        return ref
+
     for i, entry in enumerate(raw_counts):
         loc = f"{source}.counts[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError("count entry must be an object", loc)
         alpha = _require(entry, "alpha", loc)
         beta = _require(entry, "beta", loc)
-        alpha_ref = parse_orbit_key(alpha, by_name, loc + ".alpha")
-        beta_ref = parse_orbit_key(beta, by_name, loc + ".beta")
+        alpha_ref = resolve(alpha, loc + ".alpha")
+        beta_ref = resolve(beta, loc + ".beta")
         sign = _as_int(_require(entry, "sign", loc), loc + ".sign")
         if sign not in (1, -1):
             raise ScenarioError(f"sign must be 1 or -1, got {sign}", loc + ".sign")

@@ -25,8 +25,7 @@ from cch.buildings import (
 )
 from cch.cli import run_command
 from cch.complexes import (
-    CylinderCount,
-    ModuliCountTable,
+    CountRecord,
     build_complex,
     end_contribution,
     gluing_count,
@@ -183,20 +182,14 @@ def _split_cancel_complex(flip_sign=False):
     q = RotationData("q", F(6, 5), 2, homotopy_class="t")
     r = RotationData("r", F(6, 5), 2, homotopy_class="t")
     second = 1 if flip_sign else -1
-    counts = ModuliCountTable(
-        {
-            (OrbitRef(a, 1), OrbitRef(b, 1)): (CylinderCount(1, 1),),
-            (OrbitRef(b, 1), OrbitRef(c, 1)): (
-                CylinderCount(1, 1),
-                CylinderCount(second, 1),
-            ),
-            (OrbitRef(p, 2), OrbitRef(q, 2)): (CylinderCount(1, 2),),
-            (OrbitRef(q, 2), OrbitRef(r, 2)): (
-                CylinderCount(1, 2),
-                CylinderCount(second, 2),
-            ),
-        }
-    )
+    counts = [
+        CountRecord("a^1", "b^1", 1, 1, OrbitRef(a, 1), OrbitRef(b, 1)),
+        CountRecord("b^1", "c^1", 1, 1, OrbitRef(b, 1), OrbitRef(c, 1)),
+        CountRecord("b^1", "c^1", second, 1, OrbitRef(b, 1), OrbitRef(c, 1)),
+        CountRecord("p^2", "q^2", 1, 2, OrbitRef(p, 2), OrbitRef(q, 2)),
+        CountRecord("q^2", "r^2", 1, 2, OrbitRef(q, 2), OrbitRef(r, 2)),
+        CountRecord("q^2", "r^2", second, 2, OrbitRef(q, 2), OrbitRef(r, 2)),
+    ]
     gradings = {"p^1": 6, "p^2": 3, "q^1": 5, "q^2": 2, "r^1": 4, "r^2": 1}
     return build_complex([a, b, c, p, q, r], 2, gradings, counts)
 
@@ -211,9 +204,9 @@ def test_criterion_6_split_contributions_cancel():
     cx = _split_cancel_complex()
     report = verify_d_squared(cx)
     assert report.ok and report.boundary_squared_ok
-    boundary = cx.boundary
+    boundary = [v * cx.kappa_diag[j] for j, column in cx.delta.items() for v in column.values()]
     assert boundary
-    assert all(v != 0 and v.denominator == 1 for v in boundary.values())
+    assert all(v != 0 and v.denominator == 1 for v in boundary)
 
     corrupted = _split_cancel_complex(flip_sign=True)
     bad_report = verify_d_squared(corrupted)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cch import buildings
 from cch.buildings import (
     BuildingNode,
     BuildingSkeleton,
@@ -22,6 +23,7 @@ from cch.buildings import (
     enumerate_components,
     run_estimate_sweep,
     underlying_index,
+    _Enumerator,
     verify_propositions,
 )
 from cch.errors import (
@@ -441,6 +443,27 @@ def test_enumeration_limit_carries_partial_results():
     with pytest.raises(EnumerationLimitError) as err:
         enumerate_buildings(orbits, CONVEX, EnumerationBounds(max_buildings=1))
     assert len(err.value.partial) == 1
+
+
+def test_time_limit_stops_the_component_inventory(monkeypatch):
+    # A deadline already past stops the enumerator while it drains the
+    # component inventory, before it builds its bound tables.
+    def unreachable(self):
+        raise AssertionError("bound tables built past the deadline")
+
+    monkeypatch.setattr(_Enumerator, "_bound_tables", unreachable)
+    with pytest.raises(EnumerationLimitError) as err:
+        enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds(), time_limit=1e-9)
+    assert err.value.partial == []
+
+
+def test_time_limit_stops_the_bound_tables(monkeypatch):
+    # With no components the inventory never looks at the clock, and the
+    # search has nothing to expand: only the bound tables can stop it.
+    monkeypatch.setattr(buildings, "enumerate_components", lambda *args: iter(()))
+    assert enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds()) == []
+    with pytest.raises(EnumerationLimitError):
+        enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds(), time_limit=1e-9)
 
 
 # ---------------------------------------------------------------- buildings

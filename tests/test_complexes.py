@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from cch.complexes import (
     ChainComplex,
-    CylinderCount,
-    EMPTY_COUNTS,
+    CountRecord,
     GluingEnds,
-    ModuliCountTable,
     build_complex,
     end_contribution,
     gluing_count,
@@ -43,6 +41,17 @@ GOLD1 = RotationData("g1", F(233, 144), 30, contractible=True)
 GOLD2 = RotationData("g2", F(233, 89), 30, contractible=True)
 
 
+def record(alpha, beta, sign=1, degree=1):
+    """A count record from alpha to beta, keyed by canonical spellings."""
+    return CountRecord(format_orbit(alpha), format_orbit(beta), sign, degree, alpha, beta)
+
+
+def boundary(cx):
+    """delta kappa as {(i, j): entry}, nonzero entries only."""
+    kappa = cx.kappa_diag
+    return {(i, j): v * kappa[j] for j, column in cx.delta.items() for i, v in column.items()}
+
+
 def synthetic_complex(flip_sign=False):
     a = RotationData("a", F(6, 5), 4, contractible=True)
     b = RotationData("b", F(1), 4, contractible=True)
@@ -51,20 +60,14 @@ def synthetic_complex(flip_sign=False):
     q = RotationData("q", F(6, 5), 4, homotopy_class="t")
     r = RotationData("r", F(6, 5), 4, homotopy_class="t")
     second = 1 if flip_sign else -1
-    counts = ModuliCountTable(
-        {
-            (OrbitRef(a, 1), OrbitRef(b, 1)): (CylinderCount(1, 1),),
-            (OrbitRef(b, 1), OrbitRef(c, 1)): (
-                CylinderCount(1, 1),
-                CylinderCount(second, 1),
-            ),
-            (OrbitRef(p, 2), OrbitRef(q, 2)): (CylinderCount(1, 2),),
-            (OrbitRef(q, 2), OrbitRef(r, 2)): (
-                CylinderCount(1, 2),
-                CylinderCount(second, 2),
-            ),
-        }
-    )
+    counts = [
+        record(OrbitRef(a, 1), OrbitRef(b, 1)),
+        record(OrbitRef(b, 1), OrbitRef(c, 1)),
+        record(OrbitRef(b, 1), OrbitRef(c, 1), second),
+        record(OrbitRef(p, 2), OrbitRef(q, 2), 1, 2),
+        record(OrbitRef(q, 2), OrbitRef(r, 2), 1, 2),
+        record(OrbitRef(q, 2), OrbitRef(r, 2), second, 2),
+    ]
     gradings = {"p^2": 3, "q^2": 2, "r^2": 1, "p^1": 6, "q^1": 5, "r^1": 4}
     return build_complex([a, b, c, p, q, r], 2, gradings, counts)
 
@@ -76,7 +79,7 @@ def test_two_elliptic_orbits_empty_counts():
     cx = build_complex([GOLD1, GOLD2], 30)
     assert len(cx.generators) == 60
     assert cx.delta == {}
-    assert cx.boundary == {}
+    assert boundary(cx) == {}
     assert all(g % 2 == 0 for g in cx.gradings)
 
 
@@ -84,18 +87,16 @@ def test_single_positive_hyperbolic_orbit():
     o = RotationData("o", F(2), 5, contractible=True)
     cx = build_complex([o], 5)
     assert len(cx.generators) == 5
-    assert cx.boundary == {}
+    assert boundary(cx) == {}
 
 
 def test_smallest_nonzero_boundary_coefficient():
     alpha = RotationData("al", F(10, 7), 3, homotopy_class="w")
     beta = RotationData("be", F(6, 5), 3, homotopy_class="w")
-    counts = ModuliCountTable(
-        {(OrbitRef(alpha, 1), OrbitRef(beta, 1)): (CylinderCount(1, 1),)}
-    )
+    counts = [record(OrbitRef(alpha, 1), OrbitRef(beta, 1))]
     cx = build_complex([alpha, beta], 1, {"al^1": 1, "be^1": 0}, counts)
-    i, j = cx.index_of(OrbitRef(beta, 1)), cx.index_of(OrbitRef(alpha, 1))
-    assert cx.boundary == {(i, j): 1}
+    i, j = cx.generators.index(OrbitRef(beta, 1)), cx.generators.index(OrbitRef(alpha, 1))
+    assert boundary(cx) == {(i, j): 1}
 
 
 def test_bad_orbit_generators_are_excluded():
@@ -108,19 +109,29 @@ def test_bad_orbit_generators_are_excluded():
 def test_counts_referencing_bad_orbit_rejected():
     h = RotationData("h", F(1, 2), 4)
     e = RotationData("e", F(6, 5), 4)
-    counts = ModuliCountTable(
-        {(OrbitRef(e, 1), OrbitRef(h, 2)): (CylinderCount(1, 1),)}
-    )
+    counts = [record(OrbitRef(e, 1), OrbitRef(h, 2))]
     with pytest.raises(BadOrbitError):
         build_complex([h, e], 4, {"e^1": 1, "h^1": 0, "h^3": 0}, counts)
+
+
+def test_counts_outside_the_generators_rejected():
+    # A cover above the cap, and a cover of an orbit that only shares its
+    # name with one of the complex, are not generators.
+    e = RotationData("e", F(6, 5), 4, homotopy_class="t")
+    f = RotationData("f", F(6, 5), 4, homotopy_class="t")
+    impostor = RotationData("e", F(7, 5), 4, homotopy_class="t")
+    gradings = {"e^1": 1, "e^2": 1, "f^1": 0, "f^2": 0}
+    for alpha in (OrbitRef(e, 3), OrbitRef(impostor, 1)):
+        with pytest.raises(BadOrbitError, match="e\\^[13] is not among the generators"):
+            build_complex([e, f], 2, gradings, [record(alpha, OrbitRef(f, 1))])
+    cx = build_complex([e, f], 2, gradings, [record(OrbitRef(e, 1), OrbitRef(f, 1))])
+    assert cx.delta == {0: {2: 1}}
 
 
 def test_cover_degree_divisibility_enforced():
     p = RotationData("p", F(6, 5), 4, homotopy_class="t")
     q = RotationData("q", F(6, 5), 4, homotopy_class="t")
-    counts = ModuliCountTable(
-        {(OrbitRef(p, 1), OrbitRef(q, 2)): (CylinderCount(1, 2),)}
-    )
+    counts = [record(OrbitRef(p, 1), OrbitRef(q, 2), 1, 2)]
     with pytest.raises(CoverDivisibilityError):
         build_complex([p, q], 2, {"p^1": 6, "q^2": 5, "p^2": 0, "q^1": 0}, counts)
 
@@ -128,9 +139,7 @@ def test_cover_degree_divisibility_enforced():
 def test_grading_must_drop_by_one():
     a = RotationData("a", F(6, 5), 2, contractible=True)
     b = RotationData("b", F(233, 144), 2, contractible=True)
-    counts = ModuliCountTable(
-        {(OrbitRef(a, 1), OrbitRef(b, 1)): (CylinderCount(1, 1),)}
-    )
+    counts = [record(OrbitRef(a, 1), OrbitRef(b, 1))]
     with pytest.raises(GradingMismatchError):
         build_complex([a, b], 1, None, counts)
 
@@ -138,9 +147,7 @@ def test_grading_must_drop_by_one():
 def test_cross_class_counts_rejected():
     a = RotationData("a", F(6, 5), 2, homotopy_class="x")
     b = RotationData("b", F(6, 5), 2, homotopy_class="y")
-    counts = ModuliCountTable(
-        {(OrbitRef(a, 1), OrbitRef(b, 1)): (CylinderCount(1, 1),)}
-    )
+    counts = [record(OrbitRef(a, 1), OrbitRef(b, 1))]
     with pytest.raises(GradingMismatchError):
         build_complex([a, b], 1, {"a^1": 1, "b^1": 0}, counts)
 
@@ -172,11 +179,11 @@ def test_synthetic_complex_passes_and_is_integral():
     report = verify_d_squared(cx)
     assert report.ok
     assert report.boundary_squared_ok
-    boundary = cx.boundary
-    assert boundary
-    assert all(v.denominator == 1 for v in boundary.values())
+    entries = boundary(cx)
+    assert entries
+    assert all(v.denominator == 1 for v in entries.values())
     # b^1 -> c^1 carries +1 and -1: the cancelled entry is not stored.
-    keys = cx.generator_keys()
+    keys = [format_orbit(g) for g in cx.generators]
     b, c = keys.index("b^1"), keys.index("c^1")
     assert c not in cx.delta.get(b, {})
     assert all(v != 0 for column in cx.delta.values() for v in column.values())
@@ -236,15 +243,11 @@ def test_homology_invariant_under_generator_permutation_and_sign_flip():
 
     def ranks_for(order, flip):
         sign = -1 if flip else 1
-        counts = ModuliCountTable(
-            {
-                (OrbitRef(a, 1), OrbitRef(b, 1)): (CylinderCount(sign, 1),),
-                (OrbitRef(b, 1), OrbitRef(c, 1)): (
-                    CylinderCount(sign, 1),
-                    CylinderCount(-sign, 1),
-                ),
-            }
-        )
+        counts = [
+            record(OrbitRef(a, 1), OrbitRef(b, 1), sign),
+            record(OrbitRef(b, 1), OrbitRef(c, 1), sign),
+            record(OrbitRef(b, 1), OrbitRef(c, 1), -sign),
+        ]
         cx = build_complex(order, 1, {"a^1": 2, "b^1": 1, "c^1": 0}, counts)
         verify_d_squared(cx)
         return homology_ranks(cx)
@@ -393,9 +396,8 @@ def _dense_oracle(cx, counts):
     pos = {ref: i for i, ref in enumerate(gens)}
     kappa = [ref.multiplicity for ref in gens]
     delta = [[F(0)] * n for _ in range(n)]
-    for (alpha, beta), records in counts.entries.items():
-        for rec in records:
-            delta[pos[beta]][pos[alpha]] += F(rec.sign, rec.cover_degree)
+    for rec in counts:
+        delta[pos[rec.beta_ref]][pos[rec.alpha_ref]] += F(rec.sign, rec.cover_degree)
     d_kappa = [[delta[i][j] * kappa[j] for j in range(n)] for i in range(n)]
 
     def product(a, b):
@@ -437,7 +439,7 @@ def _random_complex(rng):
     ]
     refs = [OrbitRef(o, m) for o in orbits for m in range(1, o.validity_bound + 1)]
     gradings = {format_orbit(r): rng.randint(0, 2) for r in refs}
-    entries = {}
+    counts = []
     for alpha in refs:
         for beta in refs:
             if (
@@ -449,17 +451,16 @@ def _random_complex(rng):
             degrees = [
                 d for d in (1, 2, 3) if alpha.multiplicity % d == 0 and beta.multiplicity % d == 0
             ]
-            entries[(alpha, beta)] = tuple(
-                CylinderCount(rng.choice((1, -1)), rng.choice(degrees))
+            counts.extend(
+                record(alpha, beta, rng.choice((1, -1)), rng.choice(degrees))
                 for _ in range(rng.randint(1, 2))
             )
-    counts = ModuliCountTable(entries)
     return build_complex(orbits, 3, gradings, counts), counts
 
 
 def test_sparse_kernel_matches_dense_oracle():
     rng = random.Random(20261018)
-    seen = {"fail": 0, "pass_nonzero": 0, "fractional": 0}
+    seen = {"fail": 0, "pass_nonzero": 0, "pass_scaled": 0, "fractional": 0}
     for _ in range(300):
         cx, counts = _random_complex(rng)
         entries, square_zero, ranks = _dense_oracle(cx, counts)
@@ -470,6 +471,9 @@ def test_sparse_kernel_matches_dense_oracle():
         if report.ok:
             assert homology_ranks(cx) == ranks
             seen["pass_nonzero"] += bool(cx.delta)
+            # homology_ranks reads delta, the oracle delta kappa: these
+            # complexes tell the two apart if kappa were dropped wrongly.
+            seen["pass_scaled"] += any(cx.kappa_diag[j] > 1 for j in cx.delta)
         else:
             seen["fail"] += 1
             with pytest.raises(SequencingError):
@@ -478,7 +482,8 @@ def test_sparse_kernel_matches_dense_oracle():
             v.denominator != 1 for column in cx.delta.values() for v in column.values()
         )
     # The grid covers failing complexes, passing ones with a nonzero
-    # differential, and differentials with fractional entries.
+    # differential (some with a nonzero column of multiplicity above one),
+    # and differentials with fractional entries.
     assert min(seen.values()) >= 20, seen
 
 
@@ -488,14 +493,12 @@ def test_middle_multiplicity_weights_the_composite():
     a = RotationData("a", F(6, 5), 1, homotopy_class="t")
     b = RotationData("b", F(6, 5), 2, homotopy_class="t")
     c = RotationData("c", F(6, 5), 1, homotopy_class="t")
-    counts = ModuliCountTable(
-        {
-            (OrbitRef(a, 1), OrbitRef(b, 1)): (CylinderCount(1, 1),),
-            (OrbitRef(a, 1), OrbitRef(b, 2)): (CylinderCount(1, 1),),
-            (OrbitRef(b, 1), OrbitRef(c, 1)): (CylinderCount(1, 1),),
-            (OrbitRef(b, 2), OrbitRef(c, 1)): (CylinderCount(-1, 1),),
-        }
-    )
+    counts = [
+        record(OrbitRef(a, 1), OrbitRef(b, 1)),
+        record(OrbitRef(a, 1), OrbitRef(b, 2)),
+        record(OrbitRef(b, 1), OrbitRef(c, 1)),
+        record(OrbitRef(b, 2), OrbitRef(c, 1), -1),
+    ]
     cx = build_complex([a, b, c], 2, {"a^1": 2, "b^1": 1, "b^2": 1, "c^1": 0}, counts)
     report = verify_d_squared(cx)
     assert report.nonzero_entries == (("a^1", "c^1", F(-1)),)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cch.buildings import EnumerationBounds, GenericityProfile
 from cch.cli import run_command
+from cch.complexes import build_complex
 from cch.errors import ScenarioError
 from cch.scenario import (
     CountRecord,
@@ -68,6 +69,42 @@ def test_counts_multiplicity_within_validity():
     doc["counts"] = [{"alpha": "a^9", "beta": "a^1", "sign": 1, "cover_degree": 1}]
     with pytest.raises(ScenarioError):
         parse_scenario_text(json.dumps(doc))
+
+
+def _count(alpha, beta="a^1", sign=1):
+    return {"alpha": alpha, "beta": beta, "sign": sign, "cover_degree": 1}
+
+
+def test_repeated_bad_count_key_reports_its_first_occurrence():
+    doc = json.loads(MINIMAL)
+    doc["counts"] = [_count("a^2"), _count("a^2", "a^9"), _count("a^9"), _count("a^9")]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(doc))
+    assert err.value.location == "scenario.counts[1].beta"
+    assert str(err.value) == (
+        "scenario.counts[1].beta: multiplicity 9 outside validity bound 4"
+    )
+
+
+def test_list_valued_count_key_is_a_scenario_error():
+    doc = json.loads(MINIMAL)
+    doc["counts"] = [_count("a^2"), _count(["a^2"])]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(doc))
+    assert str(err.value) == (
+        "scenario.counts[1].alpha: expected 'name^multiplicity', got ['a^2']"
+    )
+
+
+def test_count_keys_spelled_two_ways_sum_into_one_entry():
+    doc = _graded_pair({"a^1": 1, "b^1": 0})
+    doc["counts"] = [_count("a^01", "b^1"), _count("a^1", "b^01")]
+    s = parse_scenario_text(json.dumps(doc))
+    cx = build_complex(s.orbits, 4, s.relative_gradings, s.count_table())
+    a, b = (cx.generators.index(OrbitRef(o, 1)) for o in s.orbits)
+    assert cx.delta == {a: {b: 2}}
+    emitted = json.loads(emit_scenario(s))["counts"]
+    assert [(c["alpha"], c["beta"]) for c in emitted] == [("a^01", "b^1"), ("a^1", "b^01")]
 
 
 def test_duplicate_orbit_names_rejected():
