@@ -215,12 +215,21 @@ def _cmd_verify_props(args):
 
 
 def _cmd_no_bad_break(args):
+    grid_flags = (
+        ("--max-degree", "max_degree", 200, 1),
+        ("--max-denominator", "max_denominator", 50, 3),
+        ("--theta-upper", "theta_upper", 10, 1),
+    )
+    other_mode = (("--theta", "theta"), ("--d", "degree")) if args.grid else grid_flags
+    for flag, name, *_ in other_mode:
+        if getattr(args, name) is not None:
+            mode = "with" if args.grid else "without"
+            raise UsageError(f"{flag} cannot be used {mode} --grid")
     if args.grid:
-        for flag, value, least in (
-            ("--max-degree", args.max_degree, 1),
-            ("--max-denominator", args.max_denominator, 3),
-            ("--theta-upper", args.theta_upper, 1),
-        ):
+        for flag, name, default, least in grid_flags:
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            value = getattr(args, name)
             if value < least:
                 raise UsageError(f"{flag} must be >= {least}, got {value}")
         result = sweep_no_bad_break(args.max_degree, args.max_denominator, args.theta_upper)
@@ -315,9 +324,9 @@ def _build_parser():
     p.add_argument("--theta")
     p.add_argument("--d", dest="degree", type=int)
     p.add_argument("--grid", action="store_true")
-    p.add_argument("--max-degree", type=int, default=200)
-    p.add_argument("--max-denominator", type=int, default=50)
-    p.add_argument("--theta-upper", type=int, default=10)
+    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-denominator", type=int)
+    p.add_argument("--theta-upper", type=int)
 
     p = sub.add_parser("bounds", help="winding and writhe bounds of a braided end")
     p.add_argument("--theta", required=True)

@@ -212,7 +212,9 @@ def _index_zero_residues(p: int, q: int, count: int):
     With d = k*q + j, floor(d*p/q) = k*p + floor(j*p/q), so condition A
     depends on j alone and the writhe slack at d is s_j + k*c_j: s_j is the
     slack formula at d = j, c_j = q*(floor((j+1)p/q) - floor(j*p/q) -
-    2*floor(p/q) - 1) + p.
+    2*floor(p/q) - 1) + p.  With p = p0 + n*q and 0 < p0 < q, A reads
+    floor((j+1)p0/q) == floor(j*p0/q), where s_j = floor(j*p0/q) - j and
+    c_j = p0 - q: the result is the same for p and p % q.
     """
     ft = p // q
     t = 2 * ft + 1
@@ -235,8 +237,11 @@ def sweep_no_bad_break(
     (`_index_zero_residues`): where A holds, s_j + k*c_j >= 0 is solved
     exactly over the admissible k (k >= 1 when j = 0, k*q + j <=
     max_degree).  It is linear in k, so it holds somewhere in that range
-    iff it holds at an end; the sign of c_j is not assumed.  The
-    certificate count is the number of degrees those ranges cover.
+    iff it holds at an end; the sign of c_j is not assumed.  That data, the
+    k ranges and gcd(p, q) depend on p only through p0 = p mod q, so each
+    theta is decided once per theta mod 1 and replicated over the
+    theta_upper shifts p0 + n*q.  The certificate count is the number of
+    degrees those ranges cover.
     Counterexamples come sorted by (theta, degree).  Integer arithmetic
     throughout.
     """
@@ -254,15 +259,16 @@ def sweep_no_bad_break(
             (0 if j else 1, (max_degree - j) // q) for j in range(min(q, max_degree + 1))
         ]
         degrees = sum(max(0, last - first + 1) for first, last in k_bounds)
-        for p in range(1, theta_upper * q):
-            if gcd(p, q) != 1:
+        for p0 in range(1, q):
+            if gcd(p0, q) != 1:
                 continue
-            checked += degrees
-            for j, s, c in _index_zero_residues(p, q, len(k_bounds)):
+            checked += theta_upper * degrees
+            for j, s, c in _index_zero_residues(p0, q, len(k_bounds)):
                 first, last = k_bounds[j]
                 if s + first * c >= 0 or s + last * c >= 0:
                     bad.extend(
-                        (Fraction(p, q), k * q + j)
+                        (Fraction(p0 + n * q, q), k * q + j)
+                        for n in range(theta_upper)
                         for k in range(first, last + 1)
                         if s + k * c >= 0
                     )

@@ -340,6 +340,25 @@ def test_no_bad_break_grid_rejects_empty_grids(flag, value, least):
     assert "certificates" not in text
 
 
+@pytest.mark.parametrize("extra", [["--theta", "3/10"], ["--d", "2"]])
+def test_no_bad_break_grid_rejects_single_flags(extra):
+    code, text = run_command(["no-bad-break", "--grid", *extra])
+    assert code == 2
+    assert f"error: {extra[0]} cannot be used with --grid" in text
+    assert "certificates" not in text
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-degree", "0"), ("--max-denominator", "50"), ("--theta-upper", "3")],
+)
+def test_no_bad_break_single_rejects_grid_flags(flag, value):
+    code, text = run_command(["no-bad-break", "--theta", "3/10", "--d", "2", flag, value])
+    assert code == 2
+    assert f"error: {flag} cannot be used without --grid" in text
+    assert "verdict" not in text
+
+
 def test_bounds_command():
     code, text = run_command(
         ["bounds", "--theta", "6/5", "--mult", "3", "--side", "positive", "--improved"]

@@ -251,9 +251,10 @@ def test_residue_data_matches_certificates():
 
 def test_sweep_solves_each_residue_class_exactly(monkeypatch):
     # The real residue data never yields a counterexample, so the solve over
-    # k runs here on synthetic data where c_j takes every sign.
+    # k runs here on synthetic data where c_j takes every sign.  Like the
+    # real data, it depends on p only through p mod q.
     def residues(p, q, count):
-        return [(j, (p + j) % 5 - 2, j % 3 - 1) for j in range(count)]
+        return [(j, (p % q + j) % 5 - 2, j % 3 - 1) for j in range(count)]
 
     monkeypatch.setattr(writhe, "_index_zero_residues", residues)
     for max_degree in range(1, 31):
@@ -271,6 +272,50 @@ def test_sweep_solves_each_residue_class_exactly(monkeypatch):
                             expected.append((F(p, q), d))
             assert result.counterexamples == tuple(sorted(expected))
             assert not result.ok
+
+
+def test_residue_data_depends_on_theta_mod_one():
+    for q in range(3, 16):
+        for p in range(1, 4 * q):
+            if gcd(p, q) == 1:
+                assert _index_zero_residues(p, q, q) == _index_zero_residues(p % q, q, q)
+
+
+def test_sweep_decides_each_theta_mod_one_once(monkeypatch):
+    calls = []
+
+    def counting(p, q, count):
+        calls.append((p, q))
+        return _index_zero_residues(p, q, count)
+
+    monkeypatch.setattr(writhe, "_index_zero_residues", counting)
+    sweep_no_bad_break(40, 16, 5)
+    assert all(p < q for p, q in calls)
+    totient = sum(sum(gcd(p, q) == 1 for p in range(1, q)) for q in range(3, 17))
+    assert len(calls) == totient
+
+
+def test_certificate_count_scales_with_theta_upper():
+    one = sweep_no_bad_break(30, 12, 1).certificates_checked
+    assert sweep_no_bad_break(30, 12, 1000).certificates_checked == 1000 * one
+
+
+def test_writhe_slack_under_index_zero_identity():
+    # Under A, the slack is floor(d*theta) - d*(floor(theta)+1), which the
+    # witness line shows is negative.
+    held = 0
+    for q in range(3, 13):
+        for p in range(1, 3 * q):
+            if gcd(p, q) != 1:
+                continue
+            for d in range(1, 4 * q + 2):
+                cert = no_bad_break_certificate(F(p, q), d)
+                if cert.index_zero_identity:
+                    held += 1
+                    expected = cert.floor_d_theta - d * (cert.floor_theta + 1)
+                    assert cert.writhe_slack == expected
+                    assert cert.writhe_slack < 0
+    assert held > 0
 
 
 @pytest.mark.parametrize(
