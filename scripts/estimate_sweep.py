@@ -24,7 +24,7 @@ def main():
     elapsed = time.monotonic() - started
     for line in report.lines():
         print(line)
-    print(f"elapsed: {elapsed:.1f}s")
+    print(f"elapsed: {elapsed:.1f}s", file=sys.stderr)
     if not report.ok:
         for name, items in report.violations.items():
             for key in items[:10]:

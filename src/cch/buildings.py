@@ -10,11 +10,13 @@ somewhere-injective curves have index at least one) and of dynamical
 convexity (contractible orbits have Conley-Zehnder index at least three,
 and only contractible orbits bound planes).
 
-Each enumeration or sweep builds one OrbitTable of the scenario's covers
-up to the multiplicity bound, so every cover's Conley-Zehnder index is
-computed once.  Inside the search a cover is its integer id: the ends of
-a component are a tuple of ids, and the bound tables are lists indexed by
-id.  The least index that can still hang below each component at each
+Every index is computed once, by the object it belongs to: an OrbitRef
+carries its Conley-Zehnder index, and a ComponentSkeleton its Fredholm
+index and that of its underlying curve, set when its checks pass.  Each
+enumeration builds one OrbitTable of the scenario's covers up to the
+multiplicity bound; inside the search a cover is its integer id: the ends
+of a component are a tuple of ids, and the bound tables are lists indexed
+by id.  The least index that can still hang below each component at each
 number of levels to go is computed once, before the search.  An
 unreachable bound is the integer sentinel INF, so the arithmetic here is
 exact integer arithmetic throughout.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import (
@@ -33,7 +35,7 @@ from .errors import (
     PreconditionError,
     SkeletonError,
 )
-from .orbits import CurveData, OrbitRef, OrbitTable, cz_index, fredholm_index, is_good
+from .orbits import OrbitRef, OrbitTable, OrbitType, curve_index, is_good, orbit_type
 
 # Marks "no subtree fits"; larger than any index a bounded search reaches.
 INF = 1 << 62
@@ -79,7 +81,12 @@ def _grouping_exists(cover_ends, under_ends, degree) -> bool:
 
 @dataclass(frozen=True)
 class ComponentSkeleton:
-    """One curve in a building: cover data plus the ends of cover and base."""
+    """One curve in a building: cover data plus the ends of cover and base.
+
+    index is the Fredholm index of the covering curve and underlying_index
+    that of the underlying somewhere-injective curve (genus zero unless the
+    component is that curve itself); both are set once the checks pass.
+    """
 
     kind: ComponentKind
     cover_degree: int
@@ -89,6 +96,8 @@ class ComponentSkeleton:
     negative_ends: tuple
     underlying_positive_ends: tuple
     underlying_negative_ends: tuple
+    index: int = field(init=False, repr=False, compare=False)
+    underlying_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in (
@@ -98,6 +107,14 @@ class ComponentSkeleton:
             "underlying_negative_ends",
         ):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        self._check()
+        ind = curve_index(self.genus, self.positive_ends, self.negative_ends)
+        object.__setattr__(self, "index", ind)
+        if self.kind is not ComponentKind.SOMEWHERE_INJECTIVE:
+            ind = curve_index(0, self.underlying_positive_ends, self.underlying_negative_ends)
+        object.__setattr__(self, "underlying_index", ind)
+
+    def _check(self):
         d, b = self.cover_degree, self.branch_count
         if d < 1 or b < 0 or self.genus < 0:
             raise SkeletonError("cover degree, branch count, genus out of range")
@@ -146,6 +163,21 @@ class ComponentSkeleton:
         if not _grouping_exists(self.negative_ends, self.underlying_negative_ends, d):
             raise SkeletonError("negative ends do not cover the underlying negative ends")
 
+    @cached_property
+    def key(self) -> str:
+        """Canonical serialization, computed on first use and kept."""
+        pos = ",".join(r.key for r in self.positive_ends)
+        neg = ",".join(r.key for r in _sorted_ends(self.negative_ends))
+        if self.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
+            return f"btc[d={self.cover_degree},b={self.branch_count}]{pos}=>{neg}"
+        if self.kind is ComponentKind.SOMEWHERE_INJECTIVE:
+            return f"si[g={self.genus}]{pos}=>{neg}"
+        upos = ",".join(r.key for r in self.underlying_positive_ends)
+        uneg = ",".join(r.key for r in _sorted_ends(self.underlying_negative_ends))
+        return (
+            f"cov[d={self.cover_degree},b={self.branch_count};{upos}=>{uneg}]{pos}=>{neg}"
+        )
+
     @property
     def is_trivial_cylinder(self) -> bool:
         one_one = len(self.positive_ends) == 1 and len(self.negative_ends) == 1
@@ -173,65 +205,23 @@ class ComponentSkeleton:
         )
 
 
-def component_index(c: ComponentSkeleton) -> int:
-    """Fredholm index of the covering curve itself."""
-    return fredholm_index(CurveData(c.genus, c.positive_ends, c.negative_ends, 0))
-
-
-def _underlying_genus(c: ComponentSkeleton) -> int:
-    return c.genus if c.kind is ComponentKind.SOMEWHERE_INJECTIVE else 0
-
-
-def underlying_index(c: ComponentSkeleton) -> int:
-    """Fredholm index of the underlying somewhere-injective curve."""
-    return fredholm_index(
-        CurveData(
-            _underlying_genus(c), c.underlying_positive_ends, c.underlying_negative_ends, 0
-        )
-    )
-
-
-def component_key(c: ComponentSkeleton) -> str:
-    pos = ",".join(r.key for r in c.positive_ends)
-    neg = ",".join(r.key for r in sorted(c.negative_ends, key=_ref_sort_key))
-    if c.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
-        return f"btc[d={c.cover_degree},b={c.branch_count}]{pos}=>{neg}"
-    if c.kind is ComponentKind.SOMEWHERE_INJECTIVE:
-        return f"si[g={c.genus}]{pos}=>{neg}"
-    upos = ",".join(r.key for r in c.underlying_positive_ends)
-    uneg = ",".join(r.key for r in sorted(c.underlying_negative_ends, key=_ref_sort_key))
-    return f"cov[d={c.cover_degree},b={c.branch_count};{upos}=>{uneg}]{pos}=>{neg}"
-
-
 # ------------------------------------------------------------------ checks
-
-
-# Each check_* computes the component's indices and applies its rule; the
-# estimate sweep applies the rules to indices it computed once.
 
 
 def check_trivial_cover_nonnegative(c: ComponentSkeleton) -> bool:
     """Index of a branched cover of a trivial cylinder is never negative."""
-    return _trivial_cover_nonnegative(c, component_index(c))
-
-
-def _trivial_cover_nonnegative(c, ind):
     if c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
         raise PreconditionError("component is not a cover of a trivial cylinder")
-    return ind >= 0
+    return c.index >= 0
 
 
 def check_cover_index_bound(c: ComponentSkeleton) -> bool:
     """ind(cover) >= d * ind(underlying) + 2(1 - d + b) for one-positive-end
     genus-zero components."""
-    return _cover_index_bound(c, component_index(c), underlying_index(c))
-
-
-def _cover_index_bound(c, ind, under):
     if c.genus != 0 or len(c.positive_ends) != 1:
         raise PreconditionError("the bound needs genus zero and one positive end")
     d, b = c.cover_degree, c.branch_count
-    return ind >= d * under + 2 * (1 - d + b)
+    return c.index >= d * c.underlying_index + 2 * (1 - d + b)
 
 
 def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
@@ -241,12 +231,6 @@ def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
     of negative ends; off covers of trivial cylinders with more than one
     negative end it is at least 5 - 2n.
     """
-    return _nontrivial_cover_bounds(
-        c, profile, component_index(c), underlying_index(c)
-    )
-
-
-def _nontrivial_cover_bounds(c, profile, ind, under):
     if not profile.generic_J:
         raise PreconditionError("the estimates assume a generic profile")
     if c.genus != 0 or len(c.positive_ends) != 1:
@@ -255,19 +239,15 @@ def _nontrivial_cover_bounds(c, profile, ind, under):
         c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
         and not c.is_trivial_cylinder
     )
-    if nontrivial_underlying and under < 1:
+    if nontrivial_underlying and c.underlying_index < 1:
         raise PreconditionError("underlying curve violates the generic index bound")
     n = len(c.negative_ends)
     ok = True
     if nontrivial_underlying and c.underlying_is_cylinder:
-        ok = ok and ind >= n
+        ok = ok and c.index >= n
     if c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER and n > 1:
-        ok = ok and ind >= 5 - 2 * n
+        ok = ok and c.index >= 5 - 2 * n
     return ok
-
-
-def _is_hyperbolic_ref(ref: OrbitRef) -> bool:
-    return (ref.base.theta * ref.multiplicity).denominator <= 2
 
 
 def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
@@ -281,23 +261,21 @@ def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
     negative hyperbolic orbit, multiply covered index-one cylinders do
     occur, so no constraint is asserted there.)
     """
-    return _cylinder_cover_index(c, profile, component_index(c), underlying_index(c))
-
-
-def _cylinder_cover_index(c, profile, ind_u, ind_under):
     if not profile.generic_J:
         raise PreconditionError("the estimate assumes a generic profile")
     if len(c.positive_ends) != 1 or len(c.negative_ends) != 1:
         raise PreconditionError("component is not a cylinder")
     if c.is_trivial_cylinder or c.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
         raise PreconditionError("component is a cover of a trivial cylinder")
-    ok = 1 <= ind_under <= ind_u
-    both_hyperbolic = _is_hyperbolic_ref(c.underlying_positive_ends[0]) and (
-        _is_hyperbolic_ref(c.underlying_negative_ends[0])
+    ind, under = c.index, c.underlying_index
+    ok = 1 <= under <= ind
+    both_hyperbolic = (
+        orbit_type(c.underlying_positive_ends[0]) is not OrbitType.ELLIPTIC
+        and orbit_type(c.underlying_negative_ends[0]) is not OrbitType.ELLIPTIC
     )
     if both_hyperbolic:
-        ok = ok and ind_u == c.cover_degree * ind_under
-        if ind_u == 1 and (
+        ok = ok and ind == c.cover_degree * under
+        if ind == 1 and (
             not is_good(c.positive_ends[0]) or not is_good(c.negative_ends[0])
         ):
             ok = ok and c.cover_degree == 1
@@ -307,10 +285,6 @@ def _cylinder_cover_index(c, profile, ind_u, ind_under):
 def check_multi_end_cover_combination(c: ComponentSkeleton) -> bool:
     """ind + 2n >= d(2k-3) + 4(b+1) for covers whose underlying curve has
     k > 1 negative ends."""
-    return _multi_end_cover_combination(c, component_index(c))
-
-
-def _multi_end_cover_combination(c, ind):
     if c.kind is not ComponentKind.COVER_OF_NONTRIVIAL_CURVE:
         raise PreconditionError("needs a cover of a nontrivial curve")
     k = len(c.underlying_negative_ends)
@@ -318,7 +292,7 @@ def _multi_end_cover_combination(c, ind):
         raise PreconditionError("needs more than one underlying negative end")
     n = len(c.negative_ends)
     d, b = c.cover_degree, c.branch_count
-    return ind + 2 * n >= d * (2 * k - 3) + 4 * (b + 1)
+    return c.index + 2 * n >= d * (2 * k - 3) + 4 * (b + 1)
 
 
 # ------------------------------------------------------------------ profiles
@@ -377,7 +351,7 @@ def _check_convexity(orbits, profile):
     if not profile.dynamically_convex:
         return
     for orbit in orbits:
-        if orbit.contractible and cz_index(OrbitRef(orbit, 1)) < 3:
+        if orbit.contractible and OrbitRef(orbit, 1).cz < 3:
             raise DynamicalConvexityError(
                 f"orbit {orbit.name!r} is contractible with cz < 3; the scenario "
                 "is not dynamically convex"
@@ -535,7 +509,7 @@ def _canonical_node(node):
     comp = node.component
     ends = comp.negative_ends
     if not node.children:
-        return component_key(comp) + "(" + ",".join(["!"] * len(ends)) + ")", node
+        return comp.key + "(" + ",".join(["!"] * len(ends)) + ")", node
     if len(node.children) != len(ends):
         raise SkeletonError("a node needs one subtree per negative end, or none")
     child_data = []
@@ -551,7 +525,7 @@ def _canonical_node(node):
             j += 1
         child_data[i:j] = sorted(child_data[i:j], key=lambda t: t[0])
         i = j
-    text = component_key(comp) + "(" + ",".join(t[0] for t in child_data) + ")"
+    text = comp.key + "(" + ",".join(t[0] for t in child_data) + ")"
     return text, BuildingNode(comp, tuple(t[1] for t in child_data))
 
 
@@ -592,7 +566,7 @@ class BuildingSkeleton:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "key", key)
         object.__setattr__(
-            self, "total_index", sum(component_index(c) for l in levels for c in l)
+            self, "total_index", sum(c.index for l in levels for c in l)
         )
 
     @property
@@ -634,14 +608,11 @@ class _Enumerator:
         for c in enumerate_components(orbits, profile, bounds):
             self._check_deadline()
             self.components.append(c)
-        self.keys = [component_key(c) for c in self.components]
+        self.keys = [c.key for c in self.components]
         self.ends = [
             tuple(table.id_of(e) for e in c.negative_ends) for c in self.components
         ]
-        self.ind = [
-            table.index(c.genus, c.positive_ends, c.negative_ends)
-            for c in self.components
-        ]
+        self.ind = [c.index for c in self.components]
         self.trivial = [c.is_trivial_cylinder for c in self.components]
         self.by_pos = [[] for _ in table.refs]
         for n, c in enumerate(self.components):
@@ -860,41 +831,26 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     def apply(name, ok, c):
         report.checked[name] += 1
         if not ok:
-            report.violations[name].append(component_key(c))
+            report.violations[name].append(c.key)
 
-    table = OrbitTable(orbits, bounds.max_total_multiplicity)
     for c in enumerate_components(orbits, profile, bounds):
         report.components += 1
-        ind = table.index(c.genus, c.positive_ends, c.negative_ends)
-        under = table.index(
-            _underlying_genus(c), c.underlying_positive_ends, c.underlying_negative_ends
-        )
         if c.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
-            apply("trivial_cover_nonnegative", _trivial_cover_nonnegative(c, ind), c)
-        apply("cover_index_bound", _cover_index_bound(c, ind, under), c)
-        apply(
-            "nontrivial_cover_bounds",
-            _nontrivial_cover_bounds(c, profile, ind, under),
-            c,
-        )
+            apply("trivial_cover_nonnegative", check_trivial_cover_nonnegative(c), c)
+        apply("cover_index_bound", check_cover_index_bound(c), c)
+        apply("nontrivial_cover_bounds", check_nontrivial_cover_bounds(c, profile), c)
         if (
             len(c.positive_ends) == 1
             and len(c.negative_ends) == 1
             and not c.is_trivial_cylinder
             and c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
         ):
-            apply(
-                "cylinder_cover_index",
-                _cylinder_cover_index(c, profile, ind, under),
-                c,
-            )
+            apply("cylinder_cover_index", check_cylinder_cover_index(c, profile), c)
         if (
             c.kind is ComponentKind.COVER_OF_NONTRIVIAL_CURVE
             and len(c.underlying_negative_ends) > 1
         ):
-            apply(
-                "multi_end_cover_combination", _multi_end_cover_combination(c, ind), c
-            )
+            apply("multi_end_cover_combination", check_multi_end_cover_combination(c), c)
     return report
 
 
@@ -915,14 +871,14 @@ def _is_split_plane_shape(b: BuildingSkeleton) -> bool:
     cover = b.root.component
     if cover.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
         return False
-    if len(cover.negative_ends) != 2 or component_index(cover) != 0:
+    if len(cover.negative_ends) != 2 or cover.index != 0:
         return False
     trivials = [c for c in bottom if c.is_trivial_cylinder]
     planes = [c for c in bottom if not c.negative_ends]
     return (
         len(trivials) == 1
         and len(planes) == 1
-        and component_index(planes[0]) == 2
+        and planes[0].index == 2
     )
 
 

@@ -9,7 +9,7 @@ integer arithmetic; no floating point appears anywhere in this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -73,17 +73,15 @@ class RotationData:
             if self.action <= 0:
                 raise OrbitDataError(f"orbit {self.name!r}: action must be positive")
 
-    @property
-    def is_hyperbolic(self) -> bool:
-        return self.theta.denominator in (1, 2)
-
 
 @dataclass(frozen=True)
 class OrbitRef:
-    """The multiplicity-m cover of an embedded orbit."""
+    """The multiplicity-m cover of an embedded orbit, with its Conley-Zehnder
+    index cz computed once, at construction."""
 
     base: RotationData
     multiplicity: int
+    cz: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.multiplicity < 1:
@@ -93,6 +91,7 @@ class OrbitRef:
                 f"orbit {self.base.name!r}: multiplicity {self.multiplicity} exceeds "
                 f"validity bound {self.base.validity_bound}"
             )
+        object.__setattr__(self, "cz", cz_of_rotation(self.base.theta, self.multiplicity))
 
     @property
     def key(self) -> str:
@@ -128,7 +127,7 @@ def cz_of_rotation(theta: Fraction, m: int) -> int:
 
 def cz_index(orbit: OrbitRef) -> int:
     """Conley-Zehnder index of the cover, relative to the fixed trivialization."""
-    return cz_of_rotation(orbit.base.theta, orbit.multiplicity)
+    return orbit.cz
 
 
 def orbit_type(orbit: OrbitRef) -> OrbitType:
@@ -146,8 +145,8 @@ class OrbitTable:
 
     Cover i is refs[i], with Conley-Zehnder index cz[i].  Ids run through
     the orbits in the order given and, within an orbit, by multiplicity, so
-    each cover's index is computed once and the ids can stand in for the
-    covers in tight loops.  Orbit names must be distinct.
+    the ids can stand in for the covers in tight loops.  Orbit names must be
+    distinct.
     """
 
     def __init__(self, orbits, max_multiplicity: int):
@@ -156,24 +155,13 @@ class OrbitTable:
             for orbit in orbits
             for m in range(1, min(orbit.validity_bound, max_multiplicity) + 1)
         )
-        self.cz = tuple(cz_index(ref) for ref in self.refs)
+        self.cz = tuple(ref.cz for ref in self.refs)
         self._ids = {(r.base.name, r.multiplicity): i for i, r in enumerate(self.refs)}
         if len(self._ids) != len(self.refs):
             raise OrbitDataError("orbit names in one table must be distinct")
 
     def id_of(self, ref: OrbitRef) -> int:
         return self._ids[ref.base.name, ref.multiplicity]
-
-    def index(self, genus: int, positive_ends, negative_ends) -> int:
-        """Fredholm index of a curve with c_tau = 0, from the table's cz."""
-        ids = self._ids
-        cz = self.cz
-        total = 2 * genus - 2 + len(positive_ends) + len(negative_ends)
-        for r in positive_ends:
-            total += cz[ids[r.base.name, r.multiplicity]]
-        for r in negative_ends:
-            total -= cz[ids[r.base.name, r.multiplicity]]
-        return total
 
 
 def is_good(orbit: OrbitRef) -> bool:
@@ -188,7 +176,7 @@ def grading(orbit: OrbitRef) -> int:
         raise GradingUnavailableError(
             f"orbit {orbit.base.name!r} is not contractible; no absolute grading"
         )
-    return cz_index(orbit) - 1
+    return orbit.cz - 1
 
 
 def cz_supermultiplicativity_check(rotation: RotationData, d: int) -> bool:
@@ -199,7 +187,7 @@ def cz_supermultiplicativity_check(rotation: RotationData, d: int) -> bool:
     """
     cover = OrbitRef(rotation, d)
     base = OrbitRef(rotation, 1)
-    return cz_index(cover) >= d * cz_index(base) - d + 1
+    return cover.cz >= d * base.cz - d + 1
 
 
 @dataclass(frozen=True)
@@ -225,11 +213,20 @@ class CurveData:
         return 2 - 2 * self.genus - len(self.positive_ends) - len(self.negative_ends)
 
 
+def curve_index(genus: int, positive_ends, negative_ends) -> int:
+    """Fredholm index with c_tau = 0: -chi + sum cz(positive ends) - sum
+    cz(negative ends), for a curve of the given genus and ends."""
+    total = 2 * genus - 2 + len(positive_ends) + len(negative_ends)
+    for ref in positive_ends:
+        total += ref.cz
+    for ref in negative_ends:
+        total -= ref.cz
+    return total
+
+
 def fredholm_index(curve: CurveData) -> int:
     """-chi + 2*c_tau + sum cz(positive ends) - sum cz(negative ends)."""
-    total = -curve.euler_characteristic + 2 * curve.c_tau
-    for ref in curve.positive_ends:
-        total += cz_index(ref)
-    for ref in curve.negative_ends:
-        total -= cz_index(ref)
-    return total
+    return (
+        curve_index(curve.genus, curve.positive_ends, curve.negative_ends)
+        + 2 * curve.c_tau
+    )

@@ -165,9 +165,6 @@ class BreakingCertificate:
             f"verdict: {self.verdict.value}",
         ]
 
-    def render(self) -> str:
-        return "\n".join(self.lines()) + "\n"
-
 
 def no_bad_break_certificate(theta: Fraction, d: int) -> BreakingCertificate:
     """Certify that an index-zero splitting off a degree-1 plane is impossible.

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,9 @@ from cch.buildings import (
     check_nontrivial_cover_bounds,
     check_trivial_cover_nonnegative,
     classify_building,
-    component_index,
-    component_key,
     enumerate_buildings,
     enumerate_components,
     run_estimate_sweep,
-    underlying_index,
     _Enumerator,
     verify_propositions,
 )
@@ -32,7 +30,7 @@ from cch.errors import (
     PreconditionError,
     SkeletonError,
 )
-from cch.orbits import OrbitRef, OrbitTable, RotationData
+from cch.orbits import OrbitRef, OrbitType, RotationData, orbit_type
 
 F = Fraction
 
@@ -80,18 +78,18 @@ def si(pos, negs):
 
 def test_index_zero_pair_of_pants():
     pants = branched_cover(ELL, (1, 2))
-    assert component_index(pants) == 0
+    assert pants.index == 0
     assert pants.branch_count == 1
 
 
 def test_somewhere_injective_cylinder_index():
     cyl = si(ref(ELL, 2), (ref(ELL, 1),))
-    assert component_index(cyl) == 2
+    assert cyl.index == 2
 
 
 def test_unbranched_cover_has_index_zero():
     for m in (1, 2, 4):
-        assert component_index(trivial_cylinder(ELL, m)) == 0
+        assert trivial_cylinder(ELL, m).index == 0
 
 
 def test_riemann_hurwitz_violation_rejected():
@@ -119,7 +117,7 @@ def test_trivial_cover_check_examples():
     assert check_trivial_cover_nonnegative(branched_cover(ELL, (1, 2)))
     assert check_trivial_cover_nonnegative(trivial_cylinder(ELL, 3))
     assert check_trivial_cover_nonnegative(branched_cover(NEGH, (1, 1)))
-    assert component_index(branched_cover(NEGH, (1, 1))) == 1
+    assert branched_cover(NEGH, (1, 1)).index == 1
 
 
 def test_trivial_cover_check_wrong_kind():
@@ -135,7 +133,7 @@ def test_cover_index_bound_identity_cover():
 def test_cover_index_bound_on_pants():
     pants = branched_cover(ELL, (1, 2))
     d, b = pants.cover_degree, pants.branch_count
-    assert component_index(pants) >= d * underlying_index(pants) + 2 * (1 - d + b)
+    assert pants.index >= d * pants.underlying_index + 2 * (1 - d + b)
     assert check_cover_index_bound(pants)
 
 
@@ -148,8 +146,8 @@ def test_cover_index_bound_degree_two_cylinder_cover():
         (ref(ELL, 2),), (ref(one, 1), ref(one, 1)),
         (ref(ELL, 1),), (ref(one, 1),),
     )
-    assert underlying_index(cover) == 1
-    assert component_index(cover) == 2
+    assert cover.underlying_index == 1
+    assert cover.index == 2
     assert check_cover_index_bound(cover)
     assert check_nontrivial_cover_bounds(cover, GENERIC)
 
@@ -162,7 +160,7 @@ def test_nontrivial_cover_bounds_cylinder_case():
         (ref(ELL, 4),), (ref(ELL, 1), ref(ELL, 1)),
         (under_pos,), (under_neg,),
     )
-    assert component_index(cover) >= 2
+    assert cover.index >= 2
     assert check_nontrivial_cover_bounds(cover, GENERIC)
 
 
@@ -181,19 +179,19 @@ def test_nontrivial_cover_bounds_hyperbolic_bottom_equality_case():
         (ref(ELL, 3),), (ref(one, 1),) * 3,
         (ref(ELL, 1),), (ref(one, 1),),
     )
-    assert underlying_index(cover) == 1
-    assert component_index(cover) == 3 == len(cover.negative_ends)
+    assert cover.underlying_index == 1
+    assert cover.index == 3 == len(cover.negative_ends)
     assert check_nontrivial_cover_bounds(cover, GENERIC)
 
 
 def test_cylinder_cover_index_examples():
     cyl = si(ref(ELL, 2), (ref(POSH, 1),))
-    assert component_index(cyl) == 1
+    assert cyl.index == 1
     assert check_cylinder_cover_index(cyl, GENERIC)
     # Hyperbolic-to-hyperbolic underlying cylinder: the cover index is
     # d times the underlying index, so index one forces degree one.
     mixed = si(ref(NEGH, 1), (ref(FLAT, 1),))
-    assert component_index(mixed) == 1
+    assert mixed.index == 1
     assert check_cylinder_cover_index(mixed, GENERIC)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
@@ -201,7 +199,25 @@ def test_cylinder_cover_index_examples():
         (ref(NEGH, 2),), (ref(FLAT, 2),),
         (ref(NEGH, 1),), (ref(FLAT, 1),),
     )
-    assert component_index(cover) == 2 * underlying_index(cover)
+    assert cover.index == 2 * cover.underlying_index
+    assert check_cylinder_cover_index(cover, GENERIC)
+
+
+def test_cylinder_cover_index_reads_underlying_orbit_types():
+    # theta = k/4 with validity bound 3: the underlying ends are elliptic,
+    # but their double covers sit at half-integers, so the cover's ends
+    # classify as hyperbolic.  Multiplicativity is asserted only from the
+    # underlying ends, and here it fails: 6 != 2 * 2.
+    top, bottom = RotationData("t", F(7, 4), 3), RotationData("u", F(1, 4), 3)
+    cover = ComponentSkeleton(
+        ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
+        2, 0, 0,
+        (ref(top, 2),), (ref(bottom, 2),),
+        (ref(top, 1),), (ref(bottom, 1),),
+    )
+    assert orbit_type(cover.positive_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
+    assert orbit_type(cover.negative_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
+    assert (cover.index, cover.underlying_index) == (6, 2)
     assert check_cylinder_cover_index(cover, GENERIC)
 
 
@@ -221,17 +237,44 @@ def test_enumerated_components_pass_all_checks():
     assert report.ok, report.violations
 
 
-def test_table_indices_match_component_indices():
-    # The enumerator and the estimate sweep read indices from the table.
-    orbits = [ELL, NEGH, POSH]
+def oracle_cz(r):
+    # Independent evaluation through math.floor/ceil on the exact rational.
+    x = r.base.theta * r.multiplicity
+    return math.floor(x) + math.ceil(x)
+
+
+def oracle_index(genus, pos, neg):
+    chi = 2 - 2 * genus - len(pos) - len(neg)
+    return -chi + sum(map(oracle_cz, pos)) - sum(map(oracle_cz, neg))
+
+
+@pytest.mark.parametrize("generic_J", [True, False])
+def test_component_indices_match_oracle(generic_J):
+    # Every component carries its index and its underlying curve's index,
+    # and every end its cz; all three agree with the floor/ceil formula.
+    orbits = [ELL, NEGH, POSH, FLAT]
     bounds = EnumerationBounds(max_total_multiplicity=4)
-    table = OrbitTable(orbits, bounds.max_total_multiplicity)
-    for c in enumerate_components(orbits, GENERIC, bounds):
+    kinds = set()
+    for c in enumerate_components(orbits, GenericityProfile(generic_J=generic_J), bounds):
+        kinds.add(c.kind)
+        under = (c.underlying_positive_ends, c.underlying_negative_ends)
+        for r in c.positive_ends + c.negative_ends + under[0] + under[1]:
+            assert r.cz == oracle_cz(r)
+        assert c.index == oracle_index(c.genus, c.positive_ends, c.negative_ends)
         genus = c.genus if c.kind is ComponentKind.SOMEWHERE_INJECTIVE else 0
-        assert table.index(c.genus, c.positive_ends, c.negative_ends) == component_index(c)
-        assert table.index(
-            genus, c.underlying_positive_ends, c.underlying_negative_ends
-        ) == underlying_index(c)
+        assert c.underlying_index == oracle_index(genus, *under), c.key
+    assert kinds == set(ComponentKind)
+
+
+def test_stored_indices_stay_out_of_equality_and_hash():
+    a, b = ref(ELL, 2), ref(ELL, 2)
+    object.__setattr__(b, "cz", b.cz + 1)
+    assert a == b and hash(a) == hash(b)
+    c, d = branched_cover(ELL, (1, 2)), branched_cover(ELL, (1, 2))
+    object.__setattr__(d, "index", d.index + 1)
+    object.__setattr__(d, "underlying_index", d.underlying_index + 1)
+    assert d.key  # cached on d only
+    assert c == d and hash(c) == hash(d)
 
 
 def test_component_enumeration_respects_validity_bounds():
@@ -246,7 +289,7 @@ def test_plane_components_only_over_contractible_orbits():
     orbits = [NEGH]
     bounds = EnumerationBounds(max_total_multiplicity=3)
     for c in enumerate_components(orbits, GENERIC, bounds):
-        assert c.negative_ends, component_key(c)
+        assert c.negative_ends, c.key
 
 
 def test_multi_end_cover_combination_applies():

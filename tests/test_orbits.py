@@ -253,10 +253,13 @@ def test_orbit_table_ids_and_indices():
     ]
     for i, r in enumerate(table.refs):
         assert table.id_of(OrbitRef(r.base, r.multiplicity)) == i
-        assert table.cz[i] == cz_index(r)
+        assert table.cz[i] == r.cz == cz_index(r) == oracle_cz(r.base.theta, r.multiplicity)
     pos, neg = (table.refs[2],), (table.refs[3], table.refs[4])
-    assert table.index(0, pos, neg) == fredholm_index(CurveData(0, pos, neg))
-    assert table.index(1, pos, ()) == fredholm_index(CurveData(1, pos, ()))
+    # -chi + 2 c_tau + sum cz(+) - sum cz(-), with the oracle's cz.
+    top = oracle_cz(F(6, 5), 3)
+    index = 1 + top - oracle_cz(F(1, 2), 1) - oracle_cz(F(1, 2), 2)
+    assert fredholm_index(CurveData(0, pos, neg)) == index == 5
+    assert fredholm_index(CurveData(1, pos, (), c_tau=1)) == 1 + 2 + top == 10
 
 
 def test_orbit_table_caps_at_validity_bound_and_rejects_shared_names():

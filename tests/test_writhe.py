@@ -192,11 +192,11 @@ def test_certificate_rejects_hyperbolic_theta():
         no_bad_break_certificate(F(3, 2), 2)
 
 
-def test_certificate_render_is_deterministic():
-    a = no_bad_break_certificate(F(3, 10), 2).render()
-    b = no_bad_break_certificate(F(3, 10), 2).render()
+def test_certificate_lines_are_deterministic():
+    a = no_bad_break_certificate(F(3, 10), 2).lines()
+    b = no_bad_break_certificate(F(3, 10), 2).lines()
     assert a == b
-    assert "verdict: breaking-excluded" in a
+    assert a[-1] == "verdict: breaking-excluded"
 
 
 def test_small_sweep_is_clean():
