@@ -12,14 +12,15 @@ and only contractible orbits bound planes).
 
 Every index is computed once, by the object it belongs to: an OrbitRef
 carries its Conley-Zehnder index, and a ComponentSkeleton its Fredholm
-index and that of its underlying curve, set when its checks pass.  Each
-enumeration builds one OrbitTable of the scenario's covers up to the
-multiplicity bound; inside the search a cover is its integer id: the ends
-of a component are a tuple of ids, and the bound tables are lists indexed
-by id.  The least index that can still hang below each component at each
-number of levels to go is computed once, before the search.  An
-unreachable bound is the integer sentinel INF, so the arithmetic here is
-exact integer arithmetic throughout.
+index and that of its underlying curve.  A ComponentSkeleton is built in
+one pass that stores each field once, runs every check and sets both
+indices.  Each enumeration builds one OrbitTable of the scenario's covers
+up to the multiplicity bound and takes every end from it; inside the
+search a cover is its integer id: the ends of a component are a tuple of
+ids, and the bound tables are lists indexed by id.  The least index that
+can still hang below each component at each number of levels to go is
+computed once, before the search.  An unreachable bound is the integer
+sentinel INF, so the arithmetic here is exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import chain, product
 from typing import Iterator
 
 from .errors import (
@@ -45,10 +47,6 @@ class ComponentKind(Enum):
     BRANCHED_COVER_OF_TRIVIAL_CYLINDER = "branched-cover-of-trivial-cylinder"
     COVER_OF_NONTRIVIAL_CURVE = "cover-of-nontrivial-curve"
     SOMEWHERE_INJECTIVE = "somewhere-injective"
-
-
-def _ref_sort_key(ref: OrbitRef):
-    return (ref.base.name, ref.multiplicity)
 
 
 def _grouping_exists(cover_ends, under_ends, degree) -> bool:
@@ -79,7 +77,7 @@ def _grouping_exists(cover_ends, under_ends, degree) -> bool:
     return assign(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ComponentSkeleton:
     """One curve in a building: cover data plus the ends of cover and base.
 
@@ -99,20 +97,26 @@ class ComponentSkeleton:
     index: int = field(init=False, repr=False, compare=False)
     underlying_index: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for name in (
-            "positive_ends",
-            "negative_ends",
-            "underlying_positive_ends",
-            "underlying_negative_ends",
-        ):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    def __init__(
+        self, kind, cover_degree, branch_count, genus, positive_ends, negative_ends,
+        underlying_positive_ends, underlying_negative_ends,
+    ):
+        # One pass: each field is stored once, then checked, then indexed.
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "cover_degree", cover_degree)
+        setattr_(self, "branch_count", branch_count)
+        setattr_(self, "genus", genus)
+        setattr_(self, "positive_ends", pos := tuple(positive_ends))
+        setattr_(self, "negative_ends", neg := tuple(negative_ends))
+        setattr_(self, "underlying_positive_ends", upos := tuple(underlying_positive_ends))
+        setattr_(self, "underlying_negative_ends", uneg := tuple(underlying_negative_ends))
         self._check()
-        ind = curve_index(self.genus, self.positive_ends, self.negative_ends)
-        object.__setattr__(self, "index", ind)
-        if self.kind is not ComponentKind.SOMEWHERE_INJECTIVE:
-            ind = curve_index(0, self.underlying_positive_ends, self.underlying_negative_ends)
-        object.__setattr__(self, "underlying_index", ind)
+        ind = curve_index(genus, pos, neg)
+        setattr_(self, "index", ind)
+        if kind is not ComponentKind.SOMEWHERE_INJECTIVE:
+            ind = curve_index(0, upos, uneg)
+        setattr_(self, "underlying_index", ind)
 
     def _check(self):
         d, b = self.cover_degree, self.branch_count
@@ -378,7 +382,7 @@ def _neg_multisets(ids, budget, table):
 
 
 def _sorted_ends(ends):
-    return tuple(sorted(ends, key=_ref_sort_key))
+    return tuple(sorted(ends, key=lambda ref: (ref.base.name, ref.multiplicity)))
 
 
 def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]:
@@ -387,7 +391,8 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
     Components have genus zero and one positive end; negative-end
     multiplicities total at most the multiplicity bound.  Under a generic
     profile, nontrivial somewhere-injective curves must have index >= 1.
-    Planes are only admitted over contractible orbits.
+    Planes are only admitted over contractible orbits.  Every end is a
+    cover from the enumeration's OrbitTable.
     """
     _check_convexity(orbits, profile)
     top = bounds.max_total_multiplicity
@@ -395,23 +400,23 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
     refs, cz = table.refs, table.cz
     cap = {o.name: min(o.validity_bound, top) for o in orbits}
 
-    # Trivial cylinders and branched covers of trivial cylinders.
-    for orbit in orbits:
-        base = OrbitRef(orbit, 1)
-        for d in range(1, cap[orbit.name] + 1):
-            ref = OrbitRef(orbit, d)
+    # Trivial cylinders and branched covers of trivial cylinders.  Ids run by
+    # multiplicity within an orbit: refs[i - m + p] is the p-fold cover of
+    # the orbit of refs[i], m its multiplicity.
+    for i, ref in enumerate(refs):
+        d, base = ref.multiplicity, refs[i - ref.multiplicity + 1]
+        yield ComponentSkeleton(
+            ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
+            d, 0, 0, (ref,), (ref,), (base,), (base,),
+        )
+        for parts in _partitions(d):
+            if len(parts) < 2:
+                continue
+            neg = _sorted_ends(refs[i - d + p] for p in parts)
             yield ComponentSkeleton(
                 ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
-                d, 0, 0, (ref,), (ref,), (base,), (base,),
+                d, len(parts) - 1, 0, (ref,), neg, (base,), (base,),
             )
-            for parts in _partitions(d):
-                if len(parts) < 2:
-                    continue
-                neg = _sorted_ends(OrbitRef(orbit, p) for p in parts)
-                yield ComponentSkeleton(
-                    ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
-                    d, len(parts) - 1, 0, (ref,), neg, (base,), (base,),
-                )
 
     # Somewhere-injective curves.
     multisets = _neg_multisets(range(len(refs)), top, table)
@@ -432,14 +437,14 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
 
     # Covers of nontrivial somewhere-injective curves.
     for d in range(2, top + 1):
+        ways = _cover_ways(refs, cap, d)
         small = _neg_multisets(
             [i for i, r in enumerate(refs) if r.multiplicity * d <= top], top // d, table
         )
         for u, upos in enumerate(refs):
             if upos.multiplicity * d > cap[upos.base.name]:
                 continue
-            pos = OrbitRef(upos.base, upos.multiplicity * d)
-            for uneg, ids, czsum in small:
+            for _, ids, czsum in small:
                 k = len(ids)
                 if k == 1 and ids[0] == u:
                     continue
@@ -447,43 +452,39 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
                     continue
                 if profile.generic_J and (k - 1) + cz[u] - czsum < 1:
                     continue
-                yield from _covers_of(upos, pos, uneg, d, cap)
+                yield from _covers_of(refs, u, ids, d, ways)
 
 
-def _covers_of(upos, pos, uneg, d, cap):
-    """All genus-zero degree-d covers of the underlying curve (upos, uneg)."""
-    k = len(uneg)
-    choices = []
-    for under in uneg:
-        local = []
-        limit = cap[under.base.name]
-        for parts in _partitions(d):
-            mults = [under.multiplicity * t for t in parts]
-            if all(m <= limit for m in mults):
-                local.append(tuple(OrbitRef(under.base, m) for m in mults))
-        choices.append(local)
+def _cover_ways(refs, cap, d):
+    """ways[i]: each way a degree-d cover can cover refs[i] within the caps,
+    as the table ids of its ends, one tuple per partition of d."""
+    ways = []
+    for i, ref in enumerate(refs):
+        m, limit = ref.multiplicity, cap[ref.base.name]
+        # parts[0] is the largest part; refs[i - m + t*m] is a t-fold cover.
+        parts_ok = [parts for parts in _partitions(d) if parts[0] * m <= limit]
+        ways.append([tuple(i - m + t * m for t in parts) for parts in parts_ok])
+    return ways
 
+
+def _covers_of(refs, u, ids, d, ways):
+    """All genus-zero degree-d covers of the curve refs[u] => refs[ids], each
+    negative-end multiset once; ways is _cover_ways(refs, cap, d), and the
+    d-fold cover of refs[u] must be in the table."""
+    k, m = len(ids), refs[u].multiplicity
+    pos, upos, uneg = (refs[u - m + d * m],), (refs[u],), tuple(refs[i] for i in ids)
     seen = set()
-
-    def rec(i, acc):
-        if i == k:
-            neg = _sorted_ends(e for group in acc for e in group)
-            n = len(neg)
-            b = n + d - d * k - 1
-            if b < 0 or neg in seen:
-                return
-            seen.add(neg)
-            yield ComponentSkeleton(
-                ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-                d, b, 0, (pos,), neg, (upos,), tuple(uneg),
-            )
-            return
-        for group in choices[i]:
-            acc.append(group)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    for groups in product(*[ways[i] for i in ids]):
+        # A multiset of negative ends, as its sorted table ids.
+        key = tuple(sorted(chain.from_iterable(groups)))
+        b = len(key) + d - d * k - 1
+        if b < 0 or key in seen:
+            continue
+        seen.add(key)
+        yield ComponentSkeleton(
+            ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
+            d, b, 0, pos, _sorted_ends(refs[e] for e in key), upos, uneg,
+        )
 
 
 # ------------------------------------------------------------------ buildings
@@ -640,16 +641,23 @@ class _Enumerator:
             prev_closed, prev_open = closed[-1], opened[-1]
             row_closed, row_open = list(prev_closed), list(prev_open)
             for ref, group in enumerate(self.by_pos):
+                best_closed, best_open = row_closed[ref], row_open[ref]
                 for n in group:
-                    ends = self.ends[n]
-                    capped = [prev_closed[e] for e in ends]
-                    if INF not in capped:
-                        row_closed[ref] = min(row_closed[ref], self.ind[n] + sum(capped))
-                    for i, e in enumerate(ends):
-                        others = capped[:i] + capped[i + 1 :]
-                        if INF not in others:
-                            cost = self.ind[n] + prev_open[e] + sum(others)
-                            row_open[ref] = min(row_open[ref], cost)
+                    # One scan: the finite capped costs summed, the rest listed.
+                    total, uncapped = self.ind[n], []
+                    for e in self.ends[n]:
+                        if prev_closed[e] == INF:
+                            uncapped.append(e)
+                        else:
+                            total += prev_closed[e]
+                    if not uncapped:
+                        best_closed = min(best_closed, total)
+                        for e in self.ends[n]:
+                            best_open = min(best_open, total - prev_closed[e] + prev_open[e])
+                    elif len(uncapped) == 1:
+                        # Only the end that cannot be capped may stay open.
+                        best_open = min(best_open, total + prev_open[uncapped[0]])
+                row_closed[ref], row_open[ref] = best_closed, best_open
             closed.append(row_closed)
             opened.append(row_open)
         return closed, opened
@@ -822,36 +830,34 @@ class EstimateSweepReport:
 
 
 def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
-    """Apply every index estimate to every enumerated component."""
-    report = EstimateSweepReport(
-        checked={name: 0 for name in CHECK_NAMES},
-        violations={name: [] for name in CHECK_NAMES},
-    )
-
-    def apply(name, ok, c):
-        report.checked[name] += 1
-        if not ok:
-            report.violations[name].append(c.key)
-
-    for c in enumerate_components(orbits, profile, bounds):
-        report.components += 1
-        if c.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
-            apply("trivial_cover_nonnegative", check_trivial_cover_nonnegative(c), c)
-        apply("cover_index_bound", check_cover_index_bound(c), c)
-        apply("nontrivial_cover_bounds", check_nontrivial_cover_bounds(c, profile), c)
-        if (
-            len(c.positive_ends) == 1
-            and len(c.negative_ends) == 1
-            and not c.is_trivial_cylinder
-            and c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
-        ):
-            apply("cylinder_cover_index", check_cylinder_cover_index(c, profile), c)
-        if (
-            c.kind is ComponentKind.COVER_OF_NONTRIVIAL_CURVE
-            and len(c.underlying_negative_ends) > 1
-        ):
-            apply("multi_end_cover_combination", check_multi_end_cover_combination(c), c)
-    return report
+    """Apply every index estimate to every enumerated component, in one pass
+    that reads each component's kind and end counts once."""
+    violations = {name: [] for name in CHECK_NAMES}
+    trivial_v, bound_v, nontrivial_v, cylinder_v, multi_v = violations.values()
+    components = trivials = cylinders = multis = 0
+    for components, c in enumerate(enumerate_components(orbits, profile, bounds), 1):
+        kind = c.kind
+        trivial = kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
+        if trivial:
+            trivials += 1
+            if not check_trivial_cover_nonnegative(c):
+                trivial_v.append(c.key)
+        if not check_cover_index_bound(c):
+            bound_v.append(c.key)
+        if not check_nontrivial_cover_bounds(c, profile):
+            nontrivial_v.append(c.key)
+        cylinder = len(c.positive_ends) == 1 and len(c.negative_ends) == 1
+        if cylinder and not trivial and not c.is_trivial_cylinder:
+            cylinders += 1
+            if not check_cylinder_cover_index(c, profile):
+                cylinder_v.append(c.key)
+        multi = len(c.underlying_negative_ends) > 1
+        if kind is ComponentKind.COVER_OF_NONTRIVIAL_CURVE and multi:
+            multis += 1
+            if not check_multi_end_cover_combination(c):
+                multi_v.append(c.key)
+    counts = (trivials, components, components, cylinders, multis)
+    return EstimateSweepReport(components, dict(zip(CHECK_NAMES, counts)), violations)
 
 
 # --------------------------------------------------------- proposition check

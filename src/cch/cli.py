@@ -250,6 +250,8 @@ def _cmd_no_bad_break(args):
     if args.theta is None or args.degree is None:
         raise UsageError("provide --theta and --d, or --grid")
     theta = parse_rational(args.theta, "--theta")
+    if args.degree < 1:
+        raise UsageError(f"--d must be >= 1, got {args.degree}")
     cert = no_bad_break_certificate(theta, args.degree)
     code = 0 if cert.verdict is not BreakingVerdict.COUNTEREXAMPLE else 1
     return code, _report("no-bad-break", cert.lines())
@@ -257,6 +259,8 @@ def _cmd_no_bad_break(args):
 
 def _cmd_bounds(args):
     theta = parse_rational(args.theta, "--theta")
+    if args.mult < 1:
+        raise UsageError("--mult must be >= 1")
     orbit = RotationData("orbit", theta, args.mult)
     ref = OrbitRef(orbit, args.mult)
     side = EndSide.POSITIVE if args.side == "positive" else EndSide.NEGATIVE

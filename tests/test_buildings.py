@@ -1,5 +1,10 @@
+import dataclasses
+import hashlib
 import math
+import re
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,9 @@ from cch.buildings import (
     enumerate_components,
     run_estimate_sweep,
     _Enumerator,
+    _cover_ways,
+    _covers_of,
+    _partitions,
     verify_propositions,
 )
 from cch.errors import (
@@ -30,7 +38,8 @@ from cch.errors import (
     PreconditionError,
     SkeletonError,
 )
-from cch.orbits import OrbitRef, OrbitType, RotationData, orbit_type
+from cch.orbits import OrbitRef, OrbitTable, OrbitType, RotationData, orbit_type
+from cch.scenario import parse_scenario
 
 F = Fraction
 
@@ -41,6 +50,8 @@ ELL = RotationData("e", F(6, 5), 4, contractible=True)
 POSH = RotationData("p", F(2), 30, contractible=True)
 NEGH = RotationData("h", F(1, 2), 30)
 FLAT = RotationData("z", F(0), 30)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def ref(orbit, m):
@@ -108,6 +119,58 @@ def test_cover_partition_mismatch_rejected():
             ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
             2, 1, 0, (pos,), (ref(NEGH, 3),), (ref(POSH, 2),), (ref(NEGH, 1),),
         )
+
+
+SI = ComponentKind.SOMEWHERE_INJECTIVE
+BTC = ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
+COV = ComponentKind.COVER_OF_NONTRIVIAL_CURVE
+
+
+@pytest.mark.parametrize(
+    "kind, d, b, genus, pos, neg, upos, uneg, message",
+    [
+        (SI, 0, 0, 0, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
+        (SI, 1, -1, 0, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
+        (SI, 1, 0, -1, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
+        (SI, 1, 0, 0, "", "", "", "", "a component needs at least one positive end"),
+        (SI, 2, 0, 0, "e2", "e1", "e2", "e1", "somewhere-injective components have d=1, b=0"),
+        (SI, 1, 0, 0, "e2", "e1", "e2", "", "somewhere-injective ends must equal underlying"),
+        (BTC, 2, 0, 0, "e2", "e2", "e2", "e2", "the underlying trivial cylinder must sit over"),
+        (BTC, 2, 1, 0, "e2", "e1 h1", "e1", "e1", "all ends must cover the cylinder's orbit"),
+        (BTC, 3, 0, 0, "e2", "e3", "e1", "e1", "positive end multiplicities must partition"),
+        (BTC, 2, 0, 0, "e2", "e1", "e1", "e1", "negative end multiplicities must partition"),
+        (BTC, 3, 5, 0, "e3", "e1 e2", "e1", "e1", "branch count violates Riemann-Hurwitz"),
+        (COV, 1, 0, 0, "p2", "h1", "p2", "h1", "covers of nontrivial curves need degree >= 2"),
+        (COV, 2, 0, 0, "p2", "p2", "p1", "p1", "covers of trivial cylinders must use the"),
+        (COV, 2, 1, 0, "p4", "h2", "p2", "h1", "branch count violates Riemann-Hurwitz"),
+        (COV, 2, 0, 0, "p3", "h2", "p2", "h1", "positive ends do not cover the underlying"),
+        (COV, 2, 0, 0, "p4", "h3", "p2", "h1", "negative ends do not cover the underlying"),
+    ],
+)
+def test_constructor_rejects_each_invalid_shape(kind, d, b, genus, pos, neg, upos, uneg, message):
+    # One case per SkeletonError branch of ComponentSkeleton._check, through
+    # the public constructor; ends are written "e1 h1" for e^1, h^1.
+    orbits = {o.name: o for o in (ELL, NEGH, POSH)}
+
+    def ends(text):
+        return [ref(orbits[t[0]], int(t[1:])) for t in text.split()]
+
+    with pytest.raises(SkeletonError, match="^" + re.escape(message)):
+        ComponentSkeleton(kind, d, b, genus, ends(pos), ends(neg), ends(upos), ends(uneg))
+
+
+def test_constructor_stores_list_ends_as_tuples_and_is_frozen():
+    p2, h1 = ref(POSH, 2), ref(NEGH, 1)
+    c = ComponentSkeleton(SI, 1, 0, 0, [p2], [h1], [p2], [h1])
+    for name in (
+        "positive_ends", "negative_ends", "underlying_positive_ends", "underlying_negative_ends"
+    ):
+        assert type(getattr(c, name)) is tuple
+    assert c == si(p2, (h1,)) and hash(c) == hash(si(p2, (h1,)))
+    assert c.index == c.underlying_index == oracle_index(0, (p2,), (h1,)) == 7
+    for f in dataclasses.fields(c):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, f.name, getattr(c, f.name))
 
 
 # ------------------------------------------------------------ index estimates
@@ -237,6 +300,30 @@ def test_enumerated_components_pass_all_checks():
     assert report.ok, report.violations
 
 
+# sha256 of "\n".join(report.lines()) of the estimate sweep.
+ESTIMATE_SWEEP_DIGESTS = {
+    "estimate_suite.json": "078a6fc2fc3364102dd86670c7b81eacf8f613607e210313e6e2a2064d394f30",
+    "ELL, NEGH, POSH at multiplicity 4": (
+        "a18eb0c4d6ae346cf233c4c7d219b1dfe3dd3e4974cc1eeb9e56c5f7a28a7615"
+    ),
+}
+
+
+def test_estimate_sweep_report_bytes_are_pinned():
+    suite = parse_scenario(SCENARIOS / "estimate_suite.json")
+    runs = {
+        "estimate_suite.json": (suite.orbits, suite.profile, suite.bounds),
+        "ELL, NEGH, POSH at multiplicity 4": (
+            [ELL, NEGH, POSH], GENERIC, EnumerationBounds(max_total_multiplicity=4)
+        ),
+    }
+    got = {}
+    for name, args in runs.items():
+        report = run_estimate_sweep(*args)
+        got[name] = hashlib.sha256("\n".join(report.lines()).encode()).hexdigest()
+    assert got == ESTIMATE_SWEEP_DIGESTS
+
+
 def oracle_cz(r):
     # Independent evaluation through math.floor/ceil on the exact rational.
     x = r.base.theta * r.multiplicity
@@ -303,6 +390,39 @@ def test_multi_end_cover_combination_applies():
             seen += 1
             assert check_multi_end_cover_combination(c)
     assert seen > 0
+
+
+@pytest.mark.parametrize(
+    "d, top", [(2, 4), (2, 3), (3, 6), (3, 5), (3, 3), (4, 8), (4, 7), (4, 5)]
+)
+def test_covers_of_yields_each_negative_multiset_once(d, top):
+    # Degree-d covers of the curve p^1 => h^1, h^2: every multiset of
+    # negative ends that Riemann-Hurwitz allows comes out exactly once, even
+    # when two ways of covering h^1 and h^2 give the same multiset.  Below
+    # top = 2d the multiplicity cap cuts off the largest covers of h^2.
+    table = OrbitTable([POSH, NEGH], top)
+    cap = {o.name: min(o.validity_bound, top) for o in (POSH, NEGH)}
+    u = table.id_of(ref(POSH, 1))
+    ids = (table.id_of(ref(NEGH, 1)), table.id_of(ref(NEGH, 2)))
+    covers = list(_covers_of(table.refs, u, ids, d, _cover_ways(table.refs, cap, d)))
+
+    ways = []
+    for over_h1 in _partitions(d):
+        for over_h2 in _partitions(d):
+            mults = tuple(sorted(list(over_h1) + [2 * t for t in over_h2]))
+            # Riemann-Hurwitz: chi(cover) = d * chi(underlying) - branch points.
+            branch = d * (2 - 1 - 2) - (2 - 1 - len(mults))
+            if mults[-1] <= top and branch >= 0:
+                ways.append(mults)
+    got = [tuple(r.multiplicity for r in c.negative_ends) for c in covers]
+    assert len(got) == len(set(got))
+    assert set(got) == set(ways)
+    if d == 4:
+        assert len(ways) > len(set(ways))  # the dedupe is exercised
+    for c in covers:
+        assert c.positive_ends == (ref(POSH, d),)
+        assert c.underlying_negative_ends == (ref(NEGH, 1), ref(NEGH, 2))
+        assert all(r.base == NEGH for r in c.negative_ends)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -507,6 +627,45 @@ def test_time_limit_stops_the_bound_tables(monkeypatch):
     assert enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds()) == []
     with pytest.raises(EnumerationLimitError):
         enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds(), time_limit=1e-9)
+
+
+@pytest.mark.parametrize("thin", [1, 2, 3])
+@pytest.mark.parametrize("generic_J", [True, False])
+@pytest.mark.parametrize("multiplicity", [1, 2, 3, 4])
+def test_bound_tables_match_subtree_oracle(generic_J, multiplicity, thin, monkeypatch):
+    # From the _Enumerator docstring: closed[r][e] is the least index of a
+    # subtree at e within r levels with no negative end, open[r][e] of one
+    # with at most one; a subtree may leave e itself open at index 0.  The
+    # oracle combines the children of each component by a min-plus product
+    # over (no open end, one open end), on covers rather than ids.  Index is
+    # additive, so with every component present a deeper subtree never beats
+    # a direct component; keeping every second or third one lets it.
+    orbits = [ELL, NEGH, POSH]
+    profile = GenericityProfile(generic_J=generic_J)
+    bounds = EnumerationBounds(max_levels=3, max_total_multiplicity=multiplicity)
+    kept = list(enumerate_components(orbits, profile, bounds))[::thin]
+    monkeypatch.setattr(buildings, "enumerate_components", lambda *args: iter(kept))
+    enumerator = _Enumerator(orbits, profile, bounds, math.inf)
+    by_pos = {}
+    for c in enumerator.components:
+        by_pos.setdefault(c.positive_ends[0], []).append(c)
+
+    @lru_cache(maxsize=None)
+    def least(r, end):
+        closed, one_open = math.inf, 0
+        for c in by_pos.get(end, ()) if r else ():
+            acc = (c.index, math.inf)
+            for e in c.negative_ends:
+                z, o = least(r - 1, e)
+                acc = (acc[0] + z, min(acc[0] + o, acc[1] + z))
+            closed, one_open = min(closed, acc[0]), min(one_open, acc[1])
+        return closed, min(closed, one_open)
+
+    for r in range(bounds.max_levels + 1):
+        for i, end in enumerate(OrbitTable(orbits, multiplicity).refs):
+            closed = enumerator._closed[r][i]
+            got = (math.inf if closed == buildings.INF else closed, enumerator._open[r][i])
+            assert got == least(r, end), (r, end.key)
 
 
 # ---------------------------------------------------------------- buildings

@@ -359,6 +359,25 @@ def test_no_bad_break_single_rejects_grid_flags(flag, value):
     assert "verdict" not in text
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_no_bad_break_rejects_degree_below_one_naming_the_flag(value):
+    code, text = run_command(["no-bad-break", "--theta", "1/3", "--d", value])
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith(f"error: --d must be >= 1, got {value}\n")
+
+
+@pytest.mark.parametrize("command", ["cz", "bounds"])
+def test_mult_below_one_is_a_usage_error_naming_the_flag(command):
+    # bounds checks --mult the way cz does, before any orbit is built.
+    extra = ["--side", "positive"] if command == "bounds" else []
+    code, text = run_command([command, "--theta", "1/3", "--mult", "0", *extra])
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith("error: --mult must be >= 1\n")
+    assert "validity bound" not in text
+
+
 def test_bounds_command():
     code, text = run_command(
         ["bounds", "--theta", "6/5", "--mult", "3", "--side", "positive", "--improved"]
