@@ -12,10 +12,12 @@ and only contractible orbits bound planes).
 
 Every index is computed once, by the object it belongs to: an OrbitRef
 carries its Conley-Zehnder index, and a ComponentSkeleton its Fredholm
-index and that of its underlying curve.  A ComponentSkeleton is built in
-one pass that stores each field once, runs every check and sets both
-indices.  Each enumeration builds one OrbitTable of the scenario's covers
-up to the multiplicity bound and takes every end from it; inside the
+index and that of its underlying curve.  A ComponentSkeleton is slotted
+and built in one pass that stores each slot once, runs every check and
+sets both indices; its kinds are the module names BTC, COV and SI.  Each
+enumeration takes every end from one OrbitTable of the scenario's covers.
+A multiset of negative ends carries its excess, its cz sum less (number
+of ends - 1), so the generic-J filter is one comparison with cz(+).  In the
 search a cover is its integer id: the ends of a component are a tuple of
 ids, and the bound tables are lists indexed by id.  The least index that
 can still hang below each component at each number of levels to go is
@@ -25,9 +27,9 @@ sentinel INF, so the arithmetic here is exact integer arithmetic throughout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator
 
@@ -47,6 +49,11 @@ class ComponentKind(Enum):
     BRANCHED_COVER_OF_TRIVIAL_CYLINDER = "branched-cover-of-trivial-cylinder"
     COVER_OF_NONTRIVIAL_CURVE = "cover-of-nontrivial-curve"
     SOMEWHERE_INJECTIVE = "somewhere-injective"
+
+
+BTC = ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
+COV = ComponentKind.COVER_OF_NONTRIVIAL_CURVE
+SI = ComponentKind.SOMEWHERE_INJECTIVE
 
 
 def _grouping_exists(cover_ends, under_ends, degree) -> bool:
@@ -77,7 +84,7 @@ def _grouping_exists(cover_ends, under_ends, degree) -> bool:
     return assign(0)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class ComponentSkeleton:
     """One curve in a building: cover data plus the ends of cover and base.
 
@@ -96,27 +103,28 @@ class ComponentSkeleton:
     underlying_negative_ends: tuple
     index: int = field(init=False, repr=False, compare=False)
     underlying_index: int = field(init=False, repr=False, compare=False)
+    _key: str = field(init=False, repr=False, compare=False)
 
     def __init__(
         self, kind, cover_degree, branch_count, genus, positive_ends, negative_ends,
         underlying_positive_ends, underlying_negative_ends,
     ):
-        # One pass: each field is stored once, then checked, then indexed.
-        setattr_ = object.__setattr__
-        setattr_(self, "kind", kind)
-        setattr_(self, "cover_degree", cover_degree)
-        setattr_(self, "branch_count", branch_count)
-        setattr_(self, "genus", genus)
-        setattr_(self, "positive_ends", pos := tuple(positive_ends))
-        setattr_(self, "negative_ends", neg := tuple(negative_ends))
-        setattr_(self, "underlying_positive_ends", upos := tuple(underlying_positive_ends))
-        setattr_(self, "underlying_negative_ends", uneg := tuple(underlying_negative_ends))
+        # One pass: each slot is stored once, then checked, then indexed.
+        _set_kind(self, kind)
+        _set_cover_degree(self, cover_degree)
+        _set_branch_count(self, branch_count)
+        _set_genus(self, genus)
+        _set_pos(self, pos := tuple(positive_ends))
+        _set_neg(self, neg := tuple(negative_ends))
+        _set_upos(self, upos := tuple(underlying_positive_ends))
+        _set_uneg(self, uneg := tuple(underlying_negative_ends))
+        _set_key(self, None)
         self._check()
         ind = curve_index(genus, pos, neg)
-        setattr_(self, "index", ind)
-        if kind is not ComponentKind.SOMEWHERE_INJECTIVE:
+        _set_index(self, ind)
+        if kind is not SI:
             ind = curve_index(0, upos, uneg)
-        setattr_(self, "underlying_index", ind)
+        _set_underlying_index(self, ind)
 
     def _check(self):
         d, b = self.cover_degree, self.branch_count
@@ -124,9 +132,7 @@ class ComponentSkeleton:
             raise SkeletonError("cover degree, branch count, genus out of range")
         if not self.positive_ends or not self.underlying_positive_ends:
             raise SkeletonError("a component needs at least one positive end")
-        k, n = len(self.positive_ends), len(self.negative_ends)
-        chi = 2 - 2 * self.genus - k - n
-        if self.kind is ComponentKind.SOMEWHERE_INJECTIVE:
+        if self.kind is SI:
             if d != 1 or b != 0:
                 raise SkeletonError("somewhere-injective components have d=1, b=0")
             if (
@@ -135,7 +141,9 @@ class ComponentSkeleton:
             ):
                 raise SkeletonError("somewhere-injective ends must equal underlying ends")
             return
-        if self.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
+        k, n = len(self.positive_ends), len(self.negative_ends)
+        chi = 2 - 2 * self.genus - k - n
+        if self.kind is BTC:
             up, un = self.underlying_positive_ends, self.underlying_negative_ends
             if len(up) != 1 or len(un) != 1 or up[0] != un[0] or up[0].multiplicity != 1:
                 raise SkeletonError(
@@ -167,32 +175,33 @@ class ComponentSkeleton:
         if not _grouping_exists(self.negative_ends, self.underlying_negative_ends, d):
             raise SkeletonError("negative ends do not cover the underlying negative ends")
 
-    @cached_property
+    @property
     def key(self) -> str:
         """Canonical serialization, computed on first use and kept."""
+        if self._key is not None:
+            return self._key
         pos = ",".join(r.key for r in self.positive_ends)
         neg = ",".join(r.key for r in _sorted_ends(self.negative_ends))
-        if self.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
-            return f"btc[d={self.cover_degree},b={self.branch_count}]{pos}=>{neg}"
-        if self.kind is ComponentKind.SOMEWHERE_INJECTIVE:
-            return f"si[g={self.genus}]{pos}=>{neg}"
-        upos = ",".join(r.key for r in self.underlying_positive_ends)
-        uneg = ",".join(r.key for r in _sorted_ends(self.underlying_negative_ends))
-        return (
-            f"cov[d={self.cover_degree},b={self.branch_count};{upos}=>{uneg}]{pos}=>{neg}"
-        )
+        head = f"d={self.cover_degree},b={self.branch_count}"
+        if self.kind is BTC:
+            key = f"btc[{head}]{pos}=>{neg}"
+        elif self.kind is SI:
+            key = f"si[g={self.genus}]{pos}=>{neg}"
+        else:
+            upos = ",".join(r.key for r in self.underlying_positive_ends)
+            uneg = ",".join(r.key for r in _sorted_ends(self.underlying_negative_ends))
+            key = f"cov[{head};{upos}=>{uneg}]{pos}=>{neg}"
+        _set_key(self, key)
+        return key
 
     @property
     def is_trivial_cylinder(self) -> bool:
         one_one = len(self.positive_ends) == 1 and len(self.negative_ends) == 1
         if not one_one:
             return False
-        if self.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
+        if self.kind is BTC:
             return self.branch_count == 0
-        return (
-            self.kind is ComponentKind.SOMEWHERE_INJECTIVE
-            and self.positive_ends == self.negative_ends
-        )
+        return self.kind is SI and self.positive_ends == self.negative_ends
 
     @property
     def underlying_is_cylinder(self) -> bool:
@@ -209,12 +218,18 @@ class ComponentSkeleton:
         )
 
 
+# Slot setters in field order; only the constructor and the key cache use them.
+(_set_kind, _set_cover_degree, _set_branch_count, _set_genus, _set_pos, _set_neg,
+ _set_upos, _set_uneg, _set_index, _set_underlying_index, _set_key) = (
+    getattr(ComponentSkeleton, f.name).__set__ for f in fields(ComponentSkeleton))
+
+
 # ------------------------------------------------------------------ checks
 
 
 def check_trivial_cover_nonnegative(c: ComponentSkeleton) -> bool:
     """Index of a branched cover of a trivial cylinder is never negative."""
-    if c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
+    if c.kind is not BTC:
         raise PreconditionError("component is not a cover of a trivial cylinder")
     return c.index >= 0
 
@@ -240,7 +255,7 @@ def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
     if c.genus != 0 or len(c.positive_ends) != 1:
         raise PreconditionError("the estimates need genus zero and one positive end")
     nontrivial_underlying = (
-        c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
+        c.kind is not BTC
         and not c.is_trivial_cylinder
     )
     if nontrivial_underlying and c.underlying_index < 1:
@@ -249,7 +264,7 @@ def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
     ok = True
     if nontrivial_underlying and c.underlying_is_cylinder:
         ok = ok and c.index >= n
-    if c.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER and n > 1:
+    if c.kind is not BTC and n > 1:
         ok = ok and c.index >= 5 - 2 * n
     return ok
 
@@ -269,7 +284,7 @@ def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
         raise PreconditionError("the estimate assumes a generic profile")
     if len(c.positive_ends) != 1 or len(c.negative_ends) != 1:
         raise PreconditionError("component is not a cylinder")
-    if c.is_trivial_cylinder or c.kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
+    if c.is_trivial_cylinder or c.kind is BTC:
         raise PreconditionError("component is a cover of a trivial cylinder")
     ind, under = c.index, c.underlying_index
     ok = 1 <= under <= ind
@@ -289,7 +304,7 @@ def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
 def check_multi_end_cover_combination(c: ComponentSkeleton) -> bool:
     """ind + 2n >= d(2k-3) + 4(b+1) for covers whose underlying curve has
     k > 1 negative ends."""
-    if c.kind is not ComponentKind.COVER_OF_NONTRIVIAL_CURVE:
+    if c.kind is not COV:
         raise PreconditionError("needs a cover of a nontrivial curve")
     k = len(c.underlying_negative_ends)
     if k <= 1:
@@ -364,11 +379,13 @@ def _check_convexity(orbits, profile):
 
 def _neg_multisets(ids, budget, table):
     """Every multiset of the covers `ids` with total multiplicity <= budget,
-    in list order: (covers, their ids, cz sum)."""
+    in list order: (covers, their ids, excess).  The excess is the cz sum
+    less (number of covers - 1); a genus-zero curve from a positive end with
+    index cz to the multiset has index cz - excess."""
     out = []
 
     def rec(start, left, acc, czsum):
-        out.append((tuple(acc), czsum))
+        out.append((tuple(acc), czsum - len(acc) + 1))
         for j in range(start, len(ids)):
             i = ids[j]
             m = table.refs[i].multiplicity
@@ -378,7 +395,7 @@ def _neg_multisets(ids, budget, table):
                 acc.pop()
 
     rec(0, budget, [], 0)
-    return [(tuple(table.refs[i] for i in ms), ms, czsum) for ms, czsum in out]
+    return [(tuple(table.refs[i] for i in ms), ms, excess) for ms, excess in out]
 
 
 def _sorted_ends(ends):
@@ -395,6 +412,7 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
     cover from the enumeration's OrbitTable.
     """
     _check_convexity(orbits, profile)
+    generic = profile.generic_J
     top = bounds.max_total_multiplicity
     table = OrbitTable(orbits, top)
     refs, cz = table.refs, table.cz
@@ -405,35 +423,28 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
     # the orbit of refs[i], m its multiplicity.
     for i, ref in enumerate(refs):
         d, base = ref.multiplicity, refs[i - ref.multiplicity + 1]
-        yield ComponentSkeleton(
-            ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
-            d, 0, 0, (ref,), (ref,), (base,), (base,),
-        )
+        yield ComponentSkeleton(BTC, d, 0, 0, (ref,), (ref,), (base,), (base,))
         for parts in _partitions(d):
             if len(parts) < 2:
                 continue
             neg = _sorted_ends(refs[i - d + p] for p in parts)
             yield ComponentSkeleton(
-                ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
-                d, len(parts) - 1, 0, (ref,), neg, (base,), (base,),
+                BTC, d, len(parts) - 1, 0, (ref,), neg, (base,), (base,)
             )
 
-    # Somewhere-injective curves.
+    # Somewhere-injective curves; index = cz - excess must be >= 1 if generic.
     multisets = _neg_multisets(range(len(refs)), top, table)
     for p, pos in enumerate(refs):
-        for neg, ids, czsum in multisets:
+        limit, one = (cz[p] - 1 if generic else INF), (pos,)
+        for neg, ids, excess in multisets:
+            if excess > limit:
+                continue
             n = len(ids)
             if n == 1 and ids[0] == p:
                 continue  # the trivial cylinder, emitted above
-            if n == 0 and not pos.base.contractible:
+            if not n and not pos.base.contractible:
                 continue  # planes bound disks; the orbit must be contractible
-            ind = (n - 1) + cz[p] - czsum
-            if profile.generic_J and ind < 1:
-                continue
-            yield ComponentSkeleton(
-                ComponentKind.SOMEWHERE_INJECTIVE,
-                1, 0, 0, (pos,), neg, (pos,), neg,
-            )
+            yield ComponentSkeleton(SI, 1, 0, 0, one, neg, one, neg)
 
     # Covers of nontrivial somewhere-injective curves.
     for d in range(2, top + 1):
@@ -444,13 +455,14 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
         for u, upos in enumerate(refs):
             if upos.multiplicity * d > cap[upos.base.name]:
                 continue
-            for _, ids, czsum in small:
+            limit = cz[u] - 1 if generic else INF
+            for _, ids, excess in small:
+                if excess > limit:
+                    continue
                 k = len(ids)
                 if k == 1 and ids[0] == u:
                     continue
-                if k == 0 and not upos.base.contractible:
-                    continue
-                if profile.generic_J and (k - 1) + cz[u] - czsum < 1:
+                if not k and not upos.base.contractible:
                     continue
                 yield from _covers_of(refs, u, ids, d, ways)
 
@@ -482,8 +494,7 @@ def _covers_of(refs, u, ids, d, ways):
             continue
         seen.add(key)
         yield ComponentSkeleton(
-            ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-            d, b, 0, pos, _sorted_ends(refs[e] for e in key), upos, uneg,
+            COV, d, b, 0, pos, _sorted_ends(refs[e] for e in key), upos, uneg
         )
 
 
@@ -837,7 +848,7 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     components = trivials = cylinders = multis = 0
     for components, c in enumerate(enumerate_components(orbits, profile, bounds), 1):
         kind = c.kind
-        trivial = kind is ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
+        trivial = kind is BTC
         if trivial:
             trivials += 1
             if not check_trivial_cover_nonnegative(c):
@@ -852,7 +863,7 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
             if not check_cylinder_cover_index(c, profile):
                 cylinder_v.append(c.key)
         multi = len(c.underlying_negative_ends) > 1
-        if kind is ComponentKind.COVER_OF_NONTRIVIAL_CURVE and multi:
+        if kind is COV and multi:
             multis += 1
             if not check_multi_end_cover_combination(c):
                 multi_v.append(c.key)
@@ -875,7 +886,7 @@ def _is_split_plane_shape(b: BuildingSkeleton) -> bool:
     if len(bottom) != 2:
         return False
     cover = b.root.component
-    if cover.kind is not ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER:
+    if cover.kind is not BTC:
         return False
     if len(cover.negative_ends) != 2 or cover.index != 0:
         return False

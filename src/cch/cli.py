@@ -144,10 +144,14 @@ def _parse_orbit_flag(text):
         bound = int(bound_text)
     except ValueError:
         raise UsageError(f"--orbit bound must be an integer, got {bound_text!r}")
+    if bound < 1:
+        raise UsageError(f"--orbit bound must be >= 1, got {bound}")
     return RotationData(name, theta, bound)
 
 
 def _cmd_index(args):
+    if args.genus < 0:
+        raise UsageError(f"--genus must be >= 0, got {args.genus}")
     orbits = {}
     for text in args.orbit:
         orbit = _parse_orbit_flag(text)
@@ -279,6 +283,9 @@ def _cmd_bounds(args):
 
 
 def _cmd_gluing(args):
+    for name in ("d_plus", "d_minus", "d_middle"):
+        if getattr(args, name) < 1:
+            raise UsageError(f"{name} must be >= 1, got {getattr(args, name)}")
     out = gluing_count(args.d_plus, args.d_minus, args.d_middle)
     return 0, _report("gluing", [f"ends={out.count} degree={out.end_degree}"])
 

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -10,6 +12,9 @@ import pytest
 
 from cch import buildings
 from cch.buildings import (
+    BTC,
+    COV,
+    SI,
     BuildingNode,
     BuildingSkeleton,
     ComponentKind,
@@ -121,11 +126,6 @@ def test_cover_partition_mismatch_rejected():
         )
 
 
-SI = ComponentKind.SOMEWHERE_INJECTIVE
-BTC = ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER
-COV = ComponentKind.COVER_OF_NONTRIVIAL_CURVE
-
-
 @pytest.mark.parametrize(
     "kind, d, b, genus, pos, neg, upos, uneg, message",
     [
@@ -171,6 +171,29 @@ def test_constructor_stores_list_ends_as_tuples_and_is_frozen():
     for f in dataclasses.fields(c):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, f.name, getattr(c, f.name))
+
+
+def test_components_copy_and_pickle_by_value():
+    # Slotted components have no instance dict, so copy and pickle go
+    # through the dataclass's slot state; the cached key travels with it.
+    firsts = {}
+    for c in enumerate_components([ELL, NEGH, POSH], GENERIC, EnumerationBounds()):
+        firsts.setdefault(c.kind, c)
+    assert set(firsts) == {BTC, COV, SI}
+    for c in firsts.values():
+        assert not hasattr(c, "__dict__")
+        # The first round copies c before its key is cached, the second after.
+        for _ in range(2):
+            twins = [copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))]
+            for twin in twins:
+                assert type(twin) is ComponentSkeleton
+                assert twin == c and hash(twin) == hash(c)
+                assert twin.key == c.key
+                assert (twin.index, twin.underlying_index) == (c.index, c.underlying_index)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    twin.index = 0
+        with pytest.raises(SkeletonError, match="cover degree"):
+            dataclasses.replace(c, cover_degree=0)
 
 
 # ------------------------------------------------------------ index estimates
@@ -423,6 +446,103 @@ def test_covers_of_yields_each_negative_multiset_once(d, top):
         assert c.positive_ends == (ref(POSH, d),)
         assert c.underlying_negative_ends == (ref(NEGH, 1), ref(NEGH, 2))
         assert all(r.base == NEGH for r in c.negative_ends)
+
+
+def oracle_candidates(orbits, generic_J, top):
+    """The somewhere-injective keys, and the underlying curves of covers,
+    that the enumerator should emit, in emission order.
+
+    Walks every positive cover against every multiset of negative covers
+    within the cap, with oracle_cz and the genus-zero index formula
+    -chi + cz(+) - sum cz(-).  A pair is kept when J is not generic or its
+    index is at least one, unless it is the trivial cylinder or a plane over
+    a non-contractible orbit.  A degree-d cover needs the d-fold positive
+    cover within its orbit's cap, and its underlying negative
+    multiplicities total at most top // d.
+    """
+    covers = [
+        OrbitRef(o, m) for o in orbits for m in range(1, min(o.validity_bound, top) + 1)
+    ]
+    cz = [oracle_cz(r) for r in covers]
+    names = [f"{r.base.name}^{r.multiplicity}" for r in covers]
+
+    def multisets(budget):
+        # Every choice of how many copies of each cover; the sort gives the
+        # lexicographic order of position tuples that the enumerator walks.
+        out = []
+
+        def walk(i, left, acc):
+            if i == len(covers):
+                out.append(tuple(acc))
+                return
+            for count in range(left // covers[i].multiplicity + 1):
+                walk(i + 1, left - count * covers[i].multiplicity, acc + [i] * count)
+
+        walk(0, budget, [])
+        return sorted(out)
+
+    def kept(p, ms):
+        if ms == (p,) or (not ms and not covers[p].base.contractible):
+            return False
+        chi = 2 - 1 - len(ms)
+        return not generic_J or -chi + cz[p] - sum(cz[i] for i in ms) >= 1
+
+    def text(p, ms):
+        neg = sorted(ms, key=lambda i: (covers[i].base.name, covers[i].multiplicity))
+        return names[p] + "=>" + ",".join(names[i] for i in neg)
+
+    every = range(len(covers))
+    out = ["si[g=0]" + text(p, ms) for p in every for ms in multisets(top) if kept(p, ms)]
+    for d in range(2, top + 1):
+        below = multisets(top // d)
+        for u in every:
+            if covers[u].multiplicity * d <= min(covers[u].base.validity_bound, top):
+                out += [f"cov[d={d};" + text(u, ms) for ms in below if kept(u, ms)]
+    return out
+
+
+def enumerated_candidates(orbits, generic_J, top):
+    """enumerate_components' somewhere-injective keys and, once per run of
+    covers, their underlying curve, in emission order."""
+    out = []
+    bounds = EnumerationBounds(max_total_multiplicity=top)
+    for c in enumerate_components(orbits, GenericityProfile(generic_J=generic_J), bounds):
+        if c.kind is SI:
+            out.append(c.key)
+        elif c.kind is COV:
+            d, under = re.fullmatch(r"cov\[d=(\d+),b=\d+;(.*)\].*", c.key).groups()
+            if out[-1] != f"cov[d={d};{under}":
+                out.append(f"cov[d={d};{under}")
+    return out
+
+
+E2 = RotationData("f", F(9, 7), 6, contractible=True)
+P2 = RotationData("q", F(1), 30, contractible=True)
+H2 = RotationData("k", F(3, 2), 30)
+
+
+@pytest.mark.parametrize(
+    "orbits",
+    [
+        [ELL, E2],
+        [POSH, P2, FLAT],
+        [NEGH, H2],
+        [ELL, POSH, NEGH],
+        [E2, FLAT, H2],
+    ],
+    ids=lambda orbits: "".join(o.name for o in orbits),
+)
+@pytest.mark.parametrize("contractible", ["all", "none", "first"])
+@pytest.mark.parametrize("generic_J", [True, False])
+def test_candidate_filter_matches_oracle(orbits, contractible, generic_J):
+    flags = {"all": [True] * 3, "none": [False] * 3, "first": [True, False, False]}
+    orbits = [
+        dataclasses.replace(o, contractible=flag)
+        for o, flag in zip(orbits, flags[contractible])
+    ]
+    for top in range(1, 7):
+        want = oracle_candidates(orbits, generic_J, top)
+        assert enumerated_candidates(orbits, generic_J, top) == want, top
 
 
 # ---------------------------------------------------------------- enumeration

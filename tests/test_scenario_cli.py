@@ -378,6 +378,32 @@ def test_mult_below_one_is_a_usage_error_naming_the_flag(command):
     assert "validity bound" not in text
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["index", "--genus", "-1"], "--genus must be >= 0, got -1"),
+        (
+            ["index", "--orbit", "a=6/5:4", "--positive", "a^3", "--negative", "a^1",
+             "--genus", "-1"],
+            "--genus must be >= 0, got -1",
+        ),
+        (
+            ["index", "--orbit", "a=6/5:0", "--positive", "a^1"],
+            "--orbit bound must be >= 1, got 0",
+        ),
+        (["gluing", "0", "1", "1"], "d_plus must be >= 1, got 0"),
+        (["gluing", "1", "0", "1"], "d_minus must be >= 1, got 0"),
+        (["gluing", "1", "1", "-2"], "d_middle must be >= 1, got -2"),
+    ],
+)
+def test_out_of_range_index_and_gluing_input_is_a_usage_error_naming_it(argv, message):
+    # Checked before CurveData, RotationData or gluing_count sees the value.
+    code, text = run_command(argv)
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith(f"error: {message}\n")
+
+
 def test_bounds_command():
     code, text = run_command(
         ["bounds", "--theta", "6/5", "--mult", "3", "--side", "positive", "--improved"]
