@@ -24,7 +24,7 @@ from .complexes import (
     render_homology_report,
     verify_d_squared,
 )
-from .errors import CCHError, EnumerationLimitError, ScenarioError, UsageError
+from .errors import CCHError, EnumerationLimitError, OrbitDataError, UsageError
 from .orbits import (
     CurveData,
     OrbitRef,
@@ -112,16 +112,25 @@ def _scenario_echo(scenario):
     return lines
 
 
-def _cmd_cz(args):
+def _cover(args, contractible=False):
+    """The --mult cover of an orbit with rotation number --theta."""
     theta = parse_rational(args.theta, "--theta")
     if args.mult < 1:
         raise UsageError("--mult must be >= 1")
-    orbit = RotationData(
-        "orbit", theta, args.mult, contractible=args.contractible
-    )
-    ref = OrbitRef(orbit, args.mult)
+    try:
+        orbit = RotationData("orbit", theta, args.mult, contractible=contractible)
+    except OrbitDataError:
+        raise UsageError(
+            f"--theta {format_rational(theta)} degenerates at multiplicity "
+            f"{theta.denominator}, within --mult {args.mult}"
+        )
+    return OrbitRef(orbit, args.mult)
+
+
+def _cmd_cz(args):
+    ref = _cover(args, args.contractible)
     lines = [
-        f"theta: {format_rational(theta)}",
+        f"theta: {format_rational(ref.base.theta)}",
         f"multiplicity: {args.mult}",
         f"cz: {cz_index(ref)}",
         f"type: {orbit_type(ref).value}",
@@ -152,6 +161,8 @@ def _parse_orbit_flag(text):
 def _cmd_index(args):
     if args.genus < 0:
         raise UsageError(f"--genus must be >= 0, got {args.genus}")
+    if not args.positive:
+        raise UsageError("--positive is required: a curve has at least one positive end")
     orbits = {}
     for text in args.orbit:
         orbit = _parse_orbit_flag(text)
@@ -262,14 +273,10 @@ def _cmd_no_bad_break(args):
 
 
 def _cmd_bounds(args):
-    theta = parse_rational(args.theta, "--theta")
-    if args.mult < 1:
-        raise UsageError("--mult must be >= 1")
-    orbit = RotationData("orbit", theta, args.mult)
-    ref = OrbitRef(orbit, args.mult)
+    ref = _cover(args)
     side = EndSide.POSITIVE if args.side == "positive" else EndSide.NEGATIVE
     lines = [
-        f"orbit: theta={format_rational(theta)} multiplicity={args.mult}",
+        f"orbit: theta={format_rational(ref.base.theta)} multiplicity={args.mult}",
         f"cz: {cz_index(ref)}",
         f"side: {args.side}",
         f"wind-bound: {wind_bound(ref, side)}",
@@ -379,8 +386,6 @@ def run_command(argv):
     except UsageError as err:
         usage = err.usage or parser.format_usage()
         return 2, usage + f"error: {err}\n"
-    except ScenarioError as err:
-        return 2, _report("error", [f"error: {err}"])
     except CCHError as err:
         return 2, _report("error", [f"error: {err}"])
 

@@ -3,26 +3,23 @@
 Cylinder counts are inputs, never computed: a sequence of CountRecords,
 each one signed index-one cylinder between two covers.  This module
 groups the records by the orbit-table ids of their ends, validates every
-algebraic constraint such counts must satisfy, assembles the count
-operator delta and the multiplicity operator kappa, verifies that delta
-kappa delta vanishes, and computes homology ranks by exact elimination.
+algebraic constraint such counts must satisfy, assembles the boundary
+d = delta kappa, verifies that delta kappa delta vanishes, and computes
+homology ranks by exact elimination.
 
-delta is stored once, as sparse columns holding only nonzero entries.
-Every count record joins two generators of one homotopy class whose
-gradings differ by one, so each entry lies in a block from (class, g) to
-(class, g - 1); homology ranks are taken per block of delta, and only
-blocks with a nonzero entry are eliminated.  The double composite is
-computed in integers: with L the lcm of the denominators of delta,
-(L delta) kappa (L delta) is formed column by column over the stored
-entries, and each nonzero entry v is reported as v / L^2, in row-major
-(row, column) order.
+delta weighs each cylinder by sign / cover_degree and kappa multiplies a
+generator by its multiplicity, so each entry of d is a sum of
+sign * m(alpha) / cover_degree: an integer, since each cover degree
+divides m(alpha).  d is stored once, as sparse integer columns.  Every
+record joins generators of one homotopy class whose gradings differ by
+one, so homology ranks are taken per (class, grading) block of d.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Optional
 
 from . import linalg
@@ -61,38 +58,38 @@ class CountRecord:
 
 @dataclass
 class DSquaredReport:
+    """The nonzero entries of delta kappa delta, and whether there are none.
+
+    (delta kappa)^2 = (delta kappa delta) kappa and every kappa_k >= 1, so
+    the boundary squares to zero exactly when delta kappa delta is zero.
+    """
+
     ok: bool
     nonzero_entries: tuple
-    boundary_squared_ok: bool
 
     def lines(self):
-        out = [f"delta-kappa-delta zero: {'pass' if self.ok else 'fail'}"]
+        verdict = "pass" if self.ok else "fail"
+        out = [f"delta-kappa-delta zero: {verdict}"]
         for alpha, beta, value in self.nonzero_entries:
             out.append(f"nonzero entry: {alpha} -> {beta}: {value}")
-        out.append(
-            f"boundary squared zero: {'pass' if self.boundary_squared_ok else 'fail'}"
-        )
+        out.append(f"boundary squared zero: {verdict}")
         return out
 
 
 @dataclass
 class ChainComplex:
-    """Generators with gradings and the count/multiplicity operators.
+    """Generators with gradings, the boundary and the multiplicities.
 
-    delta holds sparse columns: delta[j][i] is the coefficient of generator
-    i in the image of generator j, and only nonzero entries are stored (a
-    column with none is absent).  kappa is the diagonal kappa_diag of
-    multiplicities.  The boundary operator is delta followed by kappa;
-    its entries are integers when the cover degrees divide the source
-    multiplicities, which build_complex checks.  The d-squared
-    report is cached by verify_d_squared so later operations can insist
-    on it.
+    boundary[j][i] is the integer coefficient of generator i in the
+    boundary of generator j; only nonzero entries are stored.  kappa_diag
+    holds the multiplicities.  verify_d_squared caches its report in
+    d_squared so that homology_ranks can insist on a passing one.
     """
 
     generators: tuple
     classes: tuple
     gradings: tuple
-    delta: dict
+    boundary: dict
     kappa_diag: tuple
     d_squared: Optional[DSquaredReport] = field(default=None, compare=False)
 
@@ -129,7 +126,7 @@ def build_complex(
     cover degree must divide both end multiplicities; pairs are checked in
     the order of their first record.  That makes every boundary entry an
     integer: it is a sum of sign * m(alpha) / cover_degree, and each cover
-    degree divides m(alpha), which kappa multiplies in.
+    degree divides m(alpha).
     """
     if max_multiplicity < 1:
         raise PreconditionError("max multiplicity must be >= 1")
@@ -171,7 +168,7 @@ def build_complex(
             i = located[id(rec.beta_ref)] = locate(rec.beta_ref)
         groups.setdefault((j, i), []).append(rec)
 
-    delta = {}
+    boundary = {}
     for (j, i), records in groups.items():
         alpha, beta = records[0].alpha_ref, records[0].beta_ref
         for where, ref in ((j, alpha), (i, beta)):
@@ -190,9 +187,6 @@ def build_complex(
                 f"{format_orbit(alpha)} -> {format_orbit(beta)}: grading must drop "
                 f"by one, got {gradings[j]} -> {gradings[i]}"
             )
-        # The entry is the sum of sign / cover_degree, taken as one integer
-        # numerator over the lcm of the degrees.
-        scale = lcm(*(rec.cover_degree for rec in records))
         total = 0
         for rec in records:
             degree = rec.cover_degree
@@ -201,47 +195,38 @@ def build_complex(
                     f"{format_orbit(alpha)} -> {format_orbit(beta)}: cover degree "
                     f"{degree} does not divide both end multiplicities"
                 )
-            total += rec.sign * (scale // degree)
+            total += rec.sign * (kappa_diag[j] // degree)
         if total:
-            delta.setdefault(j, {})[i] = Fraction(total, scale)
+            boundary.setdefault(j, {})[i] = total
 
-    return ChainComplex(generators, classes, gradings, delta, kappa_diag)
+    return ChainComplex(generators, classes, gradings, boundary, kappa_diag)
 
 
 def verify_d_squared(c: ChainComplex) -> DSquaredReport:
     """Compute delta kappa delta exactly and report any nonzero entry.
 
-    (delta kappa)^2 is the same product with column k scaled by kappa[k].
+    Column k of d^2 = (delta kappa delta) kappa is column k of delta kappa
+    delta times kappa_k, so each nonzero entry of d^2 is reported divided
+    by it, in row-major (row, column) order.
     """
     kappa = c.kappa_diag
-    scale = lcm(*(v.denominator for column in c.delta.values() for v in column.values()))
-    ints = {
-        j: {i: v.numerator * (scale // v.denominator) for i, v in column.items()}
-        for j, column in c.delta.items()
-    }
+    d = c.boundary
     entries = []
-    for k, column in ints.items():
+    for k, column in d.items():
         acc = {}
         for j, b in column.items():
-            inner = ints.get(j)
+            inner = d.get(j)
             if inner:
-                b *= kappa[j]
                 for i, a in inner.items():
                     acc[i] = acc.get(i, 0) + a * b
         entries.extend((i, k, v) for i, v in acc.items() if v)
     entries.sort()
-    square = scale * scale
     nonzero = tuple(
-        (format_orbit(c.generators[k]), format_orbit(c.generators[i]), Fraction(v, square))
+        (format_orbit(c.generators[k]), format_orbit(c.generators[i]), Fraction(v, kappa[k]))
         for i, k, v in entries
     )
-    report = DSquaredReport(
-        ok=not nonzero,
-        nonzero_entries=nonzero,
-        boundary_squared_ok=not any(v * kappa[k] for _, k, v in entries),
-    )
-    c.d_squared = report
-    return report
+    c.d_squared = DSquaredReport(ok=not nonzero, nonzero_entries=nonzero)
+    return c.d_squared
 
 
 def homology_ranks(c: ChainComplex):
@@ -252,22 +237,21 @@ def homology_ranks(c: ChainComplex):
         )
     sizes = Counter(zip(c.classes, c.gradings))
     blocks = {}
-    for j, column in c.delta.items():
+    for j, column in c.boundary.items():
         blocks.setdefault((c.classes[j], c.gradings[j]), {})[j] = column
-    # The boundary's column j is delta's column j times kappa_j = m(j) >= 1,
-    # and scaling a column by a nonzero number does not change a rank, so
-    # each block's rank is taken from delta.  Zero rows and columns do not
-    # change a rank either, so each block is cut down to the rows and
-    # columns that hold an entry (delta stores no zero).  Scaling the block
-    # by the lcm of its denominators makes every entry an integer.
+    # Zero rows and columns do not change a rank, so each block is cut down
+    # to the rows and columns that hold an entry (the boundary stores no
+    # zero).  Dividing a column by its content, the gcd of its entries,
+    # does not change the rank either and keeps the elimination's entries
+    # small where multiplicities are large.
     map_rank = {}
     for key, columns in blocks.items():
-        scale = lcm(*(v.denominator for col in columns.values() for v in col.values()))
         rows = {i: r for r, i in enumerate(sorted({i for col in columns.values() for i in col}))}
         matrix = [[0] * len(columns) for _ in rows]
         for k, j in enumerate(sorted(columns)):
+            content = gcd(*columns[j].values())
             for i, value in columns[j].items():
-                matrix[rows[i]][k] = value.numerator * (scale // value.denominator)
+                matrix[rows[i]][k] = value // content
         map_rank[key] = linalg.rank(matrix)
     ranks = {}
     for (cls, g), size in sorted(sizes.items()):

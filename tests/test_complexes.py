@@ -48,8 +48,7 @@ def record(alpha, beta, sign=1, degree=1):
 
 def boundary(cx):
     """delta kappa as {(i, j): entry}, nonzero entries only."""
-    kappa = cx.kappa_diag
-    return {(i, j): v * kappa[j] for j, column in cx.delta.items() for i, v in column.items()}
+    return {(i, j): v for j, column in cx.boundary.items() for i, v in column.items()}
 
 
 def synthetic_complex(flip_sign=False):
@@ -78,8 +77,7 @@ def synthetic_complex(flip_sign=False):
 def test_two_elliptic_orbits_empty_counts():
     cx = build_complex([GOLD1, GOLD2], 30)
     assert len(cx.generators) == 60
-    assert cx.delta == {}
-    assert boundary(cx) == {}
+    assert cx.boundary == {}
     assert all(g % 2 == 0 for g in cx.gradings)
 
 
@@ -125,7 +123,7 @@ def test_counts_outside_the_generators_rejected():
         with pytest.raises(BadOrbitError, match="e\\^[13] is not among the generators"):
             build_complex([e, f], 2, gradings, [record(alpha, OrbitRef(f, 1))])
     cx = build_complex([e, f], 2, gradings, [record(OrbitRef(e, 1), OrbitRef(f, 1))])
-    assert cx.delta == {0: {2: 1}}
+    assert cx.boundary == {0: {2: 1}}
 
 
 def test_cover_degree_divisibility_enforced():
@@ -170,23 +168,19 @@ def test_empty_orbit_set_gives_empty_complex():
 
 def test_delta_zero_complex_passes():
     cx = build_complex([GOLD1], 5)
-    report = verify_d_squared(cx)
-    assert report.ok and report.boundary_squared_ok
+    assert verify_d_squared(cx).ok
 
 
 def test_synthetic_complex_passes_and_is_integral():
     cx = synthetic_complex()
-    report = verify_d_squared(cx)
-    assert report.ok
-    assert report.boundary_squared_ok
-    entries = boundary(cx)
-    assert entries
-    assert all(v.denominator == 1 for v in entries.values())
+    assert verify_d_squared(cx).ok
+    # a^1 -> b^1 is 1, and p^2 -> q^2 is m(p^2) / 2 = 1.
+    assert sorted(boundary(cx).values()) == [1, 1]
     # b^1 -> c^1 carries +1 and -1: the cancelled entry is not stored.
     keys = [format_orbit(g) for g in cx.generators]
     b, c = keys.index("b^1"), keys.index("c^1")
-    assert c not in cx.delta.get(b, {})
-    assert all(v != 0 for column in cx.delta.values() for v in column.values())
+    assert c not in cx.boundary.get(b, {})
+    assert all(v != 0 for v in boundary(cx).values())
 
 
 def test_corrupted_table_reports_nonzero_entry():
@@ -259,15 +253,16 @@ def test_homology_invariant_under_generator_permutation_and_sign_flip():
 
 
 def test_homology_rank_is_taken_over_the_rationals():
-    # A hand-built complex with a fractional entry: the two columns of the
-    # block are proportional over Q, (1/2, 1) and (1, 2), so it has rank one.
+    # A hand-built boundary whose two columns, (2, 4) and (3, 6), are
+    # proportional over Q though neither is an integer multiple of the
+    # other, so the block has rank one.
     a = RotationData("a", F(6, 5), 2, homotopy_class="f")
     b = RotationData("b", F(6, 5), 2, homotopy_class="f")
     cx = ChainComplex(
         generators=(OrbitRef(a, 1), OrbitRef(a, 2), OrbitRef(b, 1), OrbitRef(b, 2)),
         classes=("f",) * 4,
         gradings=(1, 1, 0, 0),
-        delta={0: {2: F(1, 2), 3: F(1)}, 1: {2: F(1), 3: F(2)}},
+        boundary={0: {2: 2, 3: 4}, 1: {2: 3, 3: 6}},
         kappa_diag=(1, 1, 1, 1),
     )
     assert verify_d_squared(cx).ok
@@ -467,23 +462,25 @@ def test_sparse_kernel_matches_dense_oracle():
         report = verify_d_squared(cx)
         assert list(report.nonzero_entries) == entries
         assert report.ok == (not entries)
-        assert report.boundary_squared_ok == square_zero
+        assert report.ok == square_zero
         if report.ok:
             assert homology_ranks(cx) == ranks
-            seen["pass_nonzero"] += bool(cx.delta)
-            # homology_ranks reads delta, the oracle delta kappa: these
-            # complexes tell the two apart if kappa were dropped wrongly.
-            seen["pass_scaled"] += any(cx.kappa_diag[j] > 1 for j in cx.delta)
+            seen["pass_nonzero"] += bool(cx.boundary)
+            # A nonzero column of multiplicity above one: the oracle scales
+            # it by kappa, so a boundary built or read without the right
+            # kappa would disagree on these complexes.
+            seen["pass_scaled"] += any(cx.kappa_diag[j] > 1 for j in cx.boundary)
         else:
             seen["fail"] += 1
             with pytest.raises(SequencingError):
                 homology_ranks(cx)
         seen["fractional"] += any(
-            v.denominator != 1 for column in cx.delta.values() for v in column.values()
+            v % cx.kappa_diag[j] for j, column in cx.boundary.items() for v in column.values()
         )
     # The grid covers failing complexes, passing ones with a nonzero
     # differential (some with a nonzero column of multiplicity above one),
-    # and differentials with fractional entries.
+    # and delta with fractional entries (boundary entries kappa does not
+    # divide).
     assert min(seen.values()) >= 20, seen
 
 
@@ -502,7 +499,7 @@ def test_middle_multiplicity_weights_the_composite():
     cx = build_complex([a, b, c], 2, {"a^1": 2, "b^1": 1, "b^2": 1, "c^1": 0}, counts)
     report = verify_d_squared(cx)
     assert report.nonzero_entries == (("a^1", "c^1", F(-1)),)
-    assert not report.ok and not report.boundary_squared_ok
+    assert not report.ok
 
 
 def test_beatty_surrogate_ten_thousand_generators():

@@ -102,7 +102,7 @@ def test_count_keys_spelled_two_ways_sum_into_one_entry():
     s = parse_scenario_text(json.dumps(doc))
     cx = build_complex(s.orbits, 4, s.relative_gradings, s.count_table())
     a, b = (cx.generators.index(OrbitRef(o, 1)) for o in s.orbits)
-    assert cx.delta == {a: {b: 2}}
+    assert cx.boundary == {a: {b: 2}}
     emitted = json.loads(emit_scenario(s))["counts"]
     assert [(c["alpha"], c["beta"]) for c in emitted] == [("a^01", "b^1"), ("a^1", "b^01")]
 
@@ -378,6 +378,36 @@ def test_mult_below_one_is_a_usage_error_naming_the_flag(command):
     assert "validity bound" not in text
 
 
+@pytest.mark.parametrize("command", ["cz", "bounds"])
+@pytest.mark.parametrize("mult", ["5", "7"])
+def test_degenerate_cover_is_a_usage_error_naming_theta_and_mult(command, mult):
+    # 5 * 6/5 is an integer: the orbit degenerates at its fifth cover.
+    extra = ["--side", "positive"] if command == "bounds" else []
+    code, text = run_command([command, "--theta", "6/5", "--mult", mult, *extra])
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith(
+        f"error: --theta 6/5 degenerates at multiplicity 5, within --mult {mult}\n"
+    )
+    assert "validity bound" not in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--orbit", "a=6/5:4"],
+        ["index", "--orbit", "a=6/5:4", "--negative", "a^1"],
+    ],
+)
+def test_index_without_positive_end_is_a_usage_error_naming_the_flag(argv):
+    code, text = run_command(argv)
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith(
+        "error: --positive is required: a curve has at least one positive end\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -512,19 +542,29 @@ def test_time_limit_env_must_be_finite_and_positive(monkeypatch, value):
     assert "partial" not in text
 
 
-# SHA-256 of every enumerate and verify-props report on the shipped
-# scenarios (verify-props exits 2 where the profile is not generic and
-# dynamically convex).  A change to the enumerator must keep them.
+# SHA-256 of every enumerate, verify-props and complex report on the
+# shipped scenarios (verify-props exits 2 where the profile is not generic
+# and dynamically convex).  A change to the enumerator or the chain complex
+# must keep them.
 REPORT_DIGESTS = {
     ("convex_small.json", "enumerate"): (0, "f484842e229a0968f77593794b6a369120c508d5a3d42d242785ca0236925687"),
     ("convex_small.json", "verify-props"): (0, "16da7a1272fe581f86f975c389b28f6adc3d39e4e178f34d1f9ad16d6859f051"),
+    ("convex_small.json", "complex"): (0, "6d3879b883cd9f49d17f72bbc945093f9ed189631fc41a9763953fd6ecc86610"),
     ("ellipsoid_like.json", "enumerate"): (0, "72cd0493b4714130c4620cf9a80cf77d0baa5ebddfefe6034de8ccedc871a2c8"),
     ("ellipsoid_like.json", "verify-props"): (0, "8fe0c1b8169650acfd58c83fe7ddd3c78edf6454fc1b915852526bb5abe4dd23"),
+    ("ellipsoid_like.json", "complex"): (0, "4efa79f18dece0a616481253d27a10a4c6f7736b1f90fcc44fb0392443acf73f"),
     ("estimate_suite.json", "enumerate"): (0, "2fd059ffa869a261cd3123d6fe475814d5a9ca82f77ad1933d581d1d550dff43"),
     ("estimate_suite.json", "verify-props"): (2, "c8f9d5ad387c4621f9eaef9d4ab516b3b541189898f12a54ca81139e3b508c81"),
+    ("estimate_suite.json", "complex"): (0, "f0b685493cccd5f692a1c2b1b4159cdf2df296082f0846fb94a61767fe7def4e"),
     ("split_cancel.json", "enumerate"): (0, "0290266e3963a421d1bf6242decd496762e6bd8490598d1a64378a55b11d1bde"),
     ("split_cancel.json", "verify-props"): (2, "c8f9d5ad387c4621f9eaef9d4ab516b3b541189898f12a54ca81139e3b508c81"),
+    ("split_cancel.json", "complex"): (0, "8e4b5865e3339877b7041589720d4c40a4ddde633cecfea9fcfc0edbc78e79ed"),
 }
+
+# split_cancel with its two -1 records (counts[2] and counts[5]) flipped
+# to +1: delta kappa delta has the nonzero entries a^1 -> c^1: 2 and
+# p^2 -> r^2: 1, the second reported as d^2 divided by kappa(p^2) = 2.
+FLIPPED_COMPLEX_DIGEST = (1, "c645ac8b99bb16500f56d060d14138f1bbc3308af61b7843c6999e0135f189c7")
 
 
 # The same at levels 5, multiplicity 8, index 4 on convex_small, where
@@ -552,10 +592,22 @@ def test_five_level_reports_match_pinned_digests(tmp_path):
 def test_shipped_scenario_reports_match_pinned_digests():
     got = {}
     for path in sorted(SCENARIOS.glob("*.json")):
-        for command in ("enumerate", "verify-props"):
+        for command in ("enumerate", "verify-props", "complex"):
             code, text = run_command([command, "--scenario", str(path)])
             got[path.name, command] = (code, hashlib.sha256(text.encode()).hexdigest())
     assert got == REPORT_DIGESTS
+
+
+def test_failing_complex_report_matches_pinned_digest(tmp_path):
+    doc = json.loads((SCENARIOS / "split_cancel.json").read_text())
+    for k in (2, 5):
+        assert doc["counts"][k]["sign"] == -1
+        doc["counts"][k]["sign"] = 1
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["complex", "--scenario", str(path)])
+    assert "nonzero entry: a^1 -> c^1: 2\nnonzero entry: p^2 -> r^2: 1\n" in text
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == FLIPPED_COMPLEX_DIGEST
 
 
 def test_reports_contain_no_decimal_points():
