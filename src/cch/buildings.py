@@ -23,6 +23,12 @@ ids, and the bound tables are lists indexed by id.  The least index that
 can still hang below each component at each number of levels to go is
 computed once, before the search.  An unreachable bound is the integer
 sentinel INF, so the arithmetic here is exact integer arithmetic throughout.
+
+The search builds only components that fit in some building.  A building
+has at most K = max_levels * max_components_per_level components, each of
+index at least L (_index_floor, found before anything is built), so a
+component of index above the cap max_index - (K - 1) * min(0, L) fits in
+none; it is never built, and the search emits the same buildings without it.
 """
 from __future__ import annotations
 
@@ -402,21 +408,22 @@ def _sorted_ends(ends):
     return tuple(sorted(ends, key=lambda ref: (ref.base.name, ref.multiplicity)))
 
 
-def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]:
+def enumerate_components(orbits, profile, bounds, _table=None,
+                         _cap=INF) -> Iterator[ComponentSkeleton]:
     """Yield every admissible component skeleton within the bounds.
 
     Components have genus zero and one positive end; negative-end
     multiplicities total at most the multiplicity bound.  Under a generic
     profile, nontrivial somewhere-injective curves must have index >= 1.
     Planes are only admitted over contractible orbits.  Every end is a
-    cover from the enumeration's OrbitTable.
+    cover from the enumeration's OrbitTable.  The building search passes its
+    table and an index cap; no candidate above the cap is built.
     """
     _check_convexity(orbits, profile)
     generic = profile.generic_J
     top = bounds.max_total_multiplicity
-    table = OrbitTable(orbits, top)
+    table = _table or OrbitTable(orbits, top)
     refs, cz = table.refs, table.cz
-    cap = {o.name: min(o.validity_bound, top) for o in orbits}
 
     # Trivial cylinders and branched covers of trivial cylinders.  Ids run by
     # multiplicity within an orbit: refs[i - m + p] is the p-fold cover of
@@ -425,9 +432,10 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
         d, base = ref.multiplicity, refs[i - ref.multiplicity + 1]
         yield ComponentSkeleton(BTC, d, 0, 0, (ref,), (ref,), (base,), (base,))
         for parts in _partitions(d):
-            if len(parts) < 2:
+            ends = [i - d + p for p in parts]  # index: cz(+) - 1 - sum(cz(-) - 1)
+            if len(parts) < 2 or cz[i] - 1 - sum(cz[e] - 1 for e in ends) > _cap:
                 continue
-            neg = _sorted_ends(refs[i - d + p] for p in parts)
+            neg = _sorted_ends(refs[e] for e in ends)
             yield ComponentSkeleton(
                 BTC, d, len(parts) - 1, 0, (ref,), neg, (base,), (base,)
             )
@@ -436,7 +444,9 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
     multisets = _neg_multisets(range(len(refs)), top, table)
     for p, pos in enumerate(refs):
         limit, one = (cz[p] - 1 if generic else INF), (pos,)
-        for neg, ids, excess in multisets:
+        # The index cap is a floor on the excess.
+        sets = multisets if _cap == INF else [t for t in multisets if t[2] >= cz[p] - _cap]
+        for neg, ids, excess in sets:
             if excess > limit:
                 continue
             n = len(ids)
@@ -447,6 +457,15 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
             yield ComponentSkeleton(SI, 1, 0, 0, one, neg, one, neg)
 
     # Covers of nontrivial somewhere-injective curves.
+    for d, u, ids, ways in _cover_bases(table, generic, top):
+        yield from _covers_of(refs, u, ids, d, ways, _cap)
+
+
+def _cover_bases(table, generic, top):
+    """(d, u, ids, ways) for the underlying curve refs[u] => refs[ids] of each
+    run of degree-d covers enumerate_components builds; ways is _cover_ways."""
+    refs, cz = table.refs, table.cz
+    cap = {r.base.name: r.multiplicity for r in refs}  # ids ascend by multiplicity
     for d in range(2, top + 1):
         ways = _cover_ways(refs, cap, d)
         small = _neg_multisets(
@@ -457,14 +476,9 @@ def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]
                 continue
             limit = cz[u] - 1 if generic else INF
             for _, ids, excess in small:
-                if excess > limit:
-                    continue
-                k = len(ids)
-                if k == 1 and ids[0] == u:
-                    continue
-                if not k and not upos.base.contractible:
-                    continue
-                yield from _covers_of(refs, u, ids, d, ways)
+                # Neither the trivial cylinder nor a plane bounding no disk.
+                if excess <= limit and ids != (u,) and (ids or upos.base.contractible):
+                    yield d, u, ids, ways
 
 
 def _cover_ways(refs, cap, d):
@@ -479,14 +493,18 @@ def _cover_ways(refs, cap, d):
     return ways
 
 
-def _covers_of(refs, u, ids, d, ways):
-    """All genus-zero degree-d covers of the curve refs[u] => refs[ids], each
-    negative-end multiset once; ways is _cover_ways(refs, cap, d), and the
-    d-fold cover of refs[u] must be in the table."""
+def _covers_of(refs, u, ids, d, ways, cap=INF):
+    """All genus-zero degree-d covers of index <= cap of the curve refs[u] =>
+    refs[ids], each negative-end multiset once; ways is _cover_ways(refs,
+    caps, d), and the d-fold cover of refs[u] must be in the table."""
     k, m = len(ids), refs[u].multiplicity
     pos, upos, uneg = (refs[u - m + d * m],), (refs[u],), tuple(refs[i] for i in ids)
+    combos = product(*[ways[i] for i in ids])
+    if cap < INF:  # index: cz(+) - 1 less the sum of cz - 1 over the negative ends
+        least = pos[0].cz - 1 - cap
+        combos = [g for g in combos if sum(refs[e].cz - 1 for w in g for e in w) >= least]
     seen = set()
-    for groups in product(*[ways[i] for i in ids]):
+    for groups in combos:
         # A multiset of negative ends, as its sorted table ids.
         key = tuple(sorted(chain.from_iterable(groups)))
         b = len(key) + d - d * k - 1
@@ -496,6 +514,23 @@ def _covers_of(refs, u, ids, d, ways):
         yield ComponentSkeleton(
             COV, d, b, 0, pos, _sorted_ends(refs[e] for e in key), upos, uneg
         )
+
+
+def _index_floor(table, profile, top):
+    """min(0, L) for L a lower bound on every component index.  BTC >= 0; SI
+    >= 1 under generic J, when each cover's index is summed from its ends;
+    else min cz - max excess bounds SI and COV, whose ends are a multiset."""
+    refs, cz = table.refs, table.cz
+    if not profile.generic_J:
+        excess = max(e for _, _, e in _neg_multisets(range(len(refs)), top, table))
+        return min(0, min(cz, default=0) - excess)
+    floor = 0
+    for d, u, ids, ways in _cover_bases(table, True, top):
+        head = cz[u + (d - 1) * refs[u].multiplicity] - 1  # the positive end's cz, less 1
+        for groups in product(*[ways[i] for i in ids]):
+            if sum(map(len, groups)) > d * (len(ids) - 1):  # branch count >= 0
+                floor = min(floor, head - sum(cz[e] - 1 for g in groups for e in g))
+    return floor
 
 
 # ------------------------------------------------------------------ buildings
@@ -602,73 +637,73 @@ def building_key(building: BuildingSkeleton) -> str:
 class _Enumerator:
     """Depth-first search over buildings, one level of components at a time.
 
-    Orbit covers are ids into the scenario's OrbitTable and components are
-    numbers into parallel lists, so the search indexes lists instead of
-    hashing covers.  Two tables bound what can still hang below an end
-    with r levels to go: closed[r][e] is the least index of a subtree at e
-    with no negative end (INF when there is none), open[r][e] the least
-    index of one with at most one.
+    Orbit covers are ids into the scenario's OrbitTable, which the
+    inventory shares, and components are numbers into parallel lists, so
+    the search indexes lists instead of hashing covers.  Two tables bound
+    what can still hang below an end with r levels to go: closed[r][e] is
+    the least index of a subtree at e with no negative end (INF when there
+    is none), open[r][e] the least index of one with at most one.
+
+    The tables come from the inventory capped as in the module docstring,
+    so they bound every subtree of the capped components that emitted
+    buildings are made of.  They never increase with r (each row starts from
+    the last), and no component has more than max_levels - 1 levels below
+    it, so one whose index plus the completion of its ends at max_levels - 1
+    exceeds the cap is dropped before keys and groups are made.  Only
+    branches that emit nothing go: the buildings and their order stay those
+    of the whole inventory.
     """
 
     def __init__(self, orbits, profile, bounds, deadline):
-        self.bounds = bounds
-        self.deadline = deadline
-        self.results = {}
-        table = OrbitTable(orbits, bounds.max_total_multiplicity)
+        self.bounds, self.deadline, self.results = bounds, deadline, {}
+        top = bounds.max_total_multiplicity
+        table = OrbitTable(orbits, top)
+        others = bounds.max_levels * bounds.max_components_per_level - 1  # K - 1
+        cap = bounds.max_index - others * _index_floor(table, profile, top)
         # The setup can outlast the search, so the deadline bounds it too.
-        self.components = []
-        for c in enumerate_components(orbits, profile, bounds):
+        rows = []  # (positive end, negative ends, index, component)
+        for c in enumerate_components(orbits, profile, bounds, table, cap):
             self._check_deadline()
-            self.components.append(c)
-        self.keys = [c.key for c in self.components]
-        self.ends = [
-            tuple(table.id_of(e) for e in c.negative_ends) for c in self.components
-        ]
-        self.ind = [c.index for c in self.components]
+            ids = tuple(table.id_of(e) for e in c.negative_ends)
+            rows.append((table.id_of(c.positive_ends[0]), ids, c.index, c))
+        self._closed, self._open = self._bound_tables(len(table.refs), rows)
+        rem = bounds.max_levels - 1  # the most levels any component has below it
+        rows = [r for r in rows if r[2] + self._completion(r[1], rem) <= cap]
+        tops, self.ends, self.ind, self.components = zip(*rows) if rows else [()] * 4
         self.trivial = [c.is_trivial_cylinder for c in self.components]
         self.by_pos = [[] for _ in table.refs]
-        for n, c in enumerate(self.components):
-            self.by_pos[table.id_of(c.positive_ends[0])].append(n)
+        for n, ref in enumerate(tops):
+            self.by_pos[ref].append(n)
         for group in self.by_pos:
-            group.sort(key=lambda n: (self.ind[n], self.keys[n]))
-        self._closed, self._open = self._bound_tables()
+            group.sort(key=lambda n: (self.ind[n], self.components[n].key))
         # What the search reads at each number of levels to go: the least
         # index below each component, and below each end on its own.
-        self._down = [
-            [self._completion(ends, rem) for ends in self.ends]
-            for rem in range(bounds.max_levels)
-        ]
-        self._floor = [
-            [min(o, c) for o, c in zip(self._open[rem], self._closed[rem])]
-            for rem in range(bounds.max_levels + 1)
-        ]
+        self._down = [[self._completion(e, r) for e in self.ends] for r in range(rem + 1)]
+        self._floor = [list(map(min, self._open[r], self._closed[r])) for r in range(rem + 2)]
 
-    def _bound_tables(self):
-        closed = [[INF] * len(self.by_pos)]
+    def _bound_tables(self, size, rows):
+        closed = [[INF] * size]
         # Leaving an end open costs nothing, so no open entry is positive.
-        opened = [[0] * len(self.by_pos)]
+        opened = [[0] * size]
         for _ in range(self.bounds.max_levels):
             self._check_deadline()
             prev_closed, prev_open = closed[-1], opened[-1]
             row_closed, row_open = list(prev_closed), list(prev_open)
-            for ref, group in enumerate(self.by_pos):
-                best_closed, best_open = row_closed[ref], row_open[ref]
-                for n in group:
-                    # One scan: the finite capped costs summed, the rest listed.
-                    total, uncapped = self.ind[n], []
-                    for e in self.ends[n]:
-                        if prev_closed[e] == INF:
-                            uncapped.append(e)
-                        else:
-                            total += prev_closed[e]
-                    if not uncapped:
-                        best_closed = min(best_closed, total)
-                        for e in self.ends[n]:
-                            best_open = min(best_open, total - prev_closed[e] + prev_open[e])
-                    elif len(uncapped) == 1:
-                        # Only the end that cannot be capped may stay open.
-                        best_open = min(best_open, total + prev_open[uncapped[0]])
-                row_closed[ref], row_open[ref] = best_closed, best_open
+            for p, below, total, _ in rows:
+                # One scan: the finite capped costs summed, the rest listed.
+                uncapped = []
+                for e in below:
+                    if prev_closed[e] == INF:
+                        uncapped.append(e)
+                    else:
+                        total += prev_closed[e]
+                if not uncapped:
+                    row_closed[p] = min(row_closed[p], total)
+                    for e in below:
+                        row_open[p] = min(row_open[p], total - prev_closed[e] + prev_open[e])
+                elif len(uncapped) == 1:
+                    # Only the end that cannot be capped may stay open.
+                    row_open[p] = min(row_open[p], total + prev_open[uncapped[0]])
             closed.append(row_closed)
             opened.append(row_open)
         return closed, opened
@@ -730,7 +765,7 @@ class _Enumerator:
     def run(self):
         roots = sorted(
             (n for group in self.by_pos for n in group if not self.trivial[n]),
-            key=lambda n: self.keys[n],
+            key=lambda n: self.components[n].key,
         )
         for n in roots:
             self._recurse([[n]], list(self.ends[n]), 1, self.ind[n])
@@ -780,17 +815,8 @@ class _Enumerator:
                 continue
             chosen.append(n)
             last[ref] = idx
-            self._assign(
-                stack,
-                frontier,
-                rest,
-                pos + 1,
-                chosen,
-                last,
-                depth,
-                total + ind,
-                pending + min(below, 0),
-            )
+            self._assign(stack, frontier, rest, pos + 1, chosen, last, depth,
+                         total + ind, pending + min(below, 0))
             chosen.pop()
         last[ref] = start
 

@@ -1,8 +1,8 @@
 """Dense exact linear algebra over the rationals for small matrices.
 
 Matrices are lists of rows of Fractions (or ints).  Rank is computed by
-fraction-free elimination on an integer matrix obtained by clearing row
-denominators, which preserves rank.
+fraction-free elimination on integer rows: a row of ints is copied, and a
+row holding a Fraction is scaled by the lcm of its denominators.
 
 The chain complex (complexes.py) keeps its differential sparse and calls
 only `rank`, on the nonzero blocks of the boundary.  The other helpers
@@ -12,7 +12,7 @@ have no caller in the library; they stay because the benchmark's tracer
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def zeros(rows: int, cols: int):
@@ -58,11 +58,10 @@ def nonzero_entries(a):
 def _integer_rows(a):
     rows = []
     for row in a:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        rows.append([int(x * den) for x in row])
+        if Fraction in map(type, row):
+            den = lcm(*[x.denominator for x in row])
+            row = [int(x * den) for x in row]
+        rows.append(list(row))
     return rows
 
 

@@ -589,6 +589,27 @@ def test_five_level_reports_match_pinned_digests(tmp_path):
     assert got == DEEP_DIGESTS
 
 
+# convex_small at levels 4, index 4 and multiplicity 10 or 12, where most
+# enumerated components cannot fit in any building under index 4.
+WIDE_DIGESTS = {
+    (10, "enumerate"): "313992b34ac19948c8793aece013f1dd23ca69d242ef6472ae08a84b98749dd0",
+    (10, "verify-props"): "62ed0044a98d28cdf2f10304bfd2ffd16eadee6d131f32821e909330199dc89c",
+    (12, "enumerate"): "a827d21a3f00914bf51eb819c4a2186872cfaa8c490b67e9202cfe261da142e9",
+    (12, "verify-props"): "9f6fb85c5bc6543a14bedac6a7723e9b3054580356fd4f3f09b58e79f0893ffe",
+}
+
+
+@pytest.mark.parametrize("multiplicity, command", sorted(WIDE_DIGESTS))
+def test_wide_multiplicity_reports_match_pinned_digests(tmp_path, multiplicity, command):
+    doc = json.loads((SCENARIOS / "convex_small.json").read_text())
+    doc["bounds"].update(max_levels=4, max_total_multiplicity=multiplicity, max_index=4)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command([command, "--scenario", str(path)])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_DIGESTS[multiplicity, command]
+
+
 def test_shipped_scenario_reports_match_pinned_digests():
     got = {}
     for path in sorted(SCENARIOS.glob("*.json")):
