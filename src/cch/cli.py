@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from math import inf
 
 from .buildings import (
@@ -53,17 +54,6 @@ from .writhe import (
 SCHEMA_LINE = "schema: cch-report/1"
 TIME_LIMIT_ENV = "CCH_TIME_LIMIT"
 
-COMMANDS = (
-    "cz",
-    "index",
-    "enumerate",
-    "verify-props",
-    "no-bad-break",
-    "bounds",
-    "gluing",
-    "complex",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -99,9 +89,8 @@ def _scenario_echo(scenario):
         )
     p = scenario.profile
     lines.append(
-        f"profile: generic_J={str(p.generic_J).lower()} "
-        f"dynamically_convex={str(p.dynamically_convex).lower()} "
-        f"condition_star={str(p.condition_star).lower()}"
+        "profile: "
+        + " ".join(f"{f.name}={str(getattr(p, f.name)).lower()}" for f in fields(p))
     )
     b = scenario.bounds
     lines.append(
@@ -321,11 +310,13 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("cz", help="Conley-Zehnder data of an orbit cover")
+    p.set_defaults(run=_cmd_cz)
     p.add_argument("--theta", required=True)
     p.add_argument("--mult", type=int, required=True)
     p.add_argument("--contractible", action="store_true")
 
     p = sub.add_parser("index", help="Fredholm index of a curve")
+    p.set_defaults(run=_cmd_index)
     p.add_argument("--orbit", action="append", default=[], metavar="name=p/q:bound")
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--c-tau", dest="c_tau", type=int, default=0)
@@ -333,12 +324,15 @@ def _build_parser():
     p.add_argument("--negative", action="append", default=[], metavar="name^m")
 
     p = sub.add_parser("enumerate", help="list building skeletons for a scenario")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument("--scenario", required=True)
 
     p = sub.add_parser("verify-props", help="check low-index building claims")
+    p.set_defaults(run=_cmd_verify_props)
     p.add_argument("--scenario", required=True)
 
     p = sub.add_parser("no-bad-break", help="breaking-exclusion certificates")
+    p.set_defaults(run=_cmd_no_bad_break)
     p.add_argument("--theta")
     p.add_argument("--d", dest="degree", type=int)
     p.add_argument("--grid", action="store_true")
@@ -347,32 +341,23 @@ def _build_parser():
     p.add_argument("--theta-upper", type=int)
 
     p = sub.add_parser("bounds", help="winding and writhe bounds of a braided end")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--theta", required=True)
     p.add_argument("--mult", type=int, required=True)
     p.add_argument("--side", choices=("positive", "negative"), required=True)
     p.add_argument("--improved", action="store_true")
 
     p = sub.add_parser("gluing", help="index-two gluing end count")
+    p.set_defaults(run=_cmd_gluing)
     p.add_argument("d_plus", type=int)
     p.add_argument("d_minus", type=int)
     p.add_argument("d_middle", type=int)
 
     p = sub.add_parser("complex", help="build and verify a chain complex")
+    p.set_defaults(run=_cmd_complex)
     p.add_argument("--scenario", required=True)
 
     return parser
-
-
-_HANDLERS = {
-    "cz": _cmd_cz,
-    "index": _cmd_index,
-    "enumerate": _cmd_enumerate,
-    "verify-props": _cmd_verify_props,
-    "no-bad-break": _cmd_no_bad_break,
-    "bounds": _cmd_bounds,
-    "gluing": _cmd_gluing,
-    "complex": _cmd_complex,
-}
 
 
 def run_command(argv):
@@ -382,7 +367,7 @@ def run_command(argv):
         args = parser.parse_args(list(argv))
         if args.command is None:
             raise UsageError("missing subcommand", parser.format_usage())
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except UsageError as err:
         usage = err.usage or parser.format_usage()
         return 2, usage + f"error: {err}\n"

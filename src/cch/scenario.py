@@ -5,23 +5,25 @@ enumeration bounds, and optionally relative gradings and cylinder counts.
 Rationals travel as "p/q" strings (integers as "p") so no value ever
 round-trips through floating point.  Emission is canonical: parsing the
 emitted text reproduces the scenario exactly.
+Profile and bounds are read and written by their dataclass fields; a
+malformed profile or bounds is a ScenarioError naming its location (exit 2).
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
 from .buildings import EnumerationBounds, GenericityProfile
 from .complexes import CountRecord
-from .errors import ScenarioError
+from .errors import PreconditionError, ScenarioError
 from .orbits import OrbitRef, RotationData, format_orbit
 
 
 def parse_rational(text, location="rational") -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ScenarioError(f"expected a rational string, got {text!r}", location)
@@ -40,10 +42,7 @@ def parse_rational(text, location="rational") -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def parse_orbit_key(text, orbits_by_name, location="orbit reference") -> OrbitRef:
@@ -145,41 +144,33 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
         seen.add(orbit.name)
         orbits.append(orbit)
 
-    raw_profile = _require(data, "profile", source)
     loc = f"{source}.profile"
+    raw_profile = _require(data, "profile", source)
+    if not isinstance(raw_profile, dict):
+        raise ScenarioError("profile must be an object", loc)
     profile = GenericityProfile(
-        generic_J=_as_bool(_require(raw_profile, "generic_J", loc), loc + ".generic_J"),
-        dynamically_convex=_as_bool(
-            _require(raw_profile, "dynamically_convex", loc), loc + ".dynamically_convex"
-        ),
-        condition_star=_as_bool(
-            _require(raw_profile, "condition_star", loc), loc + ".condition_star"
-        ),
+        **{
+            f.name: _as_bool(_require(raw_profile, f.name, loc), f"{loc}.{f.name}")
+            for f in fields(GenericityProfile)
+        }
     )
 
+    loc = f"{source}.bounds"
     raw_bounds = _require(data, "bounds", source)
     if not isinstance(raw_bounds, dict):
-        raise ScenarioError("bounds must be an object", f"{source}.bounds")
-    defaults = EnumerationBounds()
-    kwargs = {}
-    for name in (
-        "max_levels",
-        "max_total_multiplicity",
-        "max_index",
-        "max_components_per_level",
-        "max_negative_ends",
-        "max_buildings",
-    ):
-        if name in raw_bounds:
-            kwargs[name] = _as_int(raw_bounds[name], f"{source}.bounds.{name}")
-        else:
-            kwargs[name] = getattr(defaults, name)
+        raise ScenarioError("bounds must be an object", loc)
+    kwargs = {
+        f.name: _as_int(raw_bounds[f.name], f"{loc}.{f.name}")
+        for f in fields(EnumerationBounds)
+        if f.name in raw_bounds
+    }
     unknown = set(raw_bounds) - set(kwargs)
     if unknown:
-        raise ScenarioError(
-            f"unknown bounds field {sorted(unknown)[0]!r}", f"{source}.bounds"
-        )
-    bounds = EnumerationBounds(**kwargs)
+        raise ScenarioError(f"unknown bounds field {sorted(unknown)[0]!r}", loc)
+    try:
+        bounds = EnumerationBounds(**kwargs)
+    except PreconditionError as err:
+        raise ScenarioError(str(err), loc) from err
 
     by_name = {o.name: o for o in orbits}
     gradings = {}
@@ -240,32 +231,22 @@ def parse_scenario(path) -> Scenario:
     return parse_scenario_text(text, source=str(path))
 
 
+def _fields_doc(obj) -> dict:
+    """The fields of a dataclass instance in declaration order, fractions
+    as "p/q" strings and unset (None) fields left out."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None:
+            doc[f.name] = format_rational(value) if isinstance(value, Fraction) else value
+    return doc
+
+
 def emit_scenario(s: Scenario) -> str:
     doc = {
-        "orbits": [
-            {
-                "name": o.name,
-                "theta": format_rational(o.theta),
-                "validity_bound": o.validity_bound,
-                "homotopy_class": o.homotopy_class,
-                "contractible": o.contractible,
-                **({"action": format_rational(o.action)} if o.action is not None else {}),
-            }
-            for o in s.orbits
-        ],
-        "profile": {
-            "generic_J": s.profile.generic_J,
-            "dynamically_convex": s.profile.dynamically_convex,
-            "condition_star": s.profile.condition_star,
-        },
-        "bounds": {
-            "max_levels": s.bounds.max_levels,
-            "max_total_multiplicity": s.bounds.max_total_multiplicity,
-            "max_index": s.bounds.max_index,
-            "max_components_per_level": s.bounds.max_components_per_level,
-            "max_negative_ends": s.bounds.max_negative_ends,
-            "max_buildings": s.bounds.max_buildings,
-        },
+        "orbits": [_fields_doc(o) for o in s.orbits],
+        "profile": _fields_doc(s.profile),
+        "bounds": _fields_doc(s.bounds),
     }
     if s.relative_gradings:
         doc["relative_gradings"] = {k: s.relative_gradings[k] for k in sorted(s.relative_gradings)}

@@ -148,6 +148,40 @@ def test_relative_grading_cover_spelled_twice_rejected():
     assert "'a^1' names a^1, which already has a grading" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "profile", ["generic_J", 5, ["generic_J", "dynamically_convex", "condition_star"]]
+)
+def test_profile_that_is_not_an_object_is_a_scenario_error(tmp_path, profile):
+    doc = json.loads(MINIMAL)
+    doc["profile"] = profile
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["enumerate", "--scenario", str(path)])
+    assert code == 2
+    assert f"error: {path}.profile: profile must be an object\n" in text
+
+
+@pytest.mark.parametrize("name, value", [("max_levels", 0), ("max_negative_ends", -1)])
+def test_out_of_range_bounds_name_their_location(tmp_path, name, value):
+    doc = json.loads(MINIMAL)
+    doc["bounds"][name] = value
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["enumerate", "--scenario", str(path)])
+    assert code == 2
+    assert f"error: {path}.bounds: enumeration bounds must be positive\n" in text
+
+
+@pytest.mark.parametrize("name, value", [("theta", False), ("theta", True), ("action", True)])
+def test_rational_fields_reject_json_booleans(name, value):
+    doc = json.loads(MINIMAL)
+    doc["orbits"][0][name] = value
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(doc))
+    assert err.value.location == f"scenario.orbits[0].{name}"
+    assert f"expected a rational string, got {value!r}" in str(err.value)
+
+
 def test_json_syntax_error_carries_position():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("{ nope }")
@@ -238,6 +272,24 @@ def test_shipped_scenarios_parse_and_round_trip():
     for path in sorted(SCENARIOS.glob("*.json")):
         s = parse_scenario(path)
         assert parse_scenario_text(emit_scenario(s)) == s
+
+
+# SHA-256 of emit_scenario on each shipped scenario: the emitted bytes, not
+# only the parse of them, are canonical.
+EMIT_DIGESTS = {
+    "convex_small.json": "b197d73c13a1124fed734a470426306a78963232f50f4b54ac50a316e7961cc1",
+    "ellipsoid_like.json": "1af65f21d29b0f9fffda0021a912ef3689717f35ea45f6d5c3c9a35f19728ee3",
+    "estimate_suite.json": "5d830d258801a48f2700b754921697dd2d288ebc8a251f1aa669230222d6f366",
+    "split_cancel.json": "4994c50e117b76aaf61eed58de6104c47e324181323830a85127ab36fb374fd2",
+}
+
+
+def test_shipped_scenarios_emit_pinned_bytes():
+    got = {
+        path.name: hashlib.sha256(emit_scenario(parse_scenario(path)).encode()).hexdigest()
+        for path in sorted(SCENARIOS.glob("*.json"))
+    }
+    assert got == EMIT_DIGESTS
 
 
 # ------------------------------------------------------------------ commands
