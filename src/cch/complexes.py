@@ -13,11 +13,17 @@ sign * m(alpha) / cover_degree: an integer, since each cover degree
 divides m(alpha).  d is stored once, as sparse integer columns.  Every
 record joins generators of one homotopy class whose gradings differ by
 one, so homology ranks are taken per (class, grading) block of d.
+
+For the same reason column j of d lies in the block below j, so it packs
+into one integer with a w-bit field per row of that block (Kronecker
+substitution), and column k of d^2 is the sum of b_jk times packed column
+j: balanced w-bit digits, w one more than the bit length of (longest
+column) * (largest |entry|)^2, which bounds every entry of d^2.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
@@ -33,7 +39,7 @@ from .errors import (
 from .orbits import OrbitRef, OrbitTable, format_orbit, is_good
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CountRecord:
     """One signed index-one cylinder from alpha to beta that covers its
     underlying cylinder cover_degree times.
@@ -49,11 +55,23 @@ class CountRecord:
     alpha_ref: OrbitRef
     beta_ref: OrbitRef
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise PreconditionError(f"sign must be +1 or -1, got {self.sign}")
-        if self.cover_degree < 1:
+    def __init__(self, alpha, beta, sign, cover_degree, alpha_ref, beta_ref):
+        # One pass: check, then store each slot once.
+        if sign not in (1, -1):
+            raise PreconditionError(f"sign must be +1 or -1, got {sign}")
+        if cover_degree < 1:
             raise PreconditionError("cover degree must be >= 1")
+        _set_alpha(self, alpha)
+        _set_beta(self, beta)
+        _set_sign(self, sign)
+        _set_cover_degree(self, cover_degree)
+        _set_alpha_ref(self, alpha_ref)
+        _set_beta_ref(self, beta_ref)
+
+
+# Slot setters in field order; only the constructor uses them.
+(_set_alpha, _set_beta, _set_sign, _set_cover_degree, _set_alpha_ref, _set_beta_ref) = (
+    getattr(CountRecord, f.name).__set__ for f in fields(CountRecord))
 
 
 @dataclass
@@ -81,9 +99,10 @@ class ChainComplex:
     """Generators with gradings, the boundary and the multiplicities.
 
     boundary[j][i] is the integer coefficient of generator i in the
-    boundary of generator j; only nonzero entries are stored.  kappa_diag
-    holds the multiplicities.  verify_d_squared caches its report in
-    d_squared so that homology_ranks can insist on a passing one.
+    boundary of generator j; only nonzero entries are stored, and i lies
+    in the class of j one grading below it, as build_complex checks.
+    kappa_diag holds the multiplicities.  verify_d_squared caches its
+    report in d_squared so that homology_ranks can insist on a passing one.
     """
 
     generators: tuple
@@ -208,18 +227,67 @@ def verify_d_squared(c: ChainComplex) -> DSquaredReport:
     Column k of d^2 = (delta kappa delta) kappa is column k of delta kappa
     delta times kappa_k, so each nonzero entry of d^2 is reported divided
     by it, in row-major (row, column) order.
+
+    Column k of d^2 is the sum of b_jk * (column j of d) over the stored
+    entries b_jk of column k, and every such column j lies in the block
+    below j.  So column j is packed into one integer, the sum of
+    a_ij * 2^(w * field(i)) with one w-bit field per row of that block that
+    holds an entry (Kronecker substitution), and column k of d^2 is one
+    big-integer multiply-add per stored entry of column k.  The sum's
+    nonzero fields are read off, lowest first (each from the lowest set
+    bit), as balanced digits in [-2^(w-1), 2^(w-1)), which
+    is exact when every entry of d^2 fits: an entry is a sum of at most
+    (longest column of d) products of two entries of d, so its size is at
+    most (longest column) * (largest |entry|)^2, and w, one more than that
+    bound's bit length, is the least width whose balanced digits hold
+    every integer of that size.  The sum is zero exactly when all its
+    fields are, so a passing complex decodes nothing, and a column that no
+    column of d reaches is never packed.
     """
     kappa = c.kappa_diag
     d = c.boundary
     entries = []
-    for k, column in d.items():
-        acc = {}
-        for j, b in column.items():
-            inner = d.get(j)
-            if inner:
-                for i, a in inner.items():
-                    acc[i] = acc.get(i, 0) + a * b
-        entries.extend((i, k, v) for i, v in acc.items() if v)
+    if d:
+        top = max(max(map(abs, column.values()), default=0) for column in d.values())
+        w = (max(map(len, d.values())) * top * top).bit_length() + 1
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        # layout[(class, g)] maps each row that a column of block (class, g)
+        # holds to the shift of its field, and lists those rows in field
+        # order; fields are numbered in order of first use.
+        layout = {}
+        packed = {}
+
+        def pack(j):
+            column = d.get(j)
+            if not column:
+                return 0
+            shifts, rows = layout.setdefault((c.classes[j], c.gradings[j]), ({}, []))
+            p = 0
+            for i, a in column.items():
+                shift = shifts.get(i)
+                if shift is None:
+                    shift = shifts[i] = w * len(rows)
+                    rows.append(i)
+                p += a << shift
+            return p
+
+        for k, column in d.items():
+            total = 0
+            for j, b in column.items():
+                p = packed.get(j)
+                if p is None:
+                    p = packed[j] = pack(j)
+                total += b * p
+            if total:
+                rows = layout[c.classes[k], c.gradings[k] - 1][1]
+                while total:
+                    shift = (total & -total).bit_length() - 1
+                    shift -= shift % w
+                    v = (total >> shift) & mask
+                    if v >= half:
+                        v -= mask + 1
+                    entries.append((rows[shift // w], k, v))
+                    total -= v << shift
     entries.sort()
     nonzero = tuple(
         (format_orbit(c.generators[k]), format_orbit(c.generators[i]), Fraction(v, kappa[k]))

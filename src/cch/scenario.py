@@ -7,6 +7,8 @@ round-trips through floating point.  Emission is canonical: parsing the
 emitted text reproduces the scenario exactly.
 Profile and bounds are read and written by their dataclass fields; a
 malformed profile or bounds is a ScenarioError naming its location (exit 2).
+So is a key that no field reads, at any level, and a number that is not
+ASCII digits (a numerator may carry a leading "-").
 """
 from __future__ import annotations
 
@@ -22,22 +24,25 @@ from .errors import PreconditionError, ScenarioError
 from .orbits import OrbitRef, RotationData, format_orbit
 
 
+def _is_digits(text) -> bool:
+    """ASCII digits only: int() would also take "_", spaces, "+" and
+    non-ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_rational(text, location="rational") -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ScenarioError(f"expected a rational string, got {text!r}", location)
     parts = text.strip().split("/")
-    try:
+    if len(parts) <= 2 and all(_is_digits(p.removeprefix("-")) for p in parts):
         if len(parts) == 1:
             return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den <= 0:
-                raise ScenarioError(f"denominator must be positive in {text!r}", location)
-            return Fraction(num, den)
-    except ValueError:
-        pass
+        num, den = int(parts[0]), int(parts[1])
+        if den <= 0:
+            raise ScenarioError(f"denominator must be positive in {text!r}", location)
+        return Fraction(num, den)
     raise ScenarioError(f"cannot parse rational {text!r}", location)
 
 
@@ -51,10 +56,9 @@ def parse_orbit_key(text, orbits_by_name, location="orbit reference") -> OrbitRe
     name, _, mult = text.rpartition("^")
     if name not in orbits_by_name:
         raise ScenarioError(f"orbit {name!r} is not declared", location)
-    try:
-        m = int(mult)
-    except ValueError:
-        raise ScenarioError(f"bad multiplicity in {text!r}", location) from None
+    if not _is_digits(mult):
+        raise ScenarioError(f"bad multiplicity in {text!r}", location)
+    m = int(mult)
     orbit = orbits_by_name[name]
     if not 1 <= m <= orbit.validity_bound:
         raise ScenarioError(
@@ -95,6 +99,19 @@ def _as_int(value, location):
     return value
 
 
+def _reject_unknown(mapping, known, what, location):
+    unknown = mapping.keys() - known
+    if unknown:
+        raise ScenarioError(f"unknown {what} field {min(unknown)!r}", location)
+
+
+_SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
+_ORBIT_FIELDS = frozenset(f.name for f in fields(RotationData))
+_PROFILE_FIELDS = frozenset(f.name for f in fields(GenericityProfile))
+_BOUNDS_FIELDS = frozenset(f.name for f in fields(EnumerationBounds))
+_COUNT_FIELDS = frozenset(("alpha", "beta", "sign", "cover_degree"))
+
+
 def _parse_orbit(entry, location) -> RotationData:
     if not isinstance(entry, dict):
         raise ScenarioError("orbit entry must be an object", location)
@@ -114,6 +131,7 @@ def _parse_orbit(entry, location) -> RotationData:
     action = None
     if entry.get("action") is not None:
         action = parse_rational(entry["action"], f"{location}.action")
+    _reject_unknown(entry, _ORBIT_FIELDS, "orbit", location)
     try:
         return RotationData(name, theta, bound, cls, contractible, action)
     except Exception as err:
@@ -154,6 +172,7 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
             for f in fields(GenericityProfile)
         }
     )
+    _reject_unknown(raw_profile, _PROFILE_FIELDS, "profile", loc)
 
     loc = f"{source}.bounds"
     raw_bounds = _require(data, "bounds", source)
@@ -164,9 +183,7 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
         for f in fields(EnumerationBounds)
         if f.name in raw_bounds
     }
-    unknown = set(raw_bounds) - set(kwargs)
-    if unknown:
-        raise ScenarioError(f"unknown bounds field {sorted(unknown)[0]!r}", loc)
+    _reject_unknown(raw_bounds, _BOUNDS_FIELDS, "bounds", loc)
     try:
         bounds = EnumerationBounds(**kwargs)
     except PreconditionError as err:
@@ -194,31 +211,49 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
         raise ScenarioError("counts must be an array", f"{source}.counts")
     # Each spelling of a key is resolved once, and records spelled alike
     # share the cover.  Only resolutions that succeed are kept, so a bad
-    # key raises where it first occurs.
+    # key raises where it first occurs.  A record's location is formatted
+    # only where one of its checks fails.
     resolved = {}
 
-    def resolve(text, location):
-        ref = resolved.get(text) if isinstance(text, str) else None
-        if ref is None:
-            ref = resolved[text] = parse_orbit_key(text, by_name, location)
-        return ref
+    def at(i, field=""):
+        return f"{source}.counts[{i}]{field}"
 
     for i, entry in enumerate(raw_counts):
-        loc = f"{source}.counts[{i}]"
         if not isinstance(entry, dict):
-            raise ScenarioError("count entry must be an object", loc)
-        alpha = _require(entry, "alpha", loc)
-        beta = _require(entry, "beta", loc)
-        alpha_ref = resolve(alpha, loc + ".alpha")
-        beta_ref = resolve(beta, loc + ".beta")
-        sign = _as_int(_require(entry, "sign", loc), loc + ".sign")
-        if sign not in (1, -1):
-            raise ScenarioError(f"sign must be 1 or -1, got {sign}", loc + ".sign")
-        degree = _as_int(_require(entry, "cover_degree", loc), loc + ".cover_degree")
-        if degree < 1:
-            raise ScenarioError("cover_degree must be >= 1", loc + ".cover_degree")
+            raise ScenarioError("count entry must be an object", at(i))
+        try:
+            alpha = entry["alpha"]
+            beta = entry["beta"]
+        except KeyError as err:
+            raise ScenarioError(f"missing required field {err.args[0]!r}", at(i)) from None
+        try:
+            alpha_ref = resolved[alpha]
+        except (KeyError, TypeError):  # a new spelling, or not a string
+            alpha_ref = resolved[alpha] = parse_orbit_key(alpha, by_name, at(i, ".alpha"))
+        try:
+            beta_ref = resolved[beta]
+        except (KeyError, TypeError):
+            beta_ref = resolved[beta] = parse_orbit_key(beta, by_name, at(i, ".beta"))
+        try:
+            sign = entry["sign"]
+        except KeyError:
+            raise ScenarioError("missing required field 'sign'", at(i)) from None
+        if type(sign) is not int or sign not in (1, -1):
+            _as_int(sign, at(i, ".sign"))
+            raise ScenarioError(f"sign must be 1 or -1, got {sign}", at(i, ".sign"))
+        try:
+            degree = entry["cover_degree"]
+        except KeyError:
+            raise ScenarioError("missing required field 'cover_degree'", at(i)) from None
+        if type(degree) is not int or degree < 1:
+            _as_int(degree, at(i, ".cover_degree"))
+            raise ScenarioError("cover_degree must be >= 1", at(i, ".cover_degree"))
+        # All four fields are present, so any other key makes five.
+        if len(entry) != 4:
+            _reject_unknown(entry, _COUNT_FIELDS, "count", at(i))
         counts.append(CountRecord(alpha, beta, sign, degree, alpha_ref, beta_ref))
 
+    _reject_unknown(data, _SCENARIO_FIELDS, "scenario", source)
     return Scenario(tuple(orbits), profile, bounds, gradings, tuple(counts))
 
 

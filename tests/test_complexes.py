@@ -396,7 +396,8 @@ def _dense_oracle(cx, counts):
     d_kappa = [[delta[i][j] * kappa[j] for j in range(n)] for i in range(n)]
 
     def product(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        rows = [[(t, x) for t, x in enumerate(row) if x] for row in a]
+        return [[sum(x * b[t][j] for t, x in row) for j in range(n)] for row in rows]
 
     dkd = product(d_kappa, delta)
     entries = [
@@ -453,6 +454,42 @@ def _random_complex(rng):
     return build_complex(orbits, 3, gradings, counts), counts
 
 
+def _width_edge_complexes():
+    """Complexes on the covers x^1..x^60 of one positive hyperbolic orbit
+    whose delta kappa delta entries sit at the packing's edges.
+
+    In the first two, column x^60 has two entries and every entry of d is
+    4 in size, so |entry of d^2| <= 2 * 4^2 = 32, a power of two, and the
+    one entry, in a block of one row, reaches it with all products of one
+    sign: +32, then -32.  In the third the top field of the column is
+    negative and the one below it positive.
+    """
+    x = RotationData("x", F(1), 60, homotopy_class="t")
+
+    def complex_of(gradings, records):
+        counts = [
+            record(OrbitRef(x, a), OrbitRef(x, b), sign, degree)
+            for a, b, sign, degree, repeat in records
+            for _ in range(repeat)
+        ]
+        gradings = {f"x^{m}": g for m, g in gradings.items()}
+        return build_complex([x], 60, gradings, counts), counts
+
+    at_bound = {60: 2, 15: 1, 30: 1, 45: 0}
+    for sign in (1, -1):
+        yield complex_of(at_bound, [
+            (60, 15, sign, 15, 1),  # 60/15 = 4
+            (60, 30, sign, 15, 1),  # 4
+            (15, 45, 1, 15, 4),  # 4 * 15/15 = 4
+            (30, 45, 1, 15, 2),  # 2 * 30/15 = 4
+        ])
+    yield complex_of({60: 2, 30: 1, 45: 0, 20: 0}, [
+        (60, 30, 1, 15, 1),  # 4
+        (30, 45, 1, 15, 1),  # 2: the lower field of column x^60, +8
+        (30, 20, -1, 10, 1),  # -3: its top field, -12
+    ])
+
+
 def test_sparse_kernel_matches_dense_oracle():
     rng = random.Random(20261018)
     seen = {"fail": 0, "pass_nonzero": 0, "pass_scaled": 0, "fractional": 0}
@@ -482,6 +519,15 @@ def test_sparse_kernel_matches_dense_oracle():
     # and delta with fractional entries (boundary entries kappa does not
     # divide).
     assert min(seen.values()) >= 20, seen
+    # Entries of d^2 at the packing's width bound and a column whose top
+    # field is negative.
+    tops = []
+    for cx, counts in _width_edge_complexes():
+        entries, square_zero, _ = _dense_oracle(cx, counts)
+        assert list(verify_d_squared(cx).nonzero_entries) == entries
+        assert not square_zero
+        tops.append([v * 60 for _, _, v in entries])  # all in column x^60
+    assert tops == [[32], [-32], [-12, 8]]
 
 
 def test_middle_multiplicity_weights_the_composite():

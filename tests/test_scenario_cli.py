@@ -16,6 +16,7 @@ from cch.scenario import (
     Scenario,
     emit_scenario,
     format_rational,
+    parse_orbit_key,
     parse_rational,
     parse_scenario,
     parse_scenario_text,
@@ -94,6 +95,65 @@ def test_list_valued_count_key_is_a_scenario_error():
     assert str(err.value) == (
         "scenario.counts[1].alpha: expected 'name^multiplicity', got ['a^2']"
     )
+
+
+GOOD = _count("a^2")
+
+
+def _with(**changes):
+    return {**GOOD, **changes}
+
+
+def _without(key):
+    return {k: v for k, v in GOOD.items() if k != key}
+
+
+# Each malformed record follows a good one, so its index is not 0.  The
+# (message, location) pairs were taken from the record-by-record parser
+# that preceded the one-pass count loop.
+@pytest.mark.parametrize(
+    "counts, message, location",
+    [
+        ([GOOD, ["a^2", "a^1", 1, 1]], "count entry must be an object", ""),
+        ([GOOD, _without("alpha")], "missing required field 'alpha'", ""),
+        ([GOOD, _without("beta")], "missing required field 'beta'", ""),
+        ([GOOD, _without("sign")], "missing required field 'sign'", ""),
+        ([GOOD, _without("cover_degree")], "missing required field 'cover_degree'", ""),
+        ([GOOD, _with(sign=True)], "expected an integer, got True", ".sign"),
+        ([GOOD, _with(sign="1")], "expected an integer, got '1'", ".sign"),
+        ([GOOD, _with(sign=0)], "sign must be 1 or -1, got 0", ".sign"),
+        ([GOOD, _with(sign=2)], "sign must be 1 or -1, got 2", ".sign"),
+        ([GOOD, _with(cover_degree=0)], "cover_degree must be >= 1", ".cover_degree"),
+        ([GOOD, _with(cover_degree=1.0)], "expected an integer, got 1.0", ".cover_degree"),
+        ([GOOD, _with(cover_degree="2")], "expected an integer, got '2'", ".cover_degree"),
+        ([GOOD, _with(alpha="zz^1")], "orbit 'zz' is not declared", ".alpha"),
+        ([GOOD, _with(beta="a^5")], "multiplicity 5 outside validity bound 4", ".beta"),
+        (
+            [GOOD, _with(alpha="a^02"), _with(alpha="a^02", beta="a^x")],
+            "bad multiplicity in 'a^x'",
+            ".beta",
+        ),
+        # Check order within a record: ends before sign before degree.
+        (
+            [GOOD, {"alpha": "a^7", "beta": "a^1"}],
+            "multiplicity 7 outside validity bound 4",
+            ".alpha",
+        ),
+        ([GOOD, {**_without("cover_degree"), "sign": -2}], "sign must be 1 or -1, got -2", ".sign"),
+        (
+            [GOOD, {"beta": "zz^1", "sign": 1, "cover_degree": 1}],
+            "missing required field 'alpha'",
+            "",
+        ),
+    ],
+)
+def test_malformed_count_record_error_bytes(counts, message, location):
+    doc = json.loads(MINIMAL)
+    doc["counts"] = counts
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(doc))
+    expected = f"scenario.counts[{len(counts) - 1}]{location}"
+    assert (str(err.value), err.value.location) == (f"{expected}: {message}", expected)
 
 
 def test_count_keys_spelled_two_ways_sum_into_one_entry():
@@ -180,6 +240,100 @@ def test_rational_fields_reject_json_booleans(name, value):
         parse_scenario_text(json.dumps(doc))
     assert err.value.location == f"scenario.orbits[0].{name}"
     assert f"expected a rational string, got {value!r}" in str(err.value)
+
+
+def _misspell(doc, path, key, wrong):
+    """doc with the key at path (a list of keys and indices) renamed."""
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[wrong] = parent.pop(key)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, key, wrong, message, location",
+    [
+        ([], "counts", "count", "unknown scenario field 'count'", "scenario"),
+        (["orbits", 0], "action", "acton", "unknown orbit field 'acton'", "scenario.orbits[0]"),
+        (
+            ["profile"],
+            "condition_star",
+            "condition_start",
+            "missing required field 'condition_star'",
+            "scenario.profile",
+        ),
+        (["bounds"], "max_levels", "max_level", "unknown bounds field 'max_level'", "scenario.bounds"),
+        (["counts", 1], "sign", "sgn", "missing required field 'sign'", "scenario.counts[1]"),
+    ],
+)
+def test_misspelled_keys_are_scenario_errors(path, key, wrong, message, location):
+    doc = json.loads(MINIMAL)
+    doc["orbits"][0]["action"] = "1"
+    doc["bounds"]["max_levels"] = 3
+    doc["counts"] = [dict(GOOD), dict(GOOD)]
+    parse_scenario_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(_misspell(doc, path, key, wrong)))
+    assert (str(err.value), err.value.location) == (f"{location}: {message}", location)
+
+
+@pytest.mark.parametrize(
+    "path, location, what",
+    [
+        ([], "scenario", "scenario"),
+        (["orbits", 0], "scenario.orbits[0]", "orbit"),
+        (["profile"], "scenario.profile", "profile"),
+        (["counts", 1], "scenario.counts[1]", "count"),
+    ],
+)
+def test_unknown_keys_are_scenario_errors(path, location, what):
+    doc = json.loads(MINIMAL)
+    doc["counts"] = [dict(GOOD), dict(GOOD)]
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent["zz"] = parent["extra"] = 1
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(doc))
+    # The least unknown key is named.
+    assert (str(err.value), err.value.location) == (
+        f"{location}: unknown {what} field 'extra'", location
+    )
+
+
+def test_misspelled_counts_key_exits_2_naming_it(tmp_path):
+    doc = json.loads((SCENARIOS / "split_cancel.json").read_text())
+    path = tmp_path / "count.json"
+    path.write_text(json.dumps(_misspell(doc, [], "counts", "count")))
+    code, text = run_command(["complex", "--scenario", str(path)])
+    assert code == 2
+    assert f"error: {path}: unknown scenario field 'count'\n" in text
+
+
+# "_", an inner space, "+" and a non-ASCII digit all pass int().
+@pytest.mark.parametrize("text", ["1_0/3", "1 0/3", "1/ 3", "+1/3", "1/+3", "\u0661/3", "1/\u0663"])
+def test_rational_numbers_are_ascii_digits(text):
+    with pytest.raises(ScenarioError) as err:
+        parse_rational(text, "here")
+    assert str(err.value) == f"here: cannot parse rational {text!r}"
+
+
+@pytest.mark.parametrize("text", ["a^1_0", "a^1 0", "a^ 1", "a^+1", "a^-1", "a^\u0661"])
+def test_orbit_key_multiplicities_are_ascii_digits(text):
+    orbit = RotationData("a", F(6, 5), 4)
+    with pytest.raises(ScenarioError) as err:
+        parse_orbit_key(text, {"a": orbit}, "here")
+    assert str(err.value) == f"here: bad multiplicity in {text!r}"
+
+
+def test_strict_numbers_keep_the_accepted_forms():
+    orbit = RotationData("a", F(6, 5), 4)
+    assert parse_rational(" -3/2 ") == F(-3, 2)
+    assert parse_rational("-0") == 0
+    assert parse_orbit_key("a^04", {"a": orbit}) == OrbitRef(orbit, 4)
+    with pytest.raises(ScenarioError, match="denominator must be positive"):
+        parse_rational("1/-2")
 
 
 def test_json_syntax_error_carries_position():
