@@ -45,6 +45,7 @@ from .scenario import (
 from .writhe import (
     BreakingVerdict,
     EndSide,
+    improved_writhe_bound,
     no_bad_break_certificate,
     sweep_no_bad_break,
     wind_bound,
@@ -262,19 +263,19 @@ def _cmd_no_bad_break(args):
 
 
 def _cmd_bounds(args):
+    if args.improved and args.side != "positive":
+        raise UsageError("--improved applies to --side positive only")
     ref = _cover(args)
-    side = EndSide.POSITIVE if args.side == "positive" else EndSide.NEGATIVE
+    side = EndSide(args.side)
     lines = [
         f"orbit: theta={format_rational(ref.base.theta)} multiplicity={args.mult}",
-        f"cz: {cz_index(ref)}",
+        f"cz: {ref.cz}",
         f"side: {args.side}",
-        f"wind-bound: {wind_bound(ref, side)}",
-        f"writhe-bound: {writhe_bound(ref, side)}",
+        f"wind-bound: {wind_bound(ref.cz, side)}",
+        f"writhe-bound: {writhe_bound(ref.cz, args.mult, side)}",
     ]
     if args.improved:
-        lines.append(
-            f"improved-writhe-bound: {writhe_bound(ref, side, use_improved=True)}"
-        )
+        lines.append(f"improved-writhe-bound: {improved_writhe_bound(ref.cz, args.mult)}")
     return 0, _report("bounds", lines)
 
 

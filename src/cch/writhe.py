@@ -1,10 +1,11 @@
 """Winding and writhe bound arithmetic for braided curve ends.
 
-Bounds are returned as values rather than asserted on stored braids: the
-package has no analytic curves, only the integer consequences their ends
-would have to satisfy.  The breaking-exclusion certificate combines the
-index identity of a degenerate two-level limit with the writhe inequality
-chain and records why the two can never hold together.
+Bounds are plain integer functions of an end's Conley-Zehnder index and
+degree: the package has no analytic curves, only the integer consequences
+their ends would have to satisfy.  The breaking-exclusion certificate
+builds its writhe slack from those bounds at the three ends of a
+degenerate two-level limit, and records why that slack and the limit's
+index identity can never hold together.
 """
 from __future__ import annotations
 
@@ -12,10 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .errors import PreconditionError
-from .orbits import OrbitRef, cz_index, floor_multiple
+from .orbits import floor_multiple
 
 
 class EndSide(Enum):
@@ -23,89 +23,35 @@ class EndSide(Enum):
     NEGATIVE = "negative"
 
 
-def wind_bound(orbit: OrbitRef, side: EndSide) -> int:
-    """Extremal winding number of a braided end at this orbit.
+def wind_bound(cz: int, side: EndSide) -> int:
+    """Extremal winding number of a braided end at an orbit with index cz.
 
     Positive ends are bounded above by floor(cz/2); negative ends are
     bounded below by ceil(cz/2).
     """
-    cz = cz_index(orbit)
     if side is EndSide.POSITIVE:
         return cz // 2
     return -((-cz) // 2)
 
 
-def writhe_bound(orbit: OrbitRef, side: EndSide, use_improved: bool = False) -> int:
-    """Extremal writhe of a degree-d braided end, d = orbit.multiplicity.
-
-    Basic form: (d-1) * extremal winding.  The improved form subtracts
-    gcd(d, floor(cz/2)) - 1 and is available for positive ends only.
-    """
-    d = orbit.multiplicity
-    if use_improved:
-        if side is not EndSide.POSITIVE:
-            raise PreconditionError("improved writhe bound applies to positive ends only")
-        half = cz_index(orbit) // 2
-        return (d - 1) * half - gcd(d, half) + 1
-    return (d - 1) * wind_bound(orbit, side)
+def writhe_bound(cz: int, degree: int, side: EndSide) -> int:
+    """Extremal writhe of a braided end of this degree: (degree-1) * extremal
+    winding."""
+    return (degree - 1) * wind_bound(cz, side)
 
 
-@dataclass(frozen=True)
-class BraidEndData:
-    """A hypothetical braided end with optional observed winding and writhe.
-
-    Construction validates the observed values against the extremal bounds,
-    so the type doubles as a checker for scenario replay.
-    """
-
-    orbit: OrbitRef
-    side: EndSide
-    wind: Optional[int] = None
-    writhe: Optional[int] = None
-
-    def __post_init__(self):
-        d = self.orbit.multiplicity
-        if self.wind is not None:
-            bound = wind_bound(self.orbit, self.side)
-            if self.side is EndSide.POSITIVE and self.wind > bound:
-                raise PreconditionError(
-                    f"positive-end winding {self.wind} exceeds bound {bound}"
-                )
-            if self.side is EndSide.NEGATIVE and self.wind < bound:
-                raise PreconditionError(
-                    f"negative-end winding {self.wind} below bound {bound}"
-                )
-        if self.writhe is not None and self.wind is not None:
-            edge = (d - 1) * self.wind
-            if self.side is EndSide.POSITIVE and self.writhe > edge:
-                raise PreconditionError(
-                    f"positive-end writhe {self.writhe} exceeds (d-1)*wind = {edge}"
-                )
-            if self.side is EndSide.NEGATIVE and self.writhe < edge:
-                raise PreconditionError(
-                    f"negative-end writhe {self.writhe} below (d-1)*wind = {edge}"
-                )
+def improved_writhe_bound(cz: int, degree: int) -> int:
+    """Sharper upper bound on the writhe of a positive end: the basic bound
+    minus gcd(degree, floor(cz/2)) - 1."""
+    half = cz // 2
+    return (degree - 1) * half - gcd(degree, half) + 1
 
 
-@dataclass(frozen=True)
-class TransversalityQuery:
-    """Inputs of the automatic-transversality criterion."""
-
-    genus: int
-    h_plus: int
-    index: int
-    end_count: Optional[int] = None
-
-    def __post_init__(self):
-        if self.genus < 0 or self.h_plus < 0:
-            raise PreconditionError("genus and h_plus must be nonnegative")
-        if self.end_count is not None and self.h_plus > self.end_count:
-            raise PreconditionError("h_plus cannot exceed the number of ends")
-
-
-def automatic_transversality(q: TransversalityQuery) -> bool:
+def automatic_transversality(genus: int, h_plus: int, index: int) -> bool:
     """True when 2*genus - 2 + h_plus < index."""
-    return 2 * q.genus - 2 + q.h_plus < q.index
+    if genus < 0 or h_plus < 0:
+        raise PreconditionError("genus and h_plus must be nonnegative")
+    return 2 * genus - 2 + h_plus < index
 
 
 class BreakingVerdict(Enum):
@@ -170,6 +116,14 @@ def no_bad_break_certificate(theta: Fraction, d: int) -> BreakingCertificate:
     """Certify that an index-zero splitting off a degree-1 plane is impossible.
 
     theta must model an elliptic orbit (not an integer or half-integer).
+    The writhe slack is chi + writhe(top) - 2d*wind(plane) - writhe(bottom)
+    with chi = -1, each term the extremal bound of its end: the top cover
+    gamma^(d+1) and the plane's end gamma^1 are positive ends, the bottom
+    cover gamma^d is negative.  Each end takes cz = 2*floor(m*theta) + 1,
+    the Conley-Zehnder index of the rotation theta + epsilon for every
+    small enough epsilon > 0: for m*theta not an integer it is
+    cz_of_rotation(theta, m), and it stays defined at the degrees where q
+    divides d or d + 1, at which theta itself degenerates.
     """
     theta = Fraction(theta)
     if theta.denominator <= 2:
@@ -181,7 +135,12 @@ def no_bad_break_certificate(theta: Fraction, d: int) -> BreakingCertificate:
     ft = floor_multiple(theta, 1)
     fdt = floor_multiple(theta, d)
     fd1t = floor_multiple(theta, d + 1)
-    slack = d * (fd1t - 2 * ft - 1) - (d - 1) * fdt
+    slack = (
+        -1
+        + writhe_bound(2 * fd1t + 1, d + 1, EndSide.POSITIVE)
+        - 2 * d * wind_bound(2 * ft + 1, EndSide.POSITIVE)
+        - writhe_bound(2 * fdt + 1, d, EndSide.NEGATIVE)
+    )
     return BreakingCertificate(
         theta=theta,
         degree=d,

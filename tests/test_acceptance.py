@@ -42,7 +42,7 @@ from cch.orbits import (
     orbit_type,
 )
 from cch.scenario import emit_scenario, parse_scenario, parse_scenario_text
-from cch.writhe import TransversalityQuery, automatic_transversality, sweep_no_bad_break
+from cch.writhe import automatic_transversality, sweep_no_bad_break
 
 F = Fraction
 
@@ -275,11 +275,9 @@ def test_criterion_8_property_battery():
     for g in range(0, 4):
         for h in range(0, 8):
             for ind in range(-4, 8):
-                here = automatic_transversality(TransversalityQuery(g, h, ind))
-                assert automatic_transversality(TransversalityQuery(g, h, ind + 1)) or not here
-                assert here or not automatic_transversality(
-                    TransversalityQuery(g, h + 1, ind)
-                )
+                here = automatic_transversality(g, h, ind)
+                assert automatic_transversality(g, h, ind + 1) or not here
+                assert here or not automatic_transversality(g, h + 1, ind)
 
     for path in sorted(SCENARIOS.glob("*.json")):
         s = parse_scenario(path)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -530,6 +531,52 @@ def test_no_bad_break_grid_reports_match_pinned_digests():
     assert got == GRID_DIGESTS
 
 
+def _reports_digest(argvs):
+    """SHA-256 over f"{code}\n{text}" of each invocation, in order."""
+    digest = hashlib.sha256()
+    count = 0
+    for argv in argvs:
+        code, text = run_command(argv)
+        digest.update(f"{code}\n{text}".encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+def test_single_certificate_reports_match_pinned_digest():
+    # Every reduced p/q with 3 <= q <= 15 and 0 < p/q < 4, at every degree
+    # up to 3q + 1: degrees with q | d and q | d + 1 included.
+    argvs = (
+        ["no-bad-break", "--theta", f"{p}/{q}", "--d", str(d)]
+        for q in range(3, 16)
+        for p in range(1, 4 * q)
+        if gcd(p, q) == 1
+        for d in range(1, 3 * q + 2)
+    )
+    assert _reports_digest(argvs) == (
+        9064,
+        "ea1b2233458bb97ba084bd291d2b194b098bc6bef664f039003bf14adca8928e",
+    )
+
+
+def test_bounds_reports_match_pinned_digest():
+    # Elliptic, hyperbolic and degenerate covers; the degenerate ones are
+    # usage errors.
+    argvs = (
+        ["bounds", "--theta", theta, "--mult", str(m), *side]
+        for theta in ("6/5", "2", "3/2", "233/144", "1/3", "7/5", "5")
+        for m in range(1, 9)
+        for side in (
+            ["--side", "positive"],
+            ["--side", "positive", "--improved"],
+            ["--side", "negative"],
+        )
+    )
+    assert _reports_digest(argvs) == (
+        168,
+        "15457a0133ec540632c044ec1b5f87031162da619cc83c2c28c74f77d4daed6d",
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value, least",
     [
@@ -655,6 +702,8 @@ def test_bounds_command_improved_negative_side_fails():
         ["bounds", "--theta", "6/5", "--mult", "3", "--side", "negative", "--improved"]
     )
     assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith("error: --improved applies to --side positive only\n")
 
 
 def test_unknown_subcommand_usage():

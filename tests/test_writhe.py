@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import given
@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from cch import writhe
 from cch.errors import PreconditionError
-from cch.orbits import OrbitRef, RotationData
+from cch.orbits import cz_of_rotation, floor_multiple
 from cch.writhe import (
-    BraidEndData,
     BreakingVerdict,
     EndSide,
-    TransversalityQuery,
     _index_zero_residues,
     automatic_transversality,
+    improved_writhe_bound,
     no_bad_break_certificate,
     sweep_no_bad_break,
     wind_bound,
@@ -24,139 +23,116 @@ from cch.writhe import (
 F = Fraction
 
 
-def ref(theta, m, bound=None):
-    theta = F(theta)
-    if bound is None:
-        bound = 100 if theta.denominator <= 2 else theta.denominator - 1
-    return OrbitRef(RotationData("g", theta, bound), m)
-
-
 # ---------------------------------------------------------------- wind_bound
 
 
 def test_wind_bound_positive_end():
-    assert wind_bound(ref(F(6, 5), 1), EndSide.POSITIVE) == 1
+    assert wind_bound(cz_of_rotation(F(6, 5), 1), EndSide.POSITIVE) == 1
 
 
 def test_wind_bound_negative_end():
-    assert wind_bound(ref(F(6, 5), 1), EndSide.NEGATIVE) == 2
+    assert wind_bound(cz_of_rotation(F(6, 5), 1), EndSide.NEGATIVE) == 2
 
 
 def test_wind_bound_even_cz_agrees_on_both_sides():
-    r = ref(2, 1)
-    assert wind_bound(r, EndSide.POSITIVE) == 2
-    assert wind_bound(r, EndSide.NEGATIVE) == 2
+    cz = cz_of_rotation(F(2), 1)
+    assert wind_bound(cz, EndSide.POSITIVE) == 2
+    assert wind_bound(cz, EndSide.NEGATIVE) == 2
 
 
 # ---------------------------------------------------------------- writhe_bound
 
 
 def test_writhe_bound_basic():
-    assert writhe_bound(ref(F(6, 5), 3), EndSide.POSITIVE) == 6
+    assert writhe_bound(cz_of_rotation(F(6, 5), 3), 3, EndSide.POSITIVE) == 6
 
 
 def test_writhe_bound_improved():
-    assert writhe_bound(ref(F(6, 5), 3), EndSide.POSITIVE, use_improved=True) == 4
+    assert improved_writhe_bound(cz_of_rotation(F(6, 5), 3), 3) == 4
 
 
 def test_writhe_bound_degree_one_is_zero():
+    cz = cz_of_rotation(F(6, 5), 1)
     for side in EndSide:
-        assert writhe_bound(ref(F(6, 5), 1), side) == 0
-    assert writhe_bound(ref(F(6, 5), 1), EndSide.POSITIVE, use_improved=True) == 0
+        assert writhe_bound(cz, 1, side) == 0
+    assert improved_writhe_bound(cz, 1) == 0
 
 
-def test_improved_unsupported_on_negative_end():
-    with pytest.raises(PreconditionError):
-        writhe_bound(ref(F(6, 5), 2), EndSide.NEGATIVE, use_improved=True)
-
-
-@given(
-    st.tuples(st.integers(1, 200), st.integers(3, 30)).filter(
-        lambda pq: F(pq[0], pq[1]).denominator > 2
-    ),
-    st.integers(1, 12),
-)
-def test_improved_never_exceeds_basic(pq, d):
-    theta = F(pq[0], pq[1])
-    r = ref(theta, min(d, theta.denominator - 1))
-    basic = writhe_bound(r, EndSide.POSITIVE)
-    improved = writhe_bound(r, EndSide.POSITIVE, use_improved=True)
-    assert improved <= basic
-
-
-# ------------------------------------------------------- BraidEndData checks
-
-
-def test_braid_end_accepts_extremal_values():
-    r = ref(F(6, 5), 3)
-    BraidEndData(r, EndSide.POSITIVE, wind=3, writhe=6)
-    BraidEndData(r, EndSide.NEGATIVE, wind=4, writhe=8)
-
-
-def test_braid_end_rejects_overwound_positive_end():
-    with pytest.raises(PreconditionError):
-        BraidEndData(ref(F(6, 5), 3), EndSide.POSITIVE, wind=4)
-
-
-def test_braid_end_rejects_excess_writhe():
-    with pytest.raises(PreconditionError):
-        BraidEndData(ref(F(6, 5), 3), EndSide.POSITIVE, wind=3, writhe=7)
+@given(st.integers(-50, 400), st.integers(1, 40))
+def test_improved_never_exceeds_basic(cz, d):
+    assert improved_writhe_bound(cz, d) <= writhe_bound(cz, d, EndSide.POSITIVE)
 
 
 # ------------------------------------------------- automatic transversality
 
 
 def test_transversality_index_one_cylinder():
-    assert automatic_transversality(TransversalityQuery(0, 2, 1, end_count=2))
+    assert automatic_transversality(0, 2, 1)
 
 
 def test_transversality_fails_for_index_zero():
-    assert not automatic_transversality(TransversalityQuery(0, 2, 0))
+    assert not automatic_transversality(0, 2, 0)
 
 
 def test_transversality_genus_one():
-    assert automatic_transversality(TransversalityQuery(1, 0, 1))
+    assert automatic_transversality(1, 0, 1)
 
 
 def test_transversality_monotone():
     for g in range(0, 4):
         for h in range(0, 7):
             for ind in range(-3, 7):
-                here = automatic_transversality(TransversalityQuery(g, h, ind))
-                up = automatic_transversality(TransversalityQuery(g, h, ind + 1))
-                more_h = automatic_transversality(TransversalityQuery(g, h + 1, ind))
+                here = automatic_transversality(g, h, ind)
+                up = automatic_transversality(g, h, ind + 1)
+                more_h = automatic_transversality(g, h + 1, ind)
                 assert up or not here
                 assert here or not more_h
 
 
-def test_transversality_validates_end_count():
+@pytest.mark.parametrize("genus, h_plus", [(-1, 0), (0, -1)])
+def test_transversality_rejects_negative_inputs(genus, h_plus):
     with pytest.raises(PreconditionError):
-        TransversalityQuery(0, 3, 1, end_count=2)
+        automatic_transversality(genus, h_plus, 1)
 
 
 # ---------------------------------------------------------------- adjunction
 
 
-@given(
-    st.tuples(st.integers(1, 400), st.integers(3, 40)).filter(
-        lambda pq: F(pq[0], pq[1]).denominator > 2
-    ),
-    st.integers(1, 30),
-)
-def test_step_chain_specializes_to_certificate_slack(pq, d):
-    # With the extremal writhe and winding values of a split limit, the
-    # combined adjunction quantity equals the certificate's slack exactly.
-    theta = F(pq[0], pq[1])
-    ft = theta.__floor__()
-    fdt = (theta * d).__floor__()
-    fd1t = (theta * (d + 1)).__floor__()
-    w_plus = d * fd1t
-    wind_mid = ft
-    w_minus = (d - 1) * (fdt + 1)
-    # chi + writhe(top) - writhe(bottom), with chi = -1.
-    combined = -1 + w_plus - (2 * d * wind_mid + w_minus)
-    cert = no_bad_break_certificate(theta, d)
-    assert combined == cert.writhe_slack
+def test_step_chain_specializes_to_certificate_slack():
+    # The slack the certificate builds from the end bounds equals the
+    # closed form that line B prints, here from floors alone.  The grid
+    # includes the degrees where q divides d or d + 1, at which theta is
+    # degenerate.
+    degenerate = 0
+    for q in range(3, 16):
+        for p in range(1, 4 * q):
+            if gcd(p, q) != 1:
+                continue
+            theta = F(p, q)
+            ft = floor(theta)
+            for d in range(1, 3 * q + 2):
+                fdt, fd1t = floor(d * theta), floor((d + 1) * theta)
+                cert = no_bad_break_certificate(theta, d)
+                assert cert.writhe_slack == d * (fd1t - 2 * ft - 1) - (d - 1) * fdt
+                degenerate += d % q == 0 or (d + 1) % q == 0
+    assert degenerate > 0
+
+
+def test_end_cz_is_cz_of_rotation_off_integers():
+    # The certificate's cz = 2*floor(m*theta) + 1 at each end is the
+    # Conley-Zehnder index wherever m*theta is not an integer.
+    checked = 0
+    for q in range(1, 16):
+        for p in range(-3 * q, 4 * q):
+            if gcd(p, q) != 1:
+                continue
+            theta = F(p, q)
+            for m in range(1, 3 * q + 2):
+                if (m * theta).denominator == 1:
+                    continue
+                assert 2 * floor_multiple(theta, m) + 1 == cz_of_rotation(theta, m)
+                checked += 1
+    assert checked > 0
 
 
 # ---------------------------------------------------------------- certificate
