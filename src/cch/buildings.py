@@ -12,9 +12,12 @@ and only contractible orbits bound planes).
 
 Every index is computed once, by the object it belongs to: an OrbitRef
 carries its Conley-Zehnder index, and a ComponentSkeleton its Fredholm
-index and that of its underlying curve.  A ComponentSkeleton is slotted
-and built in one pass that stores each slot once, runs every check and
-sets both indices; its kinds are the module names BTC, COV and SI.  Each
+index and that of its underlying curve; its kinds are BTC, COV and SI.  A
+ComponentSkeleton is slotted and built two ways, both through _store, which
+stores each slot once and sets both indices.  The public constructor then
+runs every check; enumerate_components builds only valid shapes and skips
+them, guarded by an independent oracle (test_components_match_oracle) and
+by test_enumerated_components_equal_their_public_rebuilds.  Each
 enumeration takes every end from one OrbitTable of the scenario's covers.
 A multiset of negative ends carries its excess, its cz sum less (number
 of ends - 1), so the generic-J filter is one comparison with cz(+).  In the
@@ -96,7 +99,8 @@ class ComponentSkeleton:
 
     index is the Fredholm index of the covering curve and underlying_index
     that of the underlying somewhere-injective curve (genus zero unless the
-    component is that curve itself); both are set once the checks pass.
+    component is that curve itself).  The constructor raises SkeletonError
+    on an invalid shape; the enumerator's path skips the checks (see above).
     """
 
     kind: ComponentKind
@@ -115,22 +119,12 @@ class ComponentSkeleton:
         self, kind, cover_degree, branch_count, genus, positive_ends, negative_ends,
         underlying_positive_ends, underlying_negative_ends,
     ):
-        # One pass: each slot is stored once, then checked, then indexed.
-        _set_kind(self, kind)
-        _set_cover_degree(self, cover_degree)
-        _set_branch_count(self, branch_count)
-        _set_genus(self, genus)
-        _set_pos(self, pos := tuple(positive_ends))
-        _set_neg(self, neg := tuple(negative_ends))
-        _set_upos(self, upos := tuple(underlying_positive_ends))
-        _set_uneg(self, uneg := tuple(underlying_negative_ends))
-        _set_key(self, None)
+        _store(
+            self, kind, cover_degree, branch_count, genus, tuple(positive_ends),
+            tuple(negative_ends), tuple(underlying_positive_ends),
+            tuple(underlying_negative_ends),
+        )
         self._check()
-        ind = curve_index(genus, pos, neg)
-        _set_index(self, ind)
-        if kind is not SI:
-            ind = curve_index(0, upos, uneg)
-        _set_underlying_index(self, ind)
 
     def _check(self):
         d, b = self.cover_degree, self.branch_count
@@ -224,10 +218,28 @@ class ComponentSkeleton:
         )
 
 
-# Slot setters in field order; only the constructor and the key cache use them.
+# Slot setters in field order; only _store and the key cache use them.
 (_set_kind, _set_cover_degree, _set_branch_count, _set_genus, _set_pos, _set_neg,
  _set_upos, _set_uneg, _set_index, _set_underlying_index, _set_key) = (
     getattr(ComponentSkeleton, f.name).__set__ for f in fields(ComponentSkeleton))
+_new = object.__new__
+
+
+def _store(c, kind, d, b, genus, pos, neg, upos, uneg):
+    """Store each slot of c once (ends as tuples) and both indices; return c.
+    No checks: the enumerator passes _new(ComponentSkeleton), valid shapes."""
+    _set_kind(c, kind)
+    _set_cover_degree(c, d)
+    _set_branch_count(c, b)
+    _set_genus(c, genus)
+    _set_pos(c, pos)
+    _set_neg(c, neg)
+    _set_upos(c, upos)
+    _set_uneg(c, uneg)
+    _set_key(c, None)
+    _set_index(c, ind := curve_index(genus, pos, neg))
+    _set_underlying_index(c, ind if kind is SI else curve_index(0, upos, uneg))
+    return c
 
 
 # ------------------------------------------------------------------ checks
@@ -430,15 +442,14 @@ def enumerate_components(orbits, profile, bounds, _table=None,
     # the orbit of refs[i], m its multiplicity.
     for i, ref in enumerate(refs):
         d, base = ref.multiplicity, refs[i - ref.multiplicity + 1]
-        yield ComponentSkeleton(BTC, d, 0, 0, (ref,), (ref,), (base,), (base,))
+        yield _store(_new(ComponentSkeleton), BTC, d, 0, 0, (ref,), (ref,), (base,), (base,))
         for parts in _partitions(d):
             ends = [i - d + p for p in parts]  # index: cz(+) - 1 - sum(cz(-) - 1)
             if len(parts) < 2 or cz[i] - 1 - sum(cz[e] - 1 for e in ends) > _cap:
                 continue
             neg = _sorted_ends(refs[e] for e in ends)
-            yield ComponentSkeleton(
-                BTC, d, len(parts) - 1, 0, (ref,), neg, (base,), (base,)
-            )
+            b = len(parts) - 1
+            yield _store(_new(ComponentSkeleton), BTC, d, b, 0, (ref,), neg, (base,), (base,))
 
     # Somewhere-injective curves; index = cz - excess must be >= 1 if generic.
     multisets = _neg_multisets(range(len(refs)), top, table)
@@ -454,7 +465,7 @@ def enumerate_components(orbits, profile, bounds, _table=None,
                 continue  # the trivial cylinder, emitted above
             if not n and not pos.base.contractible:
                 continue  # planes bound disks; the orbit must be contractible
-            yield ComponentSkeleton(SI, 1, 0, 0, one, neg, one, neg)
+            yield _store(_new(ComponentSkeleton), SI, 1, 0, 0, one, neg, one, neg)
 
     # Covers of nontrivial somewhere-injective curves.
     for d, u, ids, ways in _cover_bases(table, generic, top):
@@ -511,8 +522,9 @@ def _covers_of(refs, u, ids, d, ways, cap=INF):
         if b < 0 or key in seen:
             continue
         seen.add(key)
-        yield ComponentSkeleton(
-            COV, d, b, 0, pos, _sorted_ends(refs[e] for e in key), upos, uneg
+        yield _store(
+            _new(ComponentSkeleton), COV, d, b, 0, pos, _sorted_ends(refs[e] for e in key),
+            upos, uneg,
         )
 
 

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from functools import lru_cache
 from math import inf
 
 from .buildings import (
@@ -306,7 +307,9 @@ def _cmd_complex(args):
     return (0 if report.ok else 1), _report("complex", lines)
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argparse tree, built on first use (not at import) and reused."""
     parser = _Parser(prog="cch", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

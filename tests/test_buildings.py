@@ -6,6 +6,7 @@ import pickle
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,24 @@ def test_enumerated_components_pass_all_checks():
     assert report.ok, report.violations
 
 
+def test_enumerated_components_equal_their_public_rebuilds():
+    # enumerate_components builds components without the constructor's
+    # checks; each of estimate_suite.json's whole inventory, rebuilt through
+    # the public constructor, passes every check and is equal, with equal
+    # stored indices.
+    suite = parse_scenario(SCENARIOS / "estimate_suite.json")
+    inventory = enumerate_components(suite.orbits, suite.profile, suite.bounds)
+    count = 0
+    for count, c in enumerate(inventory, 1):
+        twin = ComponentSkeleton(
+            c.kind, c.cover_degree, c.branch_count, c.genus, c.positive_ends,
+            c.negative_ends, c.underlying_positive_ends, c.underlying_negative_ends,
+        )
+        assert twin == c
+        assert (twin.index, twin.underlying_index) == (c.index, c.underlying_index), c.key
+    assert count == 79568
+
+
 # sha256 of "\n".join(report.lines()) of the estimate sweep.
 ESTIMATE_SWEEP_DIGESTS = {
     "estimate_suite.json": "078a6fc2fc3364102dd86670c7b81eacf8f613607e210313e6e2a2064d394f30",
@@ -349,8 +368,14 @@ def test_estimate_sweep_report_bytes_are_pinned():
 
 def oracle_cz(r):
     # Independent evaluation through math.floor/ceil on the exact rational.
-    x = r.base.theta * r.multiplicity
-    return math.floor(x) + math.ceil(x)
+    theta = r.base.theta
+    return floor_plus_ceil(theta.numerator * r.multiplicity, theta.denominator)
+
+
+@lru_cache(maxsize=None)
+def floor_plus_ceil(p, q):
+    # Cached on integers: hashing an OrbitRef would rehash its Fraction.
+    return math.floor(F(p, q)) + math.ceil(F(p, q))
 
 
 def oracle_index(genus, pos, neg):
@@ -448,57 +473,178 @@ def test_covers_of_yields_each_negative_multiset_once(d, top):
         assert all(r.base == NEGH for r in c.negative_ends)
 
 
+def oracle_covers(orbits, top):
+    """Every cover the enumeration may use as an end: each orbit's covers up
+    to the lesser of its validity bound and the multiplicity bound."""
+    return [
+        OrbitRef(o, m) for o in orbits for m in range(1, min(o.validity_bound, top) + 1)
+    ]
+
+
+def oracle_multisets(covers, budget):
+    """Every multiset of covers with total multiplicity <= budget, as sorted
+    position tuples: every choice of how many copies of each cover.  The sort
+    gives the lexicographic order of position tuples that the enumerator
+    walks."""
+    out = []
+
+    def walk(i, left, acc):
+        if i == len(covers):
+            out.append(tuple(acc))
+            return
+        for count in range(left // covers[i].multiplicity + 1):
+            walk(i + 1, left - count * covers[i].multiplicity, acc + [i] * count)
+
+    walk(0, budget, [])
+    return sorted(out)
+
+
+def oracle_kept(covers, generic_J, p, ms):
+    """Is covers[p] => covers[ms] a somewhere-injective curve the enumerator
+    admits?  Not the trivial cylinder, not a plane over a non-contractible
+    orbit, and under generic J of index at least one."""
+    if ms == (p,) or (not ms and not covers[p].base.contractible):
+        return False
+    return not generic_J or oracle_index(0, [covers[p]], [covers[i] for i in ms]) >= 1
+
+
+def oracle_sorted(ends):
+    return tuple(sorted(ends, key=lambda r: (r.base.name, r.multiplicity)))
+
+
 def oracle_candidates(orbits, generic_J, top):
     """The somewhere-injective keys, and the underlying curves of covers,
     that the enumerator should emit, in emission order.
 
     Walks every positive cover against every multiset of negative covers
-    within the cap, with oracle_cz and the genus-zero index formula
-    -chi + cz(+) - sum cz(-).  A pair is kept when J is not generic or its
-    index is at least one, unless it is the trivial cylinder or a plane over
-    a non-contractible orbit.  A degree-d cover needs the d-fold positive
-    cover within its orbit's cap, and its underlying negative
+    within the cap (oracle_kept).  A degree-d cover needs the d-fold
+    positive cover within its orbit's cap, and its underlying negative
     multiplicities total at most top // d.
     """
-    covers = [
-        OrbitRef(o, m) for o in orbits for m in range(1, min(o.validity_bound, top) + 1)
-    ]
-    cz = [oracle_cz(r) for r in covers]
+    covers = oracle_covers(orbits, top)
     names = [f"{r.base.name}^{r.multiplicity}" for r in covers]
-
-    def multisets(budget):
-        # Every choice of how many copies of each cover; the sort gives the
-        # lexicographic order of position tuples that the enumerator walks.
-        out = []
-
-        def walk(i, left, acc):
-            if i == len(covers):
-                out.append(tuple(acc))
-                return
-            for count in range(left // covers[i].multiplicity + 1):
-                walk(i + 1, left - count * covers[i].multiplicity, acc + [i] * count)
-
-        walk(0, budget, [])
-        return sorted(out)
-
-    def kept(p, ms):
-        if ms == (p,) or (not ms and not covers[p].base.contractible):
-            return False
-        chi = 2 - 1 - len(ms)
-        return not generic_J or -chi + cz[p] - sum(cz[i] for i in ms) >= 1
 
     def text(p, ms):
         neg = sorted(ms, key=lambda i: (covers[i].base.name, covers[i].multiplicity))
         return names[p] + "=>" + ",".join(names[i] for i in neg)
 
     every = range(len(covers))
-    out = ["si[g=0]" + text(p, ms) for p in every for ms in multisets(top) if kept(p, ms)]
+    out = [
+        "si[g=0]" + text(p, ms)
+        for p in every
+        for ms in oracle_multisets(covers, top)
+        if oracle_kept(covers, generic_J, p, ms)
+    ]
     for d in range(2, top + 1):
-        below = multisets(top // d)
+        below = oracle_multisets(covers, top // d)
         for u in every:
             if covers[u].multiplicity * d <= min(covers[u].base.validity_bound, top):
-                out += [f"cov[d={d};" + text(u, ms) for ms in below if kept(u, ms)]
+                out += [
+                    f"cov[d={d};" + text(u, ms)
+                    for ms in below
+                    if oracle_kept(covers, generic_J, u, ms)
+                ]
     return out
+
+
+def oracle_partitions(n, cap):
+    """Partitions of n into parts of at most cap, largest part first."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, cap), 0, -1):
+        for rest in oracle_partitions(n - part, part):
+            yield (part,) + rest
+
+
+def oracle_components(orbits, generic_J, top):
+    """Every component enumerate_components should emit, once each, as the
+    arguments of the public ComponentSkeleton constructor.
+
+    Shares no code with the enumerator.  A branched cover of a trivial
+    cylinder takes each partition of its degree as its negative ends.  A
+    somewhere-injective curve is a positive cover against a multiset of
+    negative covers (oracle_kept).  A degree-d cover of such a curve u =>
+    ms, k = |ms|, has the d-fold cover of u as its one positive end.  Its
+    negative ends are any multiset of covers with the same orbits as ms, of
+    total multiplicity d times that of ms on each orbit, that satisfies
+    Riemann-Hurwitz for n ends, b = n + d - d*k - 1 >= 0, and that some
+    assignment of its ends to the ends of ms covers each with degree d.
+    Each assignment is tried in turn.
+    """
+    covers = oracle_covers(orbits, top)
+    at = {(r.base.name, r.multiplicity): i for i, r in enumerate(covers)}
+
+    def weight(ids, d=1):
+        # Total multiplicity on each orbit, times d.
+        totals = {}
+        for i in ids:
+            name = covers[i].base.name
+            totals[name] = totals.get(name, 0) + d * covers[i].multiplicity
+        return tuple(sorted(totals.items()))
+
+    def assignable(neg, under, d):
+        for owner in product(range(len(under)), repeat=len(neg)):
+            left = [d] * len(under)
+            for end, j in zip(neg, owner):
+                base = under[j]
+                if end.base != base.base or end.multiplicity % base.multiplicity:
+                    break
+                left[j] -= end.multiplicity // base.multiplicity
+            else:
+                if not any(left):
+                    return True
+        return False
+
+    out = []
+    for r in covers:
+        d, base = r.multiplicity, covers[at[r.base.name, 1]]
+        for parts in oracle_partitions(d, d):
+            neg = oracle_sorted(covers[at[r.base.name, t]] for t in parts)
+            out.append((BTC, d, len(parts) - 1, 0, (r,), neg, (base,), (base,)))
+    everything = oracle_multisets(covers, top)
+    by_weight = {}
+    for ms in everything:
+        by_weight.setdefault(weight(ms), []).append(ms)
+    for p, r in enumerate(covers):
+        for ms in everything:
+            if oracle_kept(covers, generic_J, p, ms):
+                neg = oracle_sorted(covers[i] for i in ms)
+                out.append((SI, 1, 0, 0, (r,), neg, (r,), neg))
+    for d in range(2, top + 1):
+        for u, r in enumerate(covers):
+            pos = at.get((r.base.name, d * r.multiplicity))
+            if pos is None:
+                continue
+            for ms in oracle_multisets(covers, top // d):
+                if not oracle_kept(covers, generic_J, u, ms):
+                    continue
+                uneg = oracle_sorted(covers[i] for i in ms)
+                for ids in by_weight.get(weight(ms, d), ()):
+                    b = len(ids) + d - d * len(ms) - 1
+                    neg = oracle_sorted(covers[i] for i in ids)
+                    if b >= 0 and assignable(neg, uneg, d):
+                        out.append((COV, d, b, 0, (covers[pos],), neg, (r,), uneg))
+    return out
+
+
+def oracle_rows(orbits, generic_J, top):
+    """(key, index, underlying index) of each oracle component: the key
+    written out here, the indices from oracle_index."""
+
+    def text(ends):
+        return ",".join(f"{r.base.name}^{r.multiplicity}" for r in ends)
+
+    rows = []
+    for kind, d, b, genus, pos, neg, upos, uneg in oracle_components(orbits, generic_J, top):
+        ends = f"{text(pos)}=>{text(neg)}"
+        if kind is BTC:
+            key = f"btc[d={d},b={b}]{ends}"
+        elif kind is SI:
+            key = f"si[g={genus}]{ends}"
+        else:
+            key = f"cov[d={d},b={b};{text(upos)}=>{text(uneg)}]{ends}"
+        rows.append((key, oracle_index(genus, pos, neg), oracle_index(0, upos, uneg)))
+    return sorted(rows)
 
 
 def enumerated_candidates(orbits, generic_J, top):
@@ -520,29 +666,59 @@ E2 = RotationData("f", F(9, 7), 6, contractible=True)
 P2 = RotationData("q", F(1), 30, contractible=True)
 H2 = RotationData("k", F(3, 2), 30)
 
+# Five orbit sets, which of their orbits are contractible, and generic J or not.
+ORACLE_GRID = [
+    pytest.mark.parametrize(
+        "orbits",
+        [
+            [ELL, E2],
+            [POSH, P2, FLAT],
+            [NEGH, H2],
+            [ELL, POSH, NEGH],
+            [E2, FLAT, H2],
+        ],
+        ids=lambda orbits: "".join(o.name for o in orbits),
+    ),
+    pytest.mark.parametrize("contractible", ["all", "none", "first"]),
+    pytest.mark.parametrize("generic_J", [True, False]),
+]
 
-@pytest.mark.parametrize(
-    "orbits",
-    [
-        [ELL, E2],
-        [POSH, P2, FLAT],
-        [NEGH, H2],
-        [ELL, POSH, NEGH],
-        [E2, FLAT, H2],
-    ],
-    ids=lambda orbits: "".join(o.name for o in orbits),
-)
-@pytest.mark.parametrize("contractible", ["all", "none", "first"])
-@pytest.mark.parametrize("generic_J", [True, False])
-def test_candidate_filter_matches_oracle(orbits, contractible, generic_J):
+
+def on_grid(test):
+    for mark in reversed(ORACLE_GRID):
+        test = mark(test)
+    return test
+
+
+def with_contractible(orbits, contractible):
     flags = {"all": [True] * 3, "none": [False] * 3, "first": [True, False, False]}
-    orbits = [
+    return [
         dataclasses.replace(o, contractible=flag)
         for o, flag in zip(orbits, flags[contractible])
     ]
+
+
+@on_grid
+def test_candidate_filter_matches_oracle(orbits, contractible, generic_J):
+    orbits = with_contractible(orbits, contractible)
     for top in range(1, 7):
         want = oracle_candidates(orbits, generic_J, top)
         assert enumerated_candidates(orbits, generic_J, top) == want, top
+
+
+@on_grid
+def test_components_match_oracle(orbits, contractible, generic_J):
+    # Every component with its stored indices, against the oracle's; as
+    # sorted lists, so a duplicate or a lost component shows.
+    orbits = with_contractible(orbits, contractible)
+    profile = GenericityProfile(generic_J=generic_J)
+    for top in range(1, 7):
+        bounds = EnumerationBounds(max_total_multiplicity=top)
+        got = sorted(
+            (c.key, c.index, c.underlying_index)
+            for c in enumerate_components(orbits, profile, bounds)
+        )
+        assert got == oracle_rows(orbits, generic_J, top), top
 
 
 # ---------------------------------------------------------------- enumeration
@@ -617,12 +793,13 @@ def tree_from_levels(levels):
 
 
 def brute_force_keys(orbits, profile, bounds):
-    # Reference enumeration: no index pruning, no bound tables, no canonical
-    # ordering; assemble level lists directly and dedupe by canonical key.
-    from itertools import product
-
+    # Reference enumeration: components from oracle_components, no index
+    # pruning, no bound tables, no canonical ordering; assemble level lists
+    # directly and dedupe by canonical key.
     by_pos = {}
-    for c in enumerate_components(orbits, profile, bounds):
+    top = bounds.max_total_multiplicity
+    for shape in oracle_components(orbits, profile.generic_J, top):
+        c = ComponentSkeleton(*shape)
         by_pos.setdefault(c.positive_ends[0], []).append(c)
     found = {}
 

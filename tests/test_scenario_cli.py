@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cch import cli
 from cch.buildings import EnumerationBounds, GenericityProfile
 from cch.cli import run_command
 from cch.complexes import build_complex
@@ -485,6 +488,27 @@ def test_index_command():
     assert code == 0
     assert "index: 0" in text
     assert "euler-characteristic: -1" in text
+
+
+def test_successive_index_calls_share_no_append_lists():
+    # The parser is built once and reused.  Each call still starts from empty
+    # --orbit, --positive and --negative lists: had the first call's values
+    # stayed, the second would see orbit a twice and fail.
+    first = ["index", "--orbit", "a=6/5:4", "--positive", "a^3", "--negative", "a^1"]
+    second = ["index", "--orbit", "a=6/5:4", "--positive", "a^2"]
+    assert run_command(first)[0] == 0
+    code, text = run_command(second)
+    assert code == 0
+    assert "curve: genus=0 c_tau=0 positive=a^2 negative=-\n" in text
+    assert run_command(second) == (code, text)
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    probe = "import cch.cli as c; print(c._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr
+    run_command(["gluing", "2", "3", "6"])
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_gluing_command():
