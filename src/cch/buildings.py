@@ -14,13 +14,16 @@ Every index is computed once, by the object it belongs to: an OrbitRef
 carries its Conley-Zehnder index, and a ComponentSkeleton its Fredholm
 index and that of its underlying curve; its kinds are BTC, COV and SI.  A
 ComponentSkeleton is slotted and built two ways, both through _store, which
-stores each slot once and sets both indices.  The public constructor then
-runs every check; enumerate_components builds only valid shapes and skips
-them, guarded by an independent oracle (test_components_match_oracle) and
-by test_enumerated_components_equal_their_public_rebuilds.  Each
-enumeration takes every end from one OrbitTable of the scenario's covers.
-A multiset of negative ends carries its excess, its cz sum less (number
-of ends - 1), so the generic-J filter is one comparison with cz(+).  In the
+stores each slot once, both indices as given.  The public constructor
+computes them with curve_index and runs every check; enumerate_components
+builds only valid shapes, skips the checks, and is guarded by an
+independent oracle (test_components_match_oracle) and by
+test_enumerated_components_equal_their_public_rebuilds.  Each enumeration
+takes every end from one OrbitTable, which holds each cover's grading
+cz - 1.  A genus-zero curve with one positive end has index grading(+)
+less the grading sum of its negative ends; each multiset of negative ends
+carries that sum, so the inventory computes each index once and its
+generic-J and cap filters compare that index with 1 and the cap.  In the
 search a cover is its integer id: the ends of a component are a tuple of
 ids, and the bound tables are lists indexed by id.  The least index that
 can still hang below each component at each number of levels to go is
@@ -115,15 +118,13 @@ class ComponentSkeleton:
     underlying_index: int = field(init=False, repr=False, compare=False)
     _key: str = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self, kind, cover_degree, branch_count, genus, positive_ends, negative_ends,
-        underlying_positive_ends, underlying_negative_ends,
-    ):
-        _store(
-            self, kind, cover_degree, branch_count, genus, tuple(positive_ends),
-            tuple(negative_ends), tuple(underlying_positive_ends),
-            tuple(underlying_negative_ends),
-        )
+    def __init__(self, kind, cover_degree, branch_count, genus, positive_ends, negative_ends,
+                 underlying_positive_ends, underlying_negative_ends):
+        pos, neg = tuple(positive_ends), tuple(negative_ends)
+        upos, uneg = tuple(underlying_positive_ends), tuple(underlying_negative_ends)
+        ind = curve_index(genus, pos, neg)
+        under = ind if kind is SI else curve_index(0, upos, uneg)
+        _store(self, kind, cover_degree, branch_count, genus, pos, neg, upos, uneg, ind, under)
         self._check()
 
     def _check(self):
@@ -225,8 +226,8 @@ class ComponentSkeleton:
 _new = object.__new__
 
 
-def _store(c, kind, d, b, genus, pos, neg, upos, uneg):
-    """Store each slot of c once (ends as tuples) and both indices; return c.
+def _store(c, kind, d, b, genus, pos, neg, upos, uneg, index, underlying_index):
+    """Store each slot of c once (ends as tuples), indices as given; return c.
     No checks: the enumerator passes _new(ComponentSkeleton), valid shapes."""
     _set_kind(c, kind)
     _set_cover_degree(c, d)
@@ -237,8 +238,8 @@ def _store(c, kind, d, b, genus, pos, neg, upos, uneg):
     _set_upos(c, upos)
     _set_uneg(c, uneg)
     _set_key(c, None)
-    _set_index(c, ind := curve_index(genus, pos, neg))
-    _set_underlying_index(c, ind if kind is SI else curve_index(0, upos, uneg))
+    _set_index(c, index)
+    _set_underlying_index(c, underlying_index)
     return c
 
 
@@ -397,23 +398,21 @@ def _check_convexity(orbits, profile):
 
 def _neg_multisets(ids, budget, table):
     """Every multiset of the covers `ids` with total multiplicity <= budget,
-    in list order: (covers, their ids, excess).  The excess is the cz sum
-    less (number of covers - 1); a genus-zero curve from a positive end with
-    index cz to the multiset has index cz - excess."""
+    in list order: (covers, their ids, their grading sum)."""
     out = []
 
-    def rec(start, left, acc, czsum):
-        out.append((tuple(acc), czsum - len(acc) + 1))
+    def rec(start, left, acc, total):
+        out.append((tuple(acc), total))
         for j in range(start, len(ids)):
             i = ids[j]
             m = table.refs[i].multiplicity
             if m <= left:
                 acc.append(i)
-                rec(j, left - m, acc, czsum + table.cz[i])
+                rec(j, left - m, acc, total + table.grading[i])
                 acc.pop()
 
     rec(0, budget, [], 0)
-    return [(tuple(table.refs[i] for i in ms), ms, excess) for ms, excess in out]
+    return [(tuple(table.refs[i] for i in ms), ms, total) for ms, total in out]
 
 
 def _sorted_ends(ends):
@@ -432,50 +431,49 @@ def enumerate_components(orbits, profile, bounds, _table=None,
     table and an index cap; no candidate above the cap is built.
     """
     _check_convexity(orbits, profile)
-    generic = profile.generic_J
     top = bounds.max_total_multiplicity
     table = _table or OrbitTable(orbits, top)
-    refs, cz = table.refs, table.cz
+    refs, g = table.refs, table.grading
+    least = 1 if profile.generic_J else -INF  # the least index of a nontrivial SI curve
 
     # Trivial cylinders and branched covers of trivial cylinders.  Ids run by
     # multiplicity within an orbit: refs[i - m + p] is the p-fold cover of
     # the orbit of refs[i], m its multiplicity.
     for i, ref in enumerate(refs):
-        d, base = ref.multiplicity, refs[i - ref.multiplicity + 1]
-        yield _store(_new(ComponentSkeleton), BTC, d, 0, 0, (ref,), (ref,), (base,), (base,))
-        for parts in _partitions(d):
-            ends = [i - d + p for p in parts]  # index: cz(+) - 1 - sum(cz(-) - 1)
-            if len(parts) < 2 or cz[i] - 1 - sum(cz[e] - 1 for e in ends) > _cap:
-                continue
-            neg = _sorted_ends(refs[e] for e in ends)
-            b = len(parts) - 1
-            yield _store(_new(ComponentSkeleton), BTC, d, b, 0, (ref,), neg, (base,), (base,))
+        d, one, base = ref.multiplicity, (ref,), (refs[i - ref.multiplicity + 1],)
+        yield _store(_new(ComponentSkeleton), BTC, d, 0, 0, one, one, base, base, 0, 0)
+        for parts in _partitions(d)[1:]:  # all but (d,), the trivial cylinder
+            ends = [i - d + p for p in parts]
+            ind = g[i] - sum(g[e] for e in ends)
+            if ind <= _cap:
+                neg, b = _sorted_ends(refs[e] for e in ends), len(parts) - 1
+                yield _store(_new(ComponentSkeleton), BTC, d, b, 0, one, neg, base, base, ind, 0)
 
-    # Somewhere-injective curves; index = cz - excess must be >= 1 if generic.
+    # Somewhere-injective curves.
     multisets = _neg_multisets(range(len(refs)), top, table)
     for p, pos in enumerate(refs):
-        limit, one = (cz[p] - 1 if generic else INF), (pos,)
-        # The index cap is a floor on the excess.
-        sets = multisets if _cap == INF else [t for t in multisets if t[2] >= cz[p] - _cap]
-        for neg, ids, excess in sets:
-            if excess > limit:
+        one = (pos,)
+        for neg, ids, total in multisets:
+            ind = g[p] - total
+            if not least <= ind <= _cap:
                 continue
             n = len(ids)
             if n == 1 and ids[0] == p:
                 continue  # the trivial cylinder, emitted above
             if not n and not pos.base.contractible:
                 continue  # planes bound disks; the orbit must be contractible
-            yield _store(_new(ComponentSkeleton), SI, 1, 0, 0, one, neg, one, neg)
+            yield _store(_new(ComponentSkeleton), SI, 1, 0, 0, one, neg, one, neg, ind, ind)
 
     # Covers of nontrivial somewhere-injective curves.
-    for d, u, ids, ways in _cover_bases(table, generic, top):
-        yield from _covers_of(refs, u, ids, d, ways, _cap)
+    for d, u, ids, ways, under in _cover_bases(table, least, top):
+        yield from _covers_of(table, u, ids, d, ways, under, _cap)
 
 
-def _cover_bases(table, generic, top):
-    """(d, u, ids, ways) for the underlying curve refs[u] => refs[ids] of each
-    run of degree-d covers enumerate_components builds; ways is _cover_ways."""
-    refs, cz = table.refs, table.cz
+def _cover_bases(table, least, top):
+    """(d, u, ids, ways, index) for the underlying curve refs[u] => refs[ids]
+    of each run of degree-d covers enumerate_components builds, its index at
+    least `least`; ways is _cover_ways."""
+    refs, g = table.refs, table.grading
     cap = {r.base.name: r.multiplicity for r in refs}  # ids ascend by multiplicity
     for d in range(2, top + 1):
         ways = _cover_ways(refs, cap, d)
@@ -485,11 +483,11 @@ def _cover_bases(table, generic, top):
         for u, upos in enumerate(refs):
             if upos.multiplicity * d > cap[upos.base.name]:
                 continue
-            limit = cz[u] - 1 if generic else INF
-            for _, ids, excess in small:
+            for _, ids, total in small:
+                ind = g[u] - total
                 # Neither the trivial cylinder nor a plane bounding no disk.
-                if excess <= limit and ids != (u,) and (ids or upos.base.contractible):
-                    yield d, u, ids, ways
+                if ind >= least and ids != (u,) and (ids or upos.base.contractible):
+                    yield d, u, ids, ways, ind
 
 
 def _cover_ways(refs, cap, d):
@@ -504,44 +502,42 @@ def _cover_ways(refs, cap, d):
     return ways
 
 
-def _covers_of(refs, u, ids, d, ways, cap=INF):
+def _covers_of(table, u, ids, d, ways, under, cap):
     """All genus-zero degree-d covers of index <= cap of the curve refs[u] =>
-    refs[ids], each negative-end multiset once; ways is _cover_ways(refs,
-    caps, d), and the d-fold cover of refs[u] must be in the table."""
-    k, m = len(ids), refs[u].multiplicity
-    pos, upos, uneg = (refs[u - m + d * m],), (refs[u],), tuple(refs[i] for i in ids)
-    combos = product(*[ways[i] for i in ids])
-    if cap < INF:  # index: cz(+) - 1 less the sum of cz - 1 over the negative ends
-        least = pos[0].cz - 1 - cap
-        combos = [g for g in combos if sum(refs[e].cz - 1 for w in g for e in w) >= least]
+    refs[ids] of index `under`, each negative-end multiset once; ways is
+    _cover_ways, and the d-fold cover refs[p] of refs[u] must be in the table."""
+    refs, g = table.refs, table.grading
+    k, p = len(ids), u + (d - 1) * refs[u].multiplicity
+    pos, upos, uneg = (refs[p],), (refs[u],), tuple(refs[i] for i in ids)
     seen = set()
-    for groups in combos:
+    for groups in product(*[ways[i] for i in ids]):
         # A multiset of negative ends, as its sorted table ids.
         key = tuple(sorted(chain.from_iterable(groups)))
         b = len(key) + d - d * k - 1
         if b < 0 or key in seen:
             continue
         seen.add(key)
-        yield _store(
-            _new(ComponentSkeleton), COV, d, b, 0, pos, _sorted_ends(refs[e] for e in key),
-            upos, uneg,
-        )
+        ind = g[p] - sum(g[e] for e in key)
+        if ind <= cap:
+            neg = _sorted_ends(refs[e] for e in key)
+            yield _store(_new(ComponentSkeleton), COV, d, b, 0, pos, neg, upos, uneg, ind, under)
 
 
 def _index_floor(table, profile, top):
-    """min(0, L) for L a lower bound on every component index.  BTC >= 0; SI
-    >= 1 under generic J, when each cover's index is summed from its ends;
-    else min cz - max excess bounds SI and COV, whose ends are a multiset."""
-    refs, cz = table.refs, table.cz
+    """min(0, L) for L a lower bound on every component index, each index
+    grading(+) - sum grading(-).  BTC >= 0; SI >= 1 under generic J, when
+    each cover's index is summed from its ends; else min grading - max
+    grading sum bounds SI and COV, whose negative ends are a multiset."""
+    refs, g = table.refs, table.grading
     if not profile.generic_J:
-        excess = max(e for _, _, e in _neg_multisets(range(len(refs)), top, table))
-        return min(0, min(cz, default=0) - excess)
+        most = max(t for _, _, t in _neg_multisets(range(len(refs)), top, table))
+        return min(0, min(g, default=0) - most)
     floor = 0
-    for d, u, ids, ways in _cover_bases(table, True, top):
-        head = cz[u + (d - 1) * refs[u].multiplicity] - 1  # the positive end's cz, less 1
+    for d, u, ids, ways, _ in _cover_bases(table, 1, top):
+        head = g[u + (d - 1) * refs[u].multiplicity]  # the positive end's grading
         for groups in product(*[ways[i] for i in ids]):
             if sum(map(len, groups)) > d * (len(ids) - 1):  # branch count >= 0
-                floor = min(floor, head - sum(cz[e] - 1 for g in groups for e in g))
+                floor = min(floor, head - sum(g[e] for w in groups for e in w))
     return floor
 
 

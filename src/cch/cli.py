@@ -11,8 +11,8 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from functools import lru_cache
-from math import inf
 
 from .buildings import (
     classify_buildings,
@@ -66,15 +66,16 @@ def _time_limit():
     raw = os.environ.get(TIME_LIMIT_ENV)
     if raw is None:
         return None
+    # Fraction builds 10**exponent, so "1e999999999" would run for hours.
+    if len(raw.lower().partition("e")[2].strip().lstrip("+-")) > 2:
+        raise UsageError(f"{TIME_LIMIT_ENV} needs an exponent of at most two digits, got {raw!r}")
     try:
-        limit = float(raw)
-    except ValueError:
+        limit = Fraction(raw)  # exact; refuses inf and nan
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"{TIME_LIMIT_ENV} must be a number, got {raw!r}")
-    if not 0 < limit < inf:  # also false for nan
-        raise UsageError(
-            f"{TIME_LIMIT_ENV} must be a finite positive number of seconds, got {raw!r}"
-        )
-    return limit
+    if limit <= 0:
+        raise UsageError(f"{TIME_LIMIT_ENV} must be a positive number of seconds, got {raw!r}")
+    return min(limit, 10**9)  # as good as none; time.monotonic() + limit stays a float
 
 
 def _report(command, lines):

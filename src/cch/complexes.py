@@ -113,21 +113,20 @@ class ChainComplex:
     d_squared: Optional[DSquaredReport] = field(default=None, compare=False)
 
 
-def _generator_grading(ref: OrbitRef, cz: int, relative_gradings) -> int:
+def _generator_grading(ref: OrbitRef, grading: int, relative_gradings) -> int:
     key = format_orbit(ref)
     if ref.base.contractible:
-        value = cz - 1
-        if key in relative_gradings and relative_gradings[key] != value:
+        if key in relative_gradings and relative_gradings[key] != grading:
             raise GradingMismatchError(
                 f"{key}: contractible generators carry the absolute grading "
-                f"{value}, cannot override with {relative_gradings[key]}"
+                f"{grading}, cannot override with {relative_gradings[key]}"
             )
-        return value
+        return grading
     if key in relative_gradings:
         return relative_gradings[key]
     # Default representative of the relative grading in the fixed
     # trivialization; classes may be shifted wholesale by user input.
-    return cz - 1
+    return grading
 
 
 def build_complex(
@@ -161,7 +160,7 @@ def build_complex(
         position[i] = p
     classes = tuple(r.base.homotopy_class for r in generators)
     gradings = tuple(
-        _generator_grading(table.refs[i], table.cz[i], relative_gradings) for i in ids
+        _generator_grading(table.refs[i], table.grading[i], relative_gradings) for i in ids
     )
     kappa_diag = tuple(r.multiplicity for r in generators)
 

@@ -143,10 +143,12 @@ def orbit_type(orbit: OrbitRef) -> OrbitType:
 class OrbitTable:
     """Every cover of a set of embedded orbits up to a multiplicity cap.
 
-    Cover i is refs[i], with Conley-Zehnder index cz[i].  Ids run through
-    the orbits in the order given and, within an orbit, by multiplicity, so
-    the ids can stand in for the covers in tight loops.  Orbit names must be
-    distinct.
+    Cover i is refs[i], with grading[i] = cz - 1: the grading of a
+    contractible cover, and the default relative grading of any other.  A
+    genus-zero curve with one positive end has index grading(+) less the sum
+    of grading(-) over its negative ends.  Ids run through the orbits in the
+    order given and, within an orbit, by multiplicity, so the ids can stand
+    in for the covers in tight loops.  Orbit names must be distinct.
     """
 
     def __init__(self, orbits, max_multiplicity: int):
@@ -155,7 +157,7 @@ class OrbitTable:
             for orbit in orbits
             for m in range(1, min(orbit.validity_bound, max_multiplicity) + 1)
         )
-        self.cz = tuple(ref.cz for ref in self.refs)
+        self.grading = tuple(ref.cz - 1 for ref in self.refs)
         self._ids = {(r.base.name, r.multiplicity): i for i, r in enumerate(self.refs)}
         if len(self._ids) != len(self.refs):
             raise OrbitDataError("orbit names in one table must be distinct")

@@ -253,7 +253,7 @@ def test_orbit_table_ids_and_indices():
     ]
     for i, r in enumerate(table.refs):
         assert table.id_of(OrbitRef(r.base, r.multiplicity)) == i
-        assert table.cz[i] == r.cz == cz_index(r) == oracle_cz(r.base.theta, r.multiplicity)
+        assert table.grading[i] + 1 == r.cz == cz_index(r) == oracle_cz(r.base.theta, r.multiplicity)
     pos, neg = (table.refs[2],), (table.refs[3], table.refs[4])
     # -chi + 2 c_tau + sum cz(+) - sum cz(-), with the oracle's cz.
     top = oracle_cz(F(6, 5), 3)

@@ -790,6 +790,15 @@ def test_time_limit_env_truncates(monkeypatch):
         assert "error" not in text
 
 
+def test_time_limit_env_above_any_run_is_no_limit(monkeypatch):
+    # 400 nines parse exactly and are clamped, so the deadline is a float.
+    path = str(SCENARIOS / "convex_small.json")
+    code, unlimited = run_command(["enumerate", "--scenario", path])
+    monkeypatch.setenv("CCH_TIME_LIMIT", "9" * 400)
+    assert run_command(["enumerate", "--scenario", path]) == (code, unlimited)
+    assert code == 0
+
+
 def test_building_limit_keeps_partial_results(tmp_path):
     # Both commands report the buildings found before the limit, the same
     # ones, and verify-props classifies them.
@@ -811,7 +820,7 @@ def test_building_limit_keeps_partial_results(tmp_path):
     assert all(" class=" in l for l in lines)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1/0", "1e400", "1e999999999"])
 def test_time_limit_env_must_be_finite_and_positive(monkeypatch, value):
     monkeypatch.setenv("CCH_TIME_LIMIT", value)
     path = str(SCENARIOS / "convex_small.json")
