@@ -104,6 +104,11 @@ class ComponentSkeleton:
     that of the underlying somewhere-injective curve (genus zero unless the
     component is that curve itself).  The constructor raises SkeletonError
     on an invalid shape; the enumerator's path skips the checks (see above).
+
+    A trivial cylinder has one representation, a BTC with b = 0.  A curve
+    with both ends at one orbit has zero d(lambda)-energy, so it covers a
+    trivial cylinder: the constructor rejects it as an SI curve, and a COV
+    over it.
     """
 
     kind: ComponentKind
@@ -141,11 +146,13 @@ class ComponentSkeleton:
                 or self.underlying_negative_ends != self.negative_ends
             ):
                 raise SkeletonError("somewhere-injective ends must equal underlying ends")
+            if len(self.negative_ends) == 1 and self.negative_ends == self.positive_ends:
+                raise SkeletonError("trivial cylinders must use the dedicated kind")
             return
         k, n = len(self.positive_ends), len(self.negative_ends)
         chi = 2 - 2 * self.genus - k - n
+        up, un = self.underlying_positive_ends, self.underlying_negative_ends
         if self.kind is BTC:
-            up, un = self.underlying_positive_ends, self.underlying_negative_ends
             if len(up) != 1 or len(un) != 1 or up[0] != un[0] or up[0].multiplicity != 1:
                 raise SkeletonError(
                     "the underlying trivial cylinder must sit over one embedded orbit"
@@ -163,17 +170,14 @@ class ComponentSkeleton:
         # Cover of a nontrivial somewhere-injective curve (underlying genus zero).
         if d < 2:
             raise SkeletonError("covers of nontrivial curves need degree >= 2")
-        if self.underlying_is_trivial_cylinder:
-            raise SkeletonError(
-                "covers of trivial cylinders must use the dedicated kind"
-            )
-        kk = len(self.underlying_positive_ends)
-        nn = len(self.underlying_negative_ends)
+        if len(un) == 1 and un == up:
+            raise SkeletonError("covers of trivial cylinders must use the dedicated kind")
+        kk, nn = len(up), len(un)
         if chi != d * (2 - kk - nn) - b:
             raise SkeletonError("branch count violates Riemann-Hurwitz")
-        if not _grouping_exists(self.positive_ends, self.underlying_positive_ends, d):
+        if not _grouping_exists(self.positive_ends, up, d):
             raise SkeletonError("positive ends do not cover the underlying positive ends")
-        if not _grouping_exists(self.negative_ends, self.underlying_negative_ends, d):
+        if not _grouping_exists(self.negative_ends, un, d):
             raise SkeletonError("negative ends do not cover the underlying negative ends")
 
     @property
@@ -197,26 +201,8 @@ class ComponentSkeleton:
 
     @property
     def is_trivial_cylinder(self) -> bool:
-        one_one = len(self.positive_ends) == 1 and len(self.negative_ends) == 1
-        if not one_one:
-            return False
-        if self.kind is BTC:
-            return self.branch_count == 0
-        return self.kind is SI and self.positive_ends == self.negative_ends
-
-    @property
-    def underlying_is_cylinder(self) -> bool:
-        return (
-            len(self.underlying_positive_ends) == 1
-            and len(self.underlying_negative_ends) == 1
-        )
-
-    @property
-    def underlying_is_trivial_cylinder(self) -> bool:
-        return (
-            self.underlying_is_cylinder
-            and self.underlying_positive_ends[0] == self.underlying_negative_ends[0]
-        )
+        # Riemann-Hurwitz gives an unbranched BTC one end on each side.
+        return self.kind is BTC and self.branch_count == 0
 
 
 # Slot setters in field order; only _store and the key cache use them.
@@ -263,29 +249,25 @@ def check_cover_index_bound(c: ComponentSkeleton) -> bool:
 
 
 def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
-    """Two generic-profile estimates on one-positive-end components.
+    """Two generic-profile estimates on one-positive-end components off
+    covers of trivial cylinders, to which neither applies.
 
-    Over a nontrivial underlying cylinder the index is at least the number
-    of negative ends; off covers of trivial cylinders with more than one
-    negative end it is at least 5 - 2n.
+    Over an underlying cylinder (nontrivial, as the kind is not BTC) the
+    index is at least the number n of negative ends; with n > 1 it is at
+    least 5 - 2n.
     """
     if not profile.generic_J:
         raise PreconditionError("the estimates assume a generic profile")
     if c.genus != 0 or len(c.positive_ends) != 1:
         raise PreconditionError("the estimates need genus zero and one positive end")
-    nontrivial_underlying = (
-        c.kind is not BTC
-        and not c.is_trivial_cylinder
-    )
-    if nontrivial_underlying and c.underlying_index < 1:
+    if c.kind is BTC:
+        return True
+    if c.underlying_index < 1:
         raise PreconditionError("underlying curve violates the generic index bound")
     n = len(c.negative_ends)
-    ok = True
-    if nontrivial_underlying and c.underlying_is_cylinder:
-        ok = ok and c.index >= n
-    if c.kind is not BTC and n > 1:
-        ok = ok and c.index >= 5 - 2 * n
-    return ok
+    if len(c.underlying_negative_ends) == 1 and c.index < n:
+        return False
+    return n < 2 or c.index >= 5 - 2 * n
 
 
 def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
@@ -303,7 +285,7 @@ def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
         raise PreconditionError("the estimate assumes a generic profile")
     if len(c.positive_ends) != 1 or len(c.negative_ends) != 1:
         raise PreconditionError("component is not a cylinder")
-    if c.is_trivial_cylinder or c.kind is BTC:
+    if c.kind is BTC:
         raise PreconditionError("component is a cover of a trivial cylinder")
     ind, under = c.index, c.underlying_index
     ok = 1 <= under <= ind
@@ -368,8 +350,6 @@ class EnumerationBounds:
 @lru_cache(maxsize=None)
 def _partitions(n: int):
     """Partitions of n as tuples with nonincreasing parts."""
-    if n == 0:
-        return ((),)
     out = []
 
     def rec(rest, cap, acc):
@@ -662,8 +642,10 @@ class _Enumerator:
     of the whole inventory.
     """
 
-    def __init__(self, orbits, profile, bounds, deadline):
-        self.bounds, self.deadline, self.results = bounds, deadline, {}
+    def __init__(self, orbits, profile, bounds, time_limit):
+        self.bounds, self.results = bounds, {}
+        # Exact nanoseconds for an int or a Fraction of seconds; None: no limit.
+        self.deadline = None if time_limit is None else time.monotonic_ns() + time_limit * 10**9
         top = bounds.max_total_multiplicity
         table = OrbitTable(orbits, top)
         others = bounds.max_levels * bounds.max_components_per_level - 1  # K - 1
@@ -740,7 +722,7 @@ class _Enumerator:
         return total
 
     def _check_deadline(self):
-        if time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic_ns() > self.deadline:
             raise EnumerationLimitError(
                 "enumeration wall-clock limit exceeded", self._partial()
             )
@@ -838,8 +820,7 @@ def enumerate_buildings(orbits, profile, bounds, time_limit=None):
     most max_components_per_level components each.  Raises an enumeration
     limit error carrying partial results when a configured limit is hit.
     """
-    deadline = time.monotonic() + (time_limit if time_limit is not None else 10**9)
-    return _Enumerator(orbits, profile, bounds, deadline).run()
+    return _Enumerator(orbits, profile, bounds, time_limit).run()
 
 
 # ------------------------------------------------------------------ sweeps
@@ -882,8 +863,7 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     components = trivials = cylinders = multis = 0
     for components, c in enumerate(enumerate_components(orbits, profile, bounds), 1):
         kind = c.kind
-        trivial = kind is BTC
-        if trivial:
+        if kind is BTC:
             trivials += 1
             if not check_trivial_cover_nonnegative(c):
                 trivial_v.append(c.key)
@@ -891,13 +871,12 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
             bound_v.append(c.key)
         if not check_nontrivial_cover_bounds(c, profile):
             nontrivial_v.append(c.key)
-        cylinder = len(c.positive_ends) == 1 and len(c.negative_ends) == 1
-        if cylinder and not trivial and not c.is_trivial_cylinder:
+        # check_cover_index_bound admits only components with one positive end.
+        if kind is not BTC and len(c.negative_ends) == 1:
             cylinders += 1
             if not check_cylinder_cover_index(c, profile):
                 cylinder_v.append(c.key)
-        multi = len(c.underlying_negative_ends) > 1
-        if kind is COV and multi:
+        if kind is COV and len(c.underlying_negative_ends) > 1:
             multis += 1
             if not check_multi_end_cover_combination(c):
                 multi_v.append(c.key)
@@ -919,10 +898,10 @@ def _is_split_plane_shape(b: BuildingSkeleton) -> bool:
     bottom = b.levels[1]
     if len(bottom) != 2:
         return False
-    cover = b.root.component
+    cover = b.root.component  # two negative ends: bottom is its subtrees
     if cover.kind is not BTC:
         return False
-    if len(cover.negative_ends) != 2 or cover.index != 0:
+    if cover.index != 0:
         return False
     trivials = [c for c in bottom if c.is_trivial_cylinder]
     planes = [c for c in bottom if not c.negative_ends]

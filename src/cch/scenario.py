@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .buildings import EnumerationBounds, GenericityProfile
 from .complexes import CountRecord
-from .errors import PreconditionError, ScenarioError
+from .errors import OrbitDataError, PreconditionError, ScenarioError
 from .orbits import OrbitRef, RotationData, format_orbit
 
 
@@ -134,7 +134,7 @@ def _parse_orbit(entry, location) -> RotationData:
     _reject_unknown(entry, _ORBIT_FIELDS, "orbit", location)
     try:
         return RotationData(name, theta, bound, cls, contractible, action)
-    except Exception as err:
+    except OrbitDataError as err:
         raise ScenarioError(str(err), location) from err
 
 

@@ -14,6 +14,7 @@ import pytest
 from cch import buildings
 from cch.buildings import (
     BTC,
+    CHECK_NAMES,
     COV,
     SI,
     BuildingNode,
@@ -29,13 +30,17 @@ from cch.buildings import (
     check_nontrivial_cover_bounds,
     check_trivial_cover_nonnegative,
     classify_building,
+    classify_buildings,
     enumerate_buildings,
     enumerate_components,
     run_estimate_sweep,
     _Enumerator,
     _cover_ways,
     _covers_of,
+    _is_split_plane_shape,
+    _new,
     _partitions,
+    _store,
     verify_propositions,
 )
 from cch.errors import (
@@ -136,6 +141,7 @@ def test_cover_partition_mismatch_rejected():
         (SI, 1, 0, 0, "", "", "", "", "a component needs at least one positive end"),
         (SI, 2, 0, 0, "e2", "e1", "e2", "e1", "somewhere-injective components have d=1, b=0"),
         (SI, 1, 0, 0, "e2", "e1", "e2", "", "somewhere-injective ends must equal underlying"),
+        (SI, 1, 0, 0, "e2", "e2", "e2", "e2", "trivial cylinders must use the dedicated kind"),
         (BTC, 2, 0, 0, "e2", "e2", "e2", "e2", "the underlying trivial cylinder must sit over"),
         (BTC, 2, 1, 0, "e2", "e1 h1", "e1", "e1", "all ends must cover the cylinder's orbit"),
         (BTC, 3, 0, 0, "e2", "e3", "e1", "e1", "positive end multiplicities must partition"),
@@ -311,6 +317,76 @@ def test_cylinder_cover_index_reads_underlying_orbit_types():
 def test_cylinder_cover_index_rejects_trivial():
     with pytest.raises(PreconditionError):
         check_cylinder_cover_index(trivial_cylinder(ELL, 2), GENERIC)
+
+
+CHECKS = dict(zip(CHECK_NAMES, (
+    check_trivial_cover_nonnegative,
+    check_cover_index_bound,
+    lambda c: check_nontrivial_cover_bounds(c, GENERIC),
+    lambda c: check_cylinder_cover_index(c, GENERIC),
+    check_multi_end_cover_combination,
+)))
+
+
+def _with_index(c, index):
+    """c with its index replaced, stored through the enumerator's unchecked path."""
+    return _store(
+        _new(ComponentSkeleton), c.kind, c.cover_degree, c.branch_count, c.genus,
+        c.positive_ends, c.negative_ends, c.underlying_positive_ends,
+        c.underlying_negative_ends, index, c.underlying_index,
+    )
+
+
+def _cover(d, b, pos, negs, under):
+    return ComponentSkeleton(
+        COV, d, b, 0, (pos,), negs, under.positive_ends, under.negative_ends
+    )
+
+
+def _one_below_a_bound(case):
+    """(a real component, its index one below one estimate's bound, the
+    estimate, every estimate that index fails)."""
+    e1, e2, h1, h2, z1, z2 = (ref(o, m) for o in (ELL, NEGH, FLAT) for m in (1, 2))
+    fork = _cover(2, 0, ref(NEGH, 4), (z1, z1, z2), si(h2, (z1, z1)))  # u = 3, n = 3, k = 2
+    cases = {
+        # A BTC's index is >= 0.
+        "pants": (branched_cover(ELL, (1, 2)), -1, "trivial_cover_nonnegative", ()),
+        # d * u + 2(1 - d + b) = 2 * 3 - 2 = 4, over an elliptic end.
+        "cover": (_cover(2, 0, e2, (z2,), si(e1, (z1,))), 3, "cover_index_bound", ()),
+        # Over a cylinder the index is >= n = 2.
+        "fan": (_cover(3, 1, ref(NEGH, 6), (h1, h2), si(h2, (h1,))), 1,
+                "nontrivial_cover_bounds", ()),
+        # 5 - 2n = -1; the other bounds are 4 and 6 - 2n = 0.
+        "fork": (fork, -2, "nontrivial_cover_bounds",
+                 ("cover_index_bound", "multi_end_cover_combination")),
+        # Over two hyperbolic ends the index is d * u = 2.
+        "hyperbolic": (_cover(2, 0, h2, (z2,), si(h1, (z1,))), 1, "cylinder_cover_index", ()),
+        # d(2k - 3) + 4(b + 1) - 2n = 0; the cover bound is 4.
+        "multi": (fork, -1, "multi_end_cover_combination", ("cover_index_bound",)),
+    }
+    return cases[case]
+
+
+def _applies(check, c):
+    try:
+        check(c)
+    except PreconditionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", ["pants", "cover", "fan", "fork", "hyperbolic", "multi"])
+def test_each_estimate_fails_one_below_its_bound(case, monkeypatch):
+    real, index, name, also = _one_below_a_bound(case)
+    assert all(check(real) for check in CHECKS.values() if _applies(check, real))
+    low = _with_index(real, index)
+    assert CHECKS[name](low) is False
+    # The sweep applies the estimate and counts the violation under its name.
+    monkeypatch.setattr(buildings, "enumerate_components", lambda *args: iter([low]))
+    report = run_estimate_sweep([], GENERIC, EnumerationBounds())
+    assert f"check {name}: checked=1 violations=1" in report.lines()
+    assert {n for n, keys in report.violations.items() if keys} == {name, *also}
+    assert not report.ok
 
 
 # ------------------------------------------------------------ component sweep
@@ -1020,6 +1096,14 @@ def test_time_limit_stops_the_component_inventory(monkeypatch):
     assert err.value.partial == []
 
 
+def test_time_limit_of_any_size_is_exact():
+    # The deadline is integer nanoseconds plus time_limit * 10**9, exact for
+    # an int or a Fraction of any size.
+    unlimited = enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds())
+    for limit in (10**400, F(1, 3)):
+        assert enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds(), limit) == unlimited
+
+
 def test_time_limit_stops_the_bound_tables(monkeypatch):
     # With no components the inventory never looks at the clock, and the
     # search has nothing to expand: only the bound tables can stop it.
@@ -1047,7 +1131,7 @@ def test_bound_tables_match_subtree_oracle(generic_J, multiplicity, thin, monkey
     bounds = EnumerationBounds(max_levels=3, max_total_multiplicity=multiplicity)
     kept = list(enumerate_components(orbits, profile, bounds))[::thin]
     monkeypatch.setattr(buildings, "enumerate_components", lambda *args: iter(kept))
-    enumerator = _Enumerator(orbits, profile, bounds, math.inf)
+    enumerator = _Enumerator(orbits, profile, bounds, None)
     assert set(enumerator.components) <= set(kept)
     by_pos = {}
     for c in kept:
@@ -1106,7 +1190,7 @@ def test_building_rejects_branch_stopping_above_bottom_level():
     e1, p1 = ref(ELL, 1), ref(POSH, 1)
     branch = BuildingNode(si(e1, (p1,)), [BuildingNode(si(p1, ()))])
     with pytest.raises(SkeletonError):
-        BuildingSkeleton(BuildingNode(pants, [branch, BuildingNode(si(e1, (e1,)))]))
+        BuildingSkeleton(BuildingNode(pants, [branch, BuildingNode(trivial_cylinder(ELL, 1))]))
     # With a subtree at every end above the bottom level it is a building.
     b = BuildingSkeleton(
         BuildingNode(
@@ -1160,6 +1244,59 @@ def test_classification_of_split_plane_building():
     tcyl = trivial_cylinder(ELL, 1)
     b = BuildingSkeleton(BuildingNode(pants, [BuildingNode(tcyl), BuildingNode(plane)]))
     assert classify_building(b) == ("index-two:split-off-plane", True)
+
+
+def _chain(*components):
+    """The building with one component per level, each below the last."""
+    node = BuildingNode(components[-1])
+    for c in reversed(components[:-1]):
+        node = BuildingNode(c, [node])
+    return BuildingSkeleton(node)
+
+
+def _failing_buildings():
+    """(building, classification) for each failing outcome; gradings
+    cz - 1 are e^m: 2m, p^1: 3, h^m: m - 1, z^m: -1."""
+    e1, e2, e3, p1, h1, h2, z1 = (
+        ref(ELL, 1), ref(ELL, 2), ref(ELL, 3), ref(POSH, 1), ref(NEGH, 1), ref(NEGH, 2),
+        ref(FLAT, 1),
+    )
+    # A BTC of index 1 over a trivial cylinder and a plane of index 1.
+    btc = BuildingNode(branched_cover(NEGH, (1, 2)), [
+        BuildingNode(trivial_cylinder(NEGH, 1)), BuildingNode(si(h2, ())),
+    ])
+    # An SI root over a trivial cylinder and a plane.
+    si_root = BuildingNode(si(e2, (e1, p1)), [
+        BuildingNode(trivial_cylinder(ELL, 1)), BuildingNode(si(p1, ())),
+    ])
+    return [
+        (_chain(si(z1, ())), "no-negative-ends:index-below-two"),
+        (_chain(si(e1, (z1,)), si(z1, ())), "index-two-plane"),
+        (_chain(si(h1, (e1,))), "one-negative-end:index-below-one"),
+        (_chain(si(e2, (e1,)), si(e1, (p1,))), "index-one-cylinder"),
+        (_chain(si(e3, (p1,)), si(p1, (e1,)), si(e1, (e2,))), "index-two:unclassified"),
+        (BuildingSkeleton(btc), "index-two:unclassified"),
+        (BuildingSkeleton(si_root), "index-two:unclassified"),
+    ]
+
+
+def test_classification_failing_outcomes_are_counterexamples():
+    cases = _failing_buildings()
+    for b, tag in cases:
+        assert classify_building(b) == (tag, False), b.key
+    report = classify_buildings([b for b, _ in cases])
+    assert not report.ok
+    counterexamples = [l for l in report.lines() if l.startswith("counterexample: ")]
+    assert counterexamples == [f"counterexample: index={b.total_index} {b.key}" for b, _ in cases]
+    assert f"counterexamples: {len(cases)}" in report.lines()
+
+
+def test_split_plane_shape_rejects_each_other_shape():
+    # One return False each: 1 or 3 levels, one bottom component, an SI
+    # root, a BTC root of index 1.
+    _, _, _, two_level_chain, three_levels, btc, si_root = [b for b, _ in _failing_buildings()]
+    for b in (_chain(trivial_cylinder(ELL, 1)), three_levels, two_level_chain, si_root, btc):
+        assert not _is_split_plane_shape(b), b.key
 
 
 # ---------------------------------------------------------------- propositions

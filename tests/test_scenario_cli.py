@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -169,6 +170,24 @@ def test_count_keys_spelled_two_ways_sum_into_one_entry():
     assert cx.boundary == {a: {b: 2}}
     emitted = json.loads(emit_scenario(s))["counts"]
     assert [(c["alpha"], c["beta"]) for c in emitted] == [("a^01", "b^1"), ("a^1", "b^01")]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"validity_bound": 5}, "theta=6/5 degenerates at multiplicity 5 <= validity bound 5"),
+        ({"validity_bound": 0}, "validity bound must be >= 1, got 0"),
+        ({"action": "0"}, "action must be positive"),
+    ],
+)
+def test_invalid_orbit_data_exits_2_naming_the_orbit_entry(tmp_path, change, message):
+    doc = json.loads(MINIMAL)
+    doc["orbits"][0].update(name="e", **change)
+    path = tmp_path / "orbit.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["enumerate", "--scenario", str(path)])
+    assert code == 2
+    assert f"error: {path}.orbits[0]: orbit 'e': {message}\n" in text
 
 
 def test_duplicate_orbit_names_rejected():
@@ -730,6 +749,39 @@ def test_bounds_command_improved_negative_side_fails():
     assert text.endswith("error: --improved applies to --side positive only\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["index", "--orbit", "a6/5:4", "--positive", "a^1"],
+         "--orbit expects name=p/q:bound, got 'a6/5:4'"),
+        (["index", "--orbit", "a=6/5:x", "--positive", "a^1"],
+         "--orbit bound must be an integer, got 'x'"),
+        (["index", "--orbit", "a=6/5:4", "--orbit", "a=7/5:4", "--positive", "a^1"],
+         "duplicate orbit name 'a'"),
+        (["no-bad-break"], "provide --theta and --d, or --grid"),
+        (["no-bad-break", "--theta", "1/3"], "provide --theta and --d, or --grid"),
+        ([], "missing subcommand"),
+    ],
+)
+def test_malformed_command_line_is_a_usage_error_naming_it(argv, message):
+    code, text = run_command(argv)
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("d_middle", ["6", "4"])
+def test_module_entry_point_prints_the_report_and_exits_with_its_code(d_middle):
+    argv = ["gluing", "2", "3", d_middle]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "cch", *argv], capture_output=True, text=True, env=env
+    )
+    assert (out.returncode, out.stdout) == run_command(argv), out.stderr
+    assert out.returncode == (0 if d_middle == "6" else 2)
+
+
 def test_unknown_subcommand_usage():
     code, text = run_command(["frobnicate"])
     assert code == 2
@@ -791,7 +843,7 @@ def test_time_limit_env_truncates(monkeypatch):
 
 
 def test_time_limit_env_above_any_run_is_no_limit(monkeypatch):
-    # 400 nines parse exactly and are clamped, so the deadline is a float.
+    # 400 nines parse exactly, and the deadline is exact integer nanoseconds.
     path = str(SCENARIOS / "convex_small.json")
     code, unlimited = run_command(["enumerate", "--scenario", path])
     monkeypatch.setenv("CCH_TIME_LIMIT", "9" * 400)

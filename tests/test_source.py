@@ -1,10 +1,13 @@
-"""The library is standard-library only and has no floating point."""
+"""The library is standard-library only, has no floating point, and catches
+only named errors."""
 import ast
 import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cch").glob("*.py"))
-FORBIDDEN = {"math.inf", "math.nan"}
+# math's float constants, and the float clocks (time.monotonic_ns is exact).
+FORBIDDEN = {"math.inf", "math.nan", "time.monotonic", "time.time", "time.perf_counter"}
+CATCH_ALL = {"Exception", "BaseException"}
 
 
 def _problems(path):
@@ -24,6 +27,10 @@ def _problems(path):
             yield f"{where}: float(...)"
         if isinstance(node, ast.Attribute) and ast.unparse(node) in FORBIDDEN:
             yield f"{where}: {ast.unparse(node)}"
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or ast.unparse(t) in CATCH_ALL for t in caught):
+                yield f"{where}: catch-all except"
 
 
 def test_library_is_stdlib_only_without_floating_point():
