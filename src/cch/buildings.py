@@ -32,9 +32,9 @@ sentinel INF, so the arithmetic here is exact integer arithmetic throughout.
 
 The search builds only components that fit in some building.  A building
 has at most K = max_levels * max_components_per_level components, each of
-index at least L (_index_floor, found before anything is built), so a
-component of index above the cap max_index - (K - 1) * min(0, L) fits in
-none; it is never built, and the search emits the same buildings without it.
+index at least L (_index_floor, from the cover shapes the inventory builds),
+so a component of index above the cap max_index - (K - 1) * min(0, L) fits
+in none; it is never built, and the search emits the same buildings without it.
 """
 from __future__ import annotations
 
@@ -106,9 +106,9 @@ class ComponentSkeleton:
     on an invalid shape; the enumerator's path skips the checks (see above).
 
     A trivial cylinder has one representation, a BTC with b = 0.  A curve
-    with both ends at one orbit has zero d(lambda)-energy, so it covers a
-    trivial cylinder: the constructor rejects it as an SI curve, and a COV
-    over it.
+    whose ends total the same multiplicity of each orbit on both sides has
+    zero d(lambda)-energy; the constructor rejects one case of it, equal
+    multisets of positive and negative ends, as an SI curve and a COV over one.
     """
 
     kind: ComponentKind
@@ -146,7 +146,7 @@ class ComponentSkeleton:
                 or self.underlying_negative_ends != self.negative_ends
             ):
                 raise SkeletonError("somewhere-injective ends must equal underlying ends")
-            if len(self.negative_ends) == 1 and self.negative_ends == self.positive_ends:
+            if _sorted_ends(self.positive_ends) == _sorted_ends(self.negative_ends):
                 raise SkeletonError("trivial cylinders must use the dedicated kind")
             return
         k, n = len(self.positive_ends), len(self.negative_ends)
@@ -170,7 +170,7 @@ class ComponentSkeleton:
         # Cover of a nontrivial somewhere-injective curve (underlying genus zero).
         if d < 2:
             raise SkeletonError("covers of nontrivial curves need degree >= 2")
-        if len(un) == 1 and un == up:
+        if _sorted_ends(up) == _sorted_ends(un):
             raise SkeletonError("covers of trivial cylinders must use the dedicated kind")
         kk, nn = len(up), len(un)
         if chi != d * (2 - kk - nn) - b:
@@ -445,14 +445,20 @@ def enumerate_components(orbits, profile, bounds, _table=None,
             yield _store(_new(ComponentSkeleton), SI, 1, 0, 0, one, neg, one, neg, ind, ind)
 
     # Covers of nontrivial somewhere-injective curves.
-    for d, u, ids, ways, under in _cover_bases(table, least, top):
-        yield from _covers_of(table, u, ids, d, ways, under, _cap)
+    for d, u, p, ids, ways, under in _cover_bases(table, least, top):
+        pos, upos, uneg = (refs[p],), (refs[u],), tuple(refs[i] for i in ids)
+        for key, b, ind in _cover_shapes(table, p, ids, d, ways):
+            if ind <= _cap:
+                neg = _sorted_ends(refs[e] for e in key)
+                yield _store(_new(ComponentSkeleton), COV, d, b, 0, pos, neg, upos, uneg,
+                             ind, under)
 
 
 def _cover_bases(table, least, top):
-    """(d, u, ids, ways, index) for the underlying curve refs[u] => refs[ids]
-    of each run of degree-d covers enumerate_components builds, its index at
-    least `least`; ways is _cover_ways."""
+    """(d, u, p, ids, ways, index) for the underlying curve refs[u] =>
+    refs[ids] of each run of degree-d covers enumerate_components builds, its
+    index at least `least`; refs[p] is the d-fold cover of refs[u], the
+    covers' positive end, and ways is _cover_ways."""
     refs, g = table.refs, table.grading
     cap = {r.base.name: r.multiplicity for r in refs}  # ids ascend by multiplicity
     for d in range(2, top + 1):
@@ -467,7 +473,7 @@ def _cover_bases(table, least, top):
                 ind = g[u] - total
                 # Neither the trivial cylinder nor a plane bounding no disk.
                 if ind >= least and ids != (u,) and (ids or upos.base.contractible):
-                    yield d, u, ids, ways, ind
+                    yield d, u, u + (d - 1) * upos.multiplicity, ids, ways, ind
 
 
 def _cover_ways(refs, cap, d):
@@ -482,43 +488,31 @@ def _cover_ways(refs, cap, d):
     return ways
 
 
-def _covers_of(table, u, ids, d, ways, under, cap):
-    """All genus-zero degree-d covers of index <= cap of the curve refs[u] =>
-    refs[ids] of index `under`, each negative-end multiset once; ways is
-    _cover_ways, and the d-fold cover refs[p] of refs[u] must be in the table."""
-    refs, g = table.refs, table.grading
-    k, p = len(ids), u + (d - 1) * refs[u].multiplicity
-    pos, upos, uneg = (refs[p],), (refs[u],), tuple(refs[i] for i in ids)
+def _cover_shapes(table, p, ids, d, ways):
+    """(sorted negative end ids, b, index) of each genus-zero degree-d cover
+    with positive end refs[p] of a curve with negative ends refs[ids], once
+    per negative-end multiset, by Riemann-Hurwitz b = n + d - d*k - 1 >= 0
+    for n ends over k; ways is _cover_ways."""
+    g, k = table.grading, len(ids)
     seen = set()
     for groups in product(*[ways[i] for i in ids]):
-        # A multiset of negative ends, as its sorted table ids.
         key = tuple(sorted(chain.from_iterable(groups)))
         b = len(key) + d - d * k - 1
-        if b < 0 or key in seen:
-            continue
-        seen.add(key)
-        ind = g[p] - sum(g[e] for e in key)
-        if ind <= cap:
-            neg = _sorted_ends(refs[e] for e in key)
-            yield _store(_new(ComponentSkeleton), COV, d, b, 0, pos, neg, upos, uneg, ind, under)
+        if b >= 0 and key not in seen:
+            seen.add(key)
+            yield key, b, g[p] - sum(g[e] for e in key)
 
 
 def _index_floor(table, profile, top):
-    """min(0, L) for L a lower bound on every component index, each index
-    grading(+) - sum grading(-).  BTC >= 0; SI >= 1 under generic J, when
-    each cover's index is summed from its ends; else min grading - max
-    grading sum bounds SI and COV, whose negative ends are a multiset."""
-    refs, g = table.refs, table.grading
+    """min(0, L) for L a lower bound on every component index.  BTC >= 0;
+    SI >= 1 under generic J, so L is the least index of the cover shapes
+    the inventory builds; else min grading - max grading sum of a multiset
+    of negative ends bounds SI and COV, each index grading(+) - sum grading(-)."""
     if not profile.generic_J:
-        most = max(t for _, _, t in _neg_multisets(range(len(refs)), top, table))
-        return min(0, min(g, default=0) - most)
-    floor = 0
-    for d, u, ids, ways, _ in _cover_bases(table, 1, top):
-        head = g[u + (d - 1) * refs[u].multiplicity]  # the positive end's grading
-        for groups in product(*[ways[i] for i in ids]):
-            if sum(map(len, groups)) > d * (len(ids) - 1):  # branch count >= 0
-                floor = min(floor, head - sum(g[e] for w in groups for e in w))
-    return floor
+        most = max(t for _, _, t in _neg_multisets(range(len(table.refs)), top, table))
+        return min(0, min(table.grading, default=0) - most)
+    return min(chain([0], (ind for d, _, p, ids, ways, _ in _cover_bases(table, 1, top)
+                           for _, _, ind in _cover_shapes(table, p, ids, d, ways))))
 
 
 # ------------------------------------------------------------------ buildings
@@ -630,7 +624,8 @@ class _Enumerator:
     the search indexes lists instead of hashing covers.  Two tables bound
     what can still hang below an end with r levels to go: closed[r][e] is
     the least index of a subtree at e with no negative end (INF when there
-    is none), open[r][e] the least index of one with at most one.
+    is none), open[r][e] that of one with at most one, e itself left open
+    included, so open[r][e] <= min(0, closed[r][e]).
 
     The tables come from the inventory capped as in the module docstring,
     so they bound every subtree of the capped components that emitted
@@ -640,6 +635,11 @@ class _Enumerator:
     exceeds the cap is dropped before keys and groups are made.  Only
     branches that emit nothing go: the buildings and their order stay those
     of the whole inventory.
+
+    A component's budget on a level also counts rest, the open entries of
+    the frontier ends after it, and pending, the negative part of the
+    completions of the components before it: both are zero, and change
+    nothing, unless some index is negative.
     """
 
     def __init__(self, orbits, profile, bounds, time_limit):
@@ -669,7 +669,6 @@ class _Enumerator:
         # What the search reads at each number of levels to go: the least
         # index below each component, and below each end on its own.
         self._down = [[self._completion(e, r) for e in self.ends] for r in range(rem + 1)]
-        self._floor = [list(map(min, self._open[r], self._closed[r])) for r in range(rem + 2)]
 
     def _bound_tables(self, size, rows):
         closed = [[INF] * size]
@@ -695,7 +694,7 @@ class _Enumerator:
                     # Only the end that cannot be capped may stay open.
                     row_open[p] = min(row_open[p], total + prev_open[uncapped[0]])
             closed.append(row_closed)
-            opened.append(row_open)
+            opened.append(list(map(min, row_open, row_closed)))  # open <= closed
         return closed, opened
 
     def _completion(self, frontier, rem):
@@ -775,10 +774,10 @@ class _Enumerator:
         if total + self._completion(frontier, rem) > b.max_index:
             return
         # rest[pos]: least index below the frontier ends after position pos.
-        floor = self._floor[rem]
+        opened = self._open[rem]
         rest = [0] * len(frontier)
         for pos in range(len(frontier) - 1, 0, -1):
-            rest[pos - 1] = rest[pos] + floor[frontier[pos]]
+            rest[pos - 1] = rest[pos] + opened[frontier[pos]]
         last = [0] * len(self.by_pos)
         self._assign(stack, frontier, rest, 0, [], last, depth, total, 0)
 

@@ -129,6 +129,12 @@ def _generator_grading(ref: OrbitRef, grading: int, relative_gradings) -> int:
     return grading
 
 
+def _not_a_generator(name: str, bad: bool) -> str:
+    if bad:
+        return name + " is a bad orbit and not a generator"
+    return name + " is not among the generators of this complex"
+
+
 def build_complex(
     orbits,
     max_multiplicity: int,
@@ -158,6 +164,11 @@ def build_complex(
     position = [None] * len(table.refs)
     for p, i in enumerate(ids):
         position[i] = p
+    if relative_gradings:  # each grading must name a generator
+        good = {format_orbit(r): is_good(r) for r in table.refs}
+        for key in sorted(relative_gradings):
+            if not good.get(key):
+                raise BadOrbitError(_not_a_generator(key, key in good))
     classes = tuple(r.base.homotopy_class for r in generators)
     gradings = tuple(
         _generator_grading(table.refs[i], table.grading[i], relative_gradings) for i in ids
@@ -191,10 +202,7 @@ def build_complex(
         alpha, beta = records[0].alpha_ref, records[0].beta_ref
         for where, ref in ((j, alpha), (i, beta)):
             if isinstance(where, OrbitRef):
-                raise BadOrbitError(format_orbit(ref) + (
-                    " is not among the generators of this complex"
-                    if is_good(ref) else " is a bad orbit and not a generator"
-                ))
+                raise BadOrbitError(_not_a_generator(format_orbit(ref), not is_good(ref)))
         if classes[j] != classes[i]:
             raise GradingMismatchError(
                 f"{format_orbit(alpha)} -> {format_orbit(beta)}: generators lie "

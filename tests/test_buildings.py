@@ -35,8 +35,9 @@ from cch.buildings import (
     enumerate_components,
     run_estimate_sweep,
     _Enumerator,
+    _cover_shapes,
     _cover_ways,
-    _covers_of,
+    _index_floor,
     _is_split_plane_shape,
     _new,
     _partitions,
@@ -142,6 +143,9 @@ def test_cover_partition_mismatch_rejected():
         (SI, 2, 0, 0, "e2", "e1", "e2", "e1", "somewhere-injective components have d=1, b=0"),
         (SI, 1, 0, 0, "e2", "e1", "e2", "", "somewhere-injective ends must equal underlying"),
         (SI, 1, 0, 0, "e2", "e2", "e2", "e2", "trivial cylinders must use the dedicated kind"),
+        # Equal end multisets have zero energy, in whichever order they are stored.
+        (SI, 1, 0, 0, "e1 p1", "e1 p1", "e1 p1", "e1 p1", "trivial cylinders must use the"),
+        (SI, 1, 0, 0, "e1 p1", "p1 e1", "e1 p1", "p1 e1", "trivial cylinders must use the"),
         (BTC, 2, 0, 0, "e2", "e2", "e2", "e2", "the underlying trivial cylinder must sit over"),
         (BTC, 2, 1, 0, "e2", "e1 h1", "e1", "e1", "all ends must cover the cylinder's orbit"),
         (BTC, 3, 0, 0, "e2", "e3", "e1", "e1", "positive end multiplicities must partition"),
@@ -149,6 +153,8 @@ def test_cover_partition_mismatch_rejected():
         (BTC, 3, 5, 0, "e3", "e1 e2", "e1", "e1", "branch count violates Riemann-Hurwitz"),
         (COV, 1, 0, 0, "p2", "h1", "p2", "h1", "covers of nontrivial curves need degree >= 2"),
         (COV, 2, 0, 0, "p2", "p2", "p1", "p1", "covers of trivial cylinders must use the"),
+        (COV, 2, 2, 0, "e1 e1 p1 p1", "e1 e1 p1 p1", "e1 p1", "e1 p1",
+         "covers of trivial cylinders must use the"),
         (COV, 2, 1, 0, "p4", "h2", "p2", "h1", "branch count violates Riemann-Hurwitz"),
         (COV, 2, 0, 0, "p3", "h2", "p2", "h1", "positive ends do not cover the underlying"),
         (COV, 2, 0, 0, "p4", "h3", "p2", "h1", "negative ends do not cover the underlying"),
@@ -526,11 +532,10 @@ def test_covers_of_yields_each_negative_multiset_once(d, top):
     # top = 2d the multiplicity cap cuts off the largest covers of h^2.
     table = OrbitTable([POSH, NEGH], top)
     cap = {o.name: min(o.validity_bound, top) for o in (POSH, NEGH)}
-    u = table.id_of(ref(POSH, 1))
+    p = table.id_of(ref(POSH, d))
     ids = (table.id_of(ref(NEGH, 1)), table.id_of(ref(NEGH, 2)))
-    under = oracle_index(0, [ref(POSH, 1)], [ref(NEGH, 1), ref(NEGH, 2)])
     ways = _cover_ways(table.refs, cap, d)
-    covers = list(_covers_of(table, u, ids, d, ways, under, buildings.INF))
+    shapes = list(_cover_shapes(table, p, ids, d, ways))
 
     ways = []
     for over_h1 in _partitions(d):
@@ -540,17 +545,18 @@ def test_covers_of_yields_each_negative_multiset_once(d, top):
             branch = d * (2 - 1 - 2) - (2 - 1 - len(mults))
             if mults[-1] <= top and branch >= 0:
                 ways.append(mults)
-    got = [tuple(r.multiplicity for r in c.negative_ends) for c in covers]
+    got = [tuple(table.refs[e].multiplicity for e in key) for key, _, _ in shapes]
     assert len(got) == len(set(got))
     assert set(got) == set(ways)
+    assert 0 in [b for _, b, _ in shapes]  # unbranched covers are shapes too
     if d == 4:
         assert len(ways) > len(set(ways))  # the dedupe is exercised
-    for c in covers:
-        assert c.positive_ends == (ref(POSH, d),)
-        assert c.underlying_negative_ends == (ref(NEGH, 1), ref(NEGH, 2))
-        assert all(r.base == NEGH for r in c.negative_ends)
-        assert c.index == oracle_index(0, c.positive_ends, c.negative_ends)
-        assert c.underlying_index == under
+    for key, b, index in shapes:
+        neg = [table.refs[e] for e in key]
+        assert list(key) == sorted(key)
+        assert all(r.base == NEGH for r in neg)
+        assert b == d * (2 - 1 - 2) - (2 - 1 - len(neg))
+        assert index == oracle_index(0, [ref(POSH, d)], neg)
 
 
 def oracle_covers(orbits, top):
@@ -1005,6 +1011,38 @@ def test_capped_inventory_is_the_uncapped_one_cut_at_the_cap(orbits, generic_J):
             assert got == want, (top, cap)
 
 
+FLOOR_ORBITS = [
+    RotationData("a", F(-34, 15), 8, contractible=True),
+    RotationData("b", F(2, 11), 8, contractible=True),
+    RotationData("c", F(3), 8, contractible=True),
+]
+
+
+def oracle_least_index(orbits, generic_J, top):
+    """min(0, the least index of every oracle component)."""
+    return min(
+        [0] + [oracle_index(genus, pos, neg)
+               for _, _, _, genus, pos, neg, _, _ in oracle_components(orbits, generic_J, top)]
+    )
+
+
+FLOOR_CASES = [(o, range(1, 5)) for o in ORACLE_ORBITS] + [(FLOOR_ORBITS, [6])]
+
+
+@pytest.mark.parametrize("orbits, tops", FLOOR_CASES, ids=[orbit_names(o) for o, _ in FLOOR_CASES])
+def test_index_floor_is_the_least_component_index(orbits, tops):
+    # The floor sets the search's index cap.  Under generic J it is exactly
+    # the least index of any component; without it, a lower bound on that.
+    for top in tops:
+        table = OrbitTable(orbits, top)
+        floor = _index_floor(table, GENERIC, top)
+        assert floor == oracle_least_index(orbits, True, top), top
+        loose = _index_floor(table, GenericityProfile(generic_J=False), top)
+        assert loose <= oracle_least_index(orbits, False, top), top
+    if orbits is FLOOR_ORBITS:
+        assert floor == -1
+
+
 CAP_GRID = [
     (generic_J, levels, per_level, max_negative_ends)
     for generic_J, levels, per_level in [
@@ -1071,6 +1109,36 @@ def test_index_cap_keeps_buildings_with_a_component_above_max_index():
     assert (len(above), len(out)) == (1052, 1978)
 
 
+# Without generic J, its planes have negative index.
+NEG_PLANE = RotationData("n", F(-1, 7), 6, contractible=True)
+
+
+@pytest.mark.parametrize(
+    "max_negative_ends, counts", [(0, [22, 44, 44, 44]), (1, [57, 153, 153, 188])]
+)
+def test_budget_counts_what_later_ends_give_back(max_negative_ends, counts):
+    # Without generic J, n = -1/7 bounds planes of negative index, so the
+    # ends of a level still to be assigned can lower the total: a component
+    # above max_index - total fits when they do.  Two levels of two
+    # components, against the brute-force reference, at each max_index.
+    orbits = [RotationData("a", F(1, 7), 6, contractible=True), NEG_PLANE]
+    profile = GenericityProfile(generic_J=False)
+    got = []
+    for max_index in range(-1, 3):
+        bounds = EnumerationBounds(
+            max_levels=2,
+            max_total_multiplicity=2,
+            max_index=max_index,
+            max_components_per_level=2,
+            max_negative_ends=max_negative_ends,
+        )
+        expected = brute_force_keys(orbits, profile, bounds)
+        out = enumerate_buildings(orbits, profile, bounds)
+        assert {building_key(b): b.total_index for b in out} == expected, max_index
+        got.append(len(out))
+    assert got == counts
+
+
 def test_enumeration_requires_convex_data_when_flagged():
     bad = RotationData("c", F(1, 2), 10, contractible=True)
     with pytest.raises(DynamicalConvexityError):
@@ -1116,7 +1184,8 @@ def test_time_limit_stops_the_bound_tables(monkeypatch):
 @pytest.mark.parametrize("thin", [1, 2, 3])
 @pytest.mark.parametrize("generic_J", [True, False])
 @pytest.mark.parametrize("multiplicity", [1, 2, 3, 4])
-def test_bound_tables_match_subtree_oracle(generic_J, multiplicity, thin, monkeypatch):
+@pytest.mark.parametrize("orbits", [[ELL, NEGH, POSH], [NEG_PLANE, POSH]], ids=orbit_names)
+def test_bound_tables_match_subtree_oracle(orbits, generic_J, multiplicity, thin, monkeypatch):
     # From the _Enumerator docstring: closed[r][e] is the least index of a
     # subtree at e within r levels with no negative end, open[r][e] of one
     # with at most one; a subtree may leave e itself open at index 0.  The
@@ -1126,7 +1195,7 @@ def test_bound_tables_match_subtree_oracle(generic_J, multiplicity, thin, monkey
     # a direct component; keeping every second or third one lets it.  The
     # tables are built from the whole inventory, before the enumerator drops
     # the components that cannot fit, so the oracle reads that inventory.
-    orbits = [ELL, NEGH, POSH]
+    # Without generic J, n^1 bounds a plane of index -2, below open's 0.
     profile = GenericityProfile(generic_J=generic_J)
     bounds = EnumerationBounds(max_levels=3, max_total_multiplicity=multiplicity)
     kept = list(enumerate_components(orbits, profile, bounds))[::thin]
@@ -1153,6 +1222,7 @@ def test_bound_tables_match_subtree_oracle(generic_J, multiplicity, thin, monkey
             closed = enumerator._closed[r][i]
             got = (math.inf if closed == buildings.INF else closed, enumerator._open[r][i])
             assert got == least(r, end), (r, end.key)
+            assert enumerator._open[r][i] <= closed, (r, end.key)
 
 
 # ---------------------------------------------------------------- buildings

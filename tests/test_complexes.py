@@ -126,6 +126,18 @@ def test_counts_outside_the_generators_rejected():
     assert cx.boundary == {0: {2: 1}}
 
 
+def test_gradings_must_name_generators():
+    # A grading of a bad cover, or of a cover outside the complex, would be
+    # read by nothing.  The first such key in sorted order is named.
+    h = RotationData("h", F(1, 2), 4)
+    with pytest.raises(BadOrbitError, match="^h\\^2 is a bad orbit and not a generator$"):
+        build_complex([h], 4, {"h^2": 7, "h^1": 3})
+    for gradings, key in (({"h^1": 3, "h^5": 0}, "h^5"), ({"h^2": 7, "g^1": 0}, "g^1")):
+        with pytest.raises(BadOrbitError, match=f"^{key[0]}\\^{key[2]} is not among the generators"):
+            build_complex([h], 4, gradings)
+    assert build_complex([h], 4, {"h^3": 5}).gradings == (0, 5)
+
+
 def test_cover_degree_divisibility_enforced():
     p = RotationData("p", F(6, 5), 4, homotopy_class="t")
     q = RotationData("q", F(6, 5), 4, homotopy_class="t")

@@ -231,6 +231,18 @@ def test_relative_grading_cover_spelled_twice_rejected():
     assert "'a^1' names a^1, which already has a grading" in str(err.value)
 
 
+def test_grading_of_a_bad_orbit_exits_2_naming_it(tmp_path):
+    doc = json.loads(MINIMAL)
+    doc["orbits"] = [{"name": "h", "theta": "1/2", "validity_bound": 4,
+                      "homotopy_class": "f", "contractible": False}]
+    doc["relative_gradings"] = {"h^2": 7, "h^1": 3}
+    path = tmp_path / "bad_grading.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["complex", "--scenario", str(path)])
+    assert code == 2
+    assert "error: h^2 is a bad orbit and not a generator" in text
+
+
 @pytest.mark.parametrize(
     "profile", ["generic_J", 5, ["generic_J", "dynamically_convex", "condition_star"]]
 )
