@@ -12,23 +12,24 @@ and only contractible orbits bound planes).
 
 Every index is computed once, by the object it belongs to: an OrbitRef
 carries its Conley-Zehnder index, and a ComponentSkeleton its Fredholm
-index and that of its underlying curve; its kinds are BTC, COV and SI.  A
-ComponentSkeleton is slotted and built two ways, both through _store, which
-stores each slot once, both indices as given.  The public constructor
-computes them with curve_index and runs every check; enumerate_components
-builds only valid shapes, skips the checks, and is guarded by an
-independent oracle (test_components_match_oracle) and by
-test_enumerated_components_equal_their_public_rebuilds.  Each enumeration
-takes every end from one OrbitTable, which holds each cover's grading
-cz - 1.  A genus-zero curve with one positive end has index grading(+)
-less the grading sum of its negative ends; each multiset of negative ends
-carries that sum, so the inventory computes each index once and its
-generic-J and cap filters compare that index with 1 and the cap.  In the
-search a cover is its integer id: the ends of a component are a tuple of
-ids, and the bound tables are lists indexed by id.  The least index that
-can still hang below each component at each number of levels to go is
-computed once, before the search.  An unreachable bound is the integer
-sentinel INF, so the arithmetic here is exact integer arithmetic throughout.
+index and that of its underlying curve; its kinds are BTC, COV and SI.  The
+public constructor computes both with curve_index and runs every check.
+
+The component inventory is rows of ids into one OrbitTable (_rows), which
+holds each cover's grading cz - 1.  A genus-zero curve with one positive end
+has index grading(+) less the grading sum of its negative ends, so each
+index is computed once and the generic-J and cap filters compare it with 1
+and the cap.  A row becomes an object, through _store (each slot once, both
+indices as given, no checks), only where one is needed: enumerate_components
+builds one per row, guarded by an independent oracle
+(test_components_match_oracle) and by
+test_enumerated_components_equal_their_public_rebuilds; the building search
+one per row it keeps; the estimate sweep one per failing row.  In the search
+the ends of a component are a tuple of ids and the bound tables are lists
+indexed by id; the least index that can still hang below each component at
+each number of levels to go is computed once, before the search.  An
+unreachable bound is the integer sentinel INF, so the arithmetic here is
+exact integer arithmetic throughout.
 
 The search builds only components that fit in some building.  A building
 has at most K = max_levels * max_components_per_level components, each of
@@ -51,7 +52,7 @@ from .errors import (
     PreconditionError,
     SkeletonError,
 )
-from .orbits import OrbitRef, OrbitTable, OrbitType, curve_index, is_good, orbit_type
+from .orbits import OrbitTable, OrbitType, curve_index, is_good, orbit_type
 
 # Marks "no subtree fits"; larger than any index a bounded search reaches.
 INF = 1 << 62
@@ -232,87 +233,78 @@ def _store(c, kind, d, b, genus, pos, neg, upos, uneg, index, underlying_index):
 # ------------------------------------------------------------------ checks
 
 
-def check_trivial_cover_nonnegative(c: ComponentSkeleton) -> bool:
+def check_trivial_cover_nonnegative(kind, index) -> bool:
     """Index of a branched cover of a trivial cylinder is never negative."""
-    if c.kind is not BTC:
+    if kind is not BTC:
         raise PreconditionError("component is not a cover of a trivial cylinder")
-    return c.index >= 0
+    return index >= 0
 
 
-def check_cover_index_bound(c: ComponentSkeleton) -> bool:
+def check_cover_index_bound(genus, positives, d, b, index, underlying_index) -> bool:
     """ind(cover) >= d * ind(underlying) + 2(1 - d + b) for one-positive-end
-    genus-zero components."""
-    if c.genus != 0 or len(c.positive_ends) != 1:
+    genus-zero components; positives counts the positive ends."""
+    if genus != 0 or positives != 1:
         raise PreconditionError("the bound needs genus zero and one positive end")
-    d, b = c.cover_degree, c.branch_count
-    return c.index >= d * c.underlying_index + 2 * (1 - d + b)
+    return index >= d * underlying_index + 2 * (1 - d + b)
 
 
-def check_nontrivial_cover_bounds(c: ComponentSkeleton, profile) -> bool:
+def check_nontrivial_cover_bounds(generic_J, kind, genus, positives, n, k, index,
+                                  underlying_index) -> bool:
     """Two generic-profile estimates on one-positive-end components off
     covers of trivial cylinders, to which neither applies.
 
-    Over an underlying cylinder (nontrivial, as the kind is not BTC) the
-    index is at least the number n of negative ends; with n > 1 it is at
-    least 5 - 2n.
+    Over an underlying cylinder (k = 1 negative end, nontrivial, as the kind
+    is not BTC) the index is at least the number n of negative ends; with
+    n > 1 it is at least 5 - 2n.
     """
-    if not profile.generic_J:
+    if not generic_J:
         raise PreconditionError("the estimates assume a generic profile")
-    if c.genus != 0 or len(c.positive_ends) != 1:
+    if genus != 0 or positives != 1:
         raise PreconditionError("the estimates need genus zero and one positive end")
-    if c.kind is BTC:
+    if kind is BTC:
         return True
-    if c.underlying_index < 1:
+    if underlying_index < 1:
         raise PreconditionError("underlying curve violates the generic index bound")
-    n = len(c.negative_ends)
-    if len(c.underlying_negative_ends) == 1 and c.index < n:
+    if k == 1 and index < n:
         return False
-    return n < 2 or c.index >= 5 - 2 * n
+    return n < 2 or index >= 5 - 2 * n
 
 
-def check_cylinder_cover_index(c: ComponentSkeleton, profile) -> bool:
+def check_cylinder_cover_index(generic_J, kind, positives, n, d, index, underlying_index,
+                               hyperbolic, good) -> bool:
     """For nontrivial cylinders: 1 <= ind(underlying) <= ind(cover).
 
-    When both underlying ends are hyperbolic the index is exactly
-    multiplicative, ind(cover) = d * ind(underlying); in particular an
+    hyperbolic: both underlying ends are hyperbolic; good: both ends of the
+    cover are good.  When both underlying ends are hyperbolic the index is
+    exactly multiplicative, ind(cover) = d * ind(underlying); in particular an
     index-one cylinder with an end at a bad orbit lying over a negative
     hyperbolic underlying end cannot be multiply covered.  (With an
     elliptic underlying end and a bad end lying over an even cover of a
     negative hyperbolic orbit, multiply covered index-one cylinders do
     occur, so no constraint is asserted there.)
     """
-    if not profile.generic_J:
+    if not generic_J:
         raise PreconditionError("the estimate assumes a generic profile")
-    if len(c.positive_ends) != 1 or len(c.negative_ends) != 1:
+    if positives != 1 or n != 1:
         raise PreconditionError("component is not a cylinder")
-    if c.kind is BTC:
+    if kind is BTC:
         raise PreconditionError("component is a cover of a trivial cylinder")
-    ind, under = c.index, c.underlying_index
-    ok = 1 <= under <= ind
-    both_hyperbolic = (
-        orbit_type(c.underlying_positive_ends[0]) is not OrbitType.ELLIPTIC
-        and orbit_type(c.underlying_negative_ends[0]) is not OrbitType.ELLIPTIC
-    )
-    if both_hyperbolic:
-        ok = ok and ind == c.cover_degree * under
-        if ind == 1 and (
-            not is_good(c.positive_ends[0]) or not is_good(c.negative_ends[0])
-        ):
-            ok = ok and c.cover_degree == 1
+    ok = 1 <= underlying_index <= index
+    if hyperbolic:
+        ok = ok and index == d * underlying_index
+        if index == 1 and not good:
+            ok = ok and d == 1
     return ok
 
 
-def check_multi_end_cover_combination(c: ComponentSkeleton) -> bool:
+def check_multi_end_cover_combination(kind, d, b, n, k, index) -> bool:
     """ind + 2n >= d(2k-3) + 4(b+1) for covers whose underlying curve has
     k > 1 negative ends."""
-    if c.kind is not COV:
+    if kind is not COV:
         raise PreconditionError("needs a cover of a nontrivial curve")
-    k = len(c.underlying_negative_ends)
     if k <= 1:
         raise PreconditionError("needs more than one underlying negative end")
-    n = len(c.negative_ends)
-    d, b = c.cover_degree, c.branch_count
-    return c.index + 2 * n >= d * (2 * k - 3) + 4 * (b + 1)
+    return index + 2 * n >= d * (2 * k - 3) + 4 * (b + 1)
 
 
 # ------------------------------------------------------------------ profiles
@@ -365,20 +357,9 @@ def _partitions(n: int):
     return tuple(out)
 
 
-def _check_convexity(orbits, profile):
-    if not profile.dynamically_convex:
-        return
-    for orbit in orbits:
-        if orbit.contractible and OrbitRef(orbit, 1).cz < 3:
-            raise DynamicalConvexityError(
-                f"orbit {orbit.name!r} is contractible with cz < 3; the scenario "
-                "is not dynamically convex"
-            )
-
-
 def _neg_multisets(ids, budget, table):
     """Every multiset of the covers `ids` with total multiplicity <= budget,
-    in list order: (covers, their ids, their grading sum)."""
+    in list order: (their ids, their grading sum)."""
     out = []
 
     def rec(start, left, acc, total):
@@ -392,73 +373,86 @@ def _neg_multisets(ids, budget, table):
                 acc.pop()
 
     rec(0, budget, [], 0)
-    return [(tuple(table.refs[i] for i in ms), ms, total) for ms, total in out]
+    return out
 
 
 def _sorted_ends(ends):
     return tuple(sorted(ends, key=lambda ref: (ref.base.name, ref.multiplicity)))
 
 
-def enumerate_components(orbits, profile, bounds, _table=None,
-                         _cap=INF) -> Iterator[ComponentSkeleton]:
-    """Yield every admissible component skeleton within the bounds.
+def _rows(table, profile, bounds, cap=INF):
+    """The component inventory as rows of table ids, (kind, d, b, p, neg, u,
+    uneg, index, underlying index): refs[p] => refs[neg] over refs[u] =>
+    refs[uneg].  neg is in the order the component stores its ends, by name
+    for BTC and COV and by id for SI; uneg is by id.
 
     Components have genus zero and one positive end; negative-end
     multiplicities total at most the multiplicity bound.  Under a generic
     profile, nontrivial somewhere-injective curves must have index >= 1.
-    Planes are only admitted over contractible orbits.  Every end is a
-    cover from the enumeration's OrbitTable.  The building search passes its
-    table and an index cap; no candidate above the cap is built.
+    Planes are only admitted over contractible orbits.  No candidate above
+    cap is yielded, but every unbranched trivial cylinder is.
     """
-    _check_convexity(orbits, profile)
-    top = bounds.max_total_multiplicity
-    table = _table or OrbitTable(orbits, top)
-    refs, g = table.refs, table.grading
+    refs, g, top = table.refs, table.grading, bounds.max_total_multiplicity
+    for ref in refs if profile.dynamically_convex else ():
+        if ref.multiplicity == 1 and ref.base.contractible and ref.cz < 3:
+            raise DynamicalConvexityError(f"orbit {ref.base.name!r} is contractible with cz < 3;"
+                                          " the scenario is not dynamically convex")
     least = 1 if profile.generic_J else -INF  # the least index of a nontrivial SI curve
 
     # Trivial cylinders and branched covers of trivial cylinders.  Ids run by
     # multiplicity within an orbit: refs[i - m + p] is the p-fold cover of
     # the orbit of refs[i], m its multiplicity.
     for i, ref in enumerate(refs):
-        d, one, base = ref.multiplicity, (ref,), (refs[i - ref.multiplicity + 1],)
-        yield _store(_new(ComponentSkeleton), BTC, d, 0, 0, one, one, base, base, 0, 0)
+        d = ref.multiplicity
+        u = i - d + 1
+        yield BTC, d, 0, i, (i,), u, (u,), 0, 0
         for parts in _partitions(d)[1:]:  # all but (d,), the trivial cylinder
-            ends = [i - d + p for p in parts]
+            ends = tuple(u - 1 + p for p in reversed(parts))
             ind = g[i] - sum(g[e] for e in ends)
-            if ind <= _cap:
-                neg, b = _sorted_ends(refs[e] for e in ends), len(parts) - 1
-                yield _store(_new(ComponentSkeleton), BTC, d, b, 0, one, neg, base, base, ind, 0)
+            if ind <= cap:
+                yield BTC, d, len(parts) - 1, i, ends, u, (u,), ind, 0
 
     # Somewhere-injective curves.
     multisets = _neg_multisets(range(len(refs)), top, table)
     for p, pos in enumerate(refs):
-        one = (pos,)
-        for neg, ids, total in multisets:
+        for ids, total in multisets:
             ind = g[p] - total
-            if not least <= ind <= _cap:
-                continue
-            n = len(ids)
-            if n == 1 and ids[0] == p:
-                continue  # the trivial cylinder, emitted above
-            if not n and not pos.base.contractible:
-                continue  # planes bound disks; the orbit must be contractible
-            yield _store(_new(ComponentSkeleton), SI, 1, 0, 0, one, neg, one, neg, ind, ind)
+            # Not the trivial cylinder, yielded above, nor a plane bounding no disk.
+            if least <= ind <= cap and ids != (p,) and (ids or pos.base.contractible):
+                yield SI, 1, 0, p, ids, p, ids, ind, ind
 
     # Covers of nontrivial somewhere-injective curves.
+    by_name = [(r.base.name, r.multiplicity) for r in refs]  # each id's key in _sorted_ends
     for d, u, p, ids, ways, under in _cover_bases(table, least, top):
-        pos, upos, uneg = (refs[p],), (refs[u],), tuple(refs[i] for i in ids)
         for key, b, ind in _cover_shapes(table, p, ids, d, ways):
-            if ind <= _cap:
-                neg = _sorted_ends(refs[e] for e in key)
-                yield _store(_new(ComponentSkeleton), COV, d, b, 0, pos, neg, upos, uneg,
-                             ind, under)
+            if ind <= cap:
+                yield COV, d, b, p, tuple(sorted(key, key=by_name.__getitem__)), u, ids, ind, under
+
+
+def _component(refs, kind, d, b, p, neg, u, uneg, index, underlying_index):
+    """The ComponentSkeleton of one row of _rows, stored through _store."""
+    pos, ends = (refs[p],), tuple(map(refs.__getitem__, neg))
+    if kind is SI:  # its own underlying curve
+        return _store(_new(ComponentSkeleton), SI, 1, 0, 0, pos, ends, pos, ends, index, index)
+    return _store(_new(ComponentSkeleton), kind, d, b, 0, pos, ends, (refs[u],),
+                  tuple(map(refs.__getitem__, uneg)), index, underlying_index)
+
+
+def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]:
+    """Yield every admissible component skeleton within the bounds: one per
+    row of _rows, in its order, each end a cover from the enumeration's
+    OrbitTable.  Nothing in the library iterates it: the estimate sweep and
+    the building search read the rows and build objects only where needed."""
+    table = OrbitTable(orbits, bounds.max_total_multiplicity)
+    for row in _rows(table, profile, bounds):
+        yield _component(table.refs, *row)
 
 
 def _cover_bases(table, least, top):
     """(d, u, p, ids, ways, index) for the underlying curve refs[u] =>
-    refs[ids] of each run of degree-d covers enumerate_components builds, its
-    index at least `least`; refs[p] is the d-fold cover of refs[u], the
-    covers' positive end, and ways is _cover_ways."""
+    refs[ids] of each run of degree-d covers _rows yields, its index at
+    least `least`; refs[p] is the d-fold cover of refs[u], the covers'
+    positive end, and ways is _cover_ways."""
     refs, g = table.refs, table.grading
     cap = {r.base.name: r.multiplicity for r in refs}  # ids ascend by multiplicity
     for d in range(2, top + 1):
@@ -469,7 +463,7 @@ def _cover_bases(table, least, top):
         for u, upos in enumerate(refs):
             if upos.multiplicity * d > cap[upos.base.name]:
                 continue
-            for _, ids, total in small:
+            for ids, total in small:
                 ind = g[u] - total
                 # Neither the trivial cylinder nor a plane bounding no disk.
                 if ind >= least and ids != (u,) and (ids or upos.base.contractible):
@@ -509,7 +503,7 @@ def _index_floor(table, profile, top):
     the inventory builds; else min grading - max grading sum of a multiset
     of negative ends bounds SI and COV, each index grading(+) - sum grading(-)."""
     if not profile.generic_J:
-        most = max(t for _, _, t in _neg_multisets(range(len(table.refs)), top, table))
+        most = max(t for _, t in _neg_multisets(range(len(table.refs)), top, table))
         return min(0, min(table.grading, default=0) - most)
     return min(chain([0], (ind for d, _, p, ids, ways, _ in _cover_bases(table, 1, top)
                            for _, _, ind in _cover_shapes(table, p, ids, d, ways))))
@@ -619,22 +613,22 @@ def building_key(building: BuildingSkeleton) -> str:
 class _Enumerator:
     """Depth-first search over buildings, one level of components at a time.
 
-    Orbit covers are ids into the scenario's OrbitTable, which the
-    inventory shares, and components are numbers into parallel lists, so
-    the search indexes lists instead of hashing covers.  Two tables bound
-    what can still hang below an end with r levels to go: closed[r][e] is
-    the least index of a subtree at e with no negative end (INF when there
-    is none), open[r][e] that of one with at most one, e itself left open
-    included, so open[r][e] <= min(0, closed[r][e]).
+    Orbit covers are ids into the scenario's OrbitTable, as in the rows of
+    the inventory the search reads, and components are numbers into
+    parallel lists, so it indexes lists instead of hashing covers.  Two
+    tables bound what can still hang below an end with r levels to go:
+    closed[r][e] is the least index of a subtree at e with no negative end
+    (INF when there is none), open[r][e] that of one with at most one, e
+    itself left open included, so open[r][e] <= min(0, closed[r][e]).
 
     The tables come from the inventory capped as in the module docstring,
     so they bound every subtree of the capped components that emitted
     buildings are made of.  They never increase with r (each row starts from
     the last), and no component has more than max_levels - 1 levels below
-    it, so one whose index plus the completion of its ends at max_levels - 1
-    exceeds the cap is dropped before keys and groups are made.  Only
-    branches that emit nothing go: the buildings and their order stay those
-    of the whole inventory.
+    it, so a row whose index plus the completion of its ends at max_levels - 1
+    exceeds the cap is dropped before any object, key or group is made.
+    Only branches that emit nothing go: the buildings and their order stay
+    those of the whole inventory.
 
     A component's budget on a level also counts rest, the open entries of
     the frontier ends after it, and pending, the negative part of the
@@ -651,15 +645,15 @@ class _Enumerator:
         others = bounds.max_levels * bounds.max_components_per_level - 1  # K - 1
         cap = bounds.max_index - others * _index_floor(table, profile, top)
         # The setup can outlast the search, so the deadline bounds it too.
-        rows = []  # (positive end, negative ends, index, component)
-        for c in enumerate_components(orbits, profile, bounds, table, cap):
+        rows = []
+        for row in _rows(table, profile, bounds, cap):
             self._check_deadline()
-            ids = tuple(table.id_of(e) for e in c.negative_ends)
-            rows.append((table.id_of(c.positive_ends[0]), ids, c.index, c))
+            rows.append(row)
         self._closed, self._open = self._bound_tables(len(table.refs), rows)
         rem = bounds.max_levels - 1  # the most levels any component has below it
-        rows = [r for r in rows if r[2] + self._completion(r[1], rem) <= cap]
-        tops, self.ends, self.ind, self.components = zip(*rows) if rows else [()] * 4
+        rows = [r for r in rows if r[7] + self._completion(r[4], rem) <= cap]
+        self.components = [_component(table.refs, *r) for r in rows]
+        _, _, _, tops, self.ends, _, _, self.ind, _ = zip(*rows) if rows else [()] * 9
         self.trivial = [c.is_trivial_cylinder for c in self.components]
         self.by_pos = [[] for _ in table.refs]
         for n, ref in enumerate(tops):
@@ -678,7 +672,7 @@ class _Enumerator:
             self._check_deadline()
             prev_closed, prev_open = closed[-1], opened[-1]
             row_closed, row_open = list(prev_closed), list(prev_open)
-            for p, below, total, _ in rows:
+            for _, _, _, p, below, _, _, total, _ in rows:
                 # One scan: the finite capped costs summed, the rest listed.
                 uncapped = []
                 for e in below:
@@ -845,42 +839,57 @@ class EstimateSweepReport:
         return not any(self.violations.values())
 
     def lines(self):
-        out = [f"components: {self.components}"]
-        for name in CHECK_NAMES:
-            out.append(
-                f"check {name}: checked={self.checked.get(name, 0)} "
-                f"violations={len(self.violations.get(name, ()))}"
-            )
-        return out
+        return [f"components: {self.components}"] + [
+            f"check {name}: checked={self.checked.get(name, 0)} "
+            f"violations={len(self.violations.get(name, ()))}" for name in CHECK_NAMES
+        ]
+
+
+def _estimates(generic_J, kind, d, b, n, k, index, under, hyperbolic, good):
+    """Each estimate's verdict, in CHECK_NAMES order, on the argument tuple of
+    an inventory row (genus zero, one positive end); None where it does not apply."""
+    return (
+        check_trivial_cover_nonnegative(kind, index) if kind is BTC else None,
+        check_cover_index_bound(0, 1, d, b, index, under),
+        check_nontrivial_cover_bounds(generic_J, kind, 0, 1, n, k, index, under),
+        check_cylinder_cover_index(generic_J, kind, 1, n, d, index, under, hyperbolic, good)
+        if kind is not BTC and n == 1 else None,
+        check_multi_end_cover_combination(kind, d, b, n, k, index)
+        if kind is COV and k > 1 else None,
+    )
 
 
 def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
-    """Apply every index estimate to every enumerated component, in one pass
-    that reads each component's kind and end counts once."""
+    """Apply every index estimate to every row of the component inventory.
+
+    Each estimate reads only its arguments, integers and flags of the row,
+    so the sweep decides each distinct argument tuple once, the first time
+    it sees it, and every later row of the tuple has the same verdicts.  A
+    component is built, for its key, only for a row whose tuple fails; the
+    checked= counts still count components."""
+    table = OrbitTable(orbits, bounds.max_total_multiplicity)
+    refs = table.refs
+    hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in refs]
+    good = [is_good(r) for r in refs]
+    seen = {}  # argument tuple -> [rows, verdicts, the estimates it fails]
     violations = {name: [] for name in CHECK_NAMES}
-    trivial_v, bound_v, nontrivial_v, cylinder_v, multi_v = violations.values()
-    components = trivials = cylinders = multis = 0
-    for components, c in enumerate(enumerate_components(orbits, profile, bounds), 1):
-        kind = c.kind
-        if kind is BTC:
-            trivials += 1
-            if not check_trivial_cover_nonnegative(c):
-                trivial_v.append(c.key)
-        if not check_cover_index_bound(c):
-            bound_v.append(c.key)
-        if not check_nontrivial_cover_bounds(c, profile):
-            nontrivial_v.append(c.key)
-        # check_cover_index_bound admits only components with one positive end.
-        if kind is not BTC and len(c.negative_ends) == 1:
-            cylinders += 1
-            if not check_cylinder_cover_index(c, profile):
-                cylinder_v.append(c.key)
-        if kind is COV and len(c.underlying_negative_ends) > 1:
-            multis += 1
-            if not check_multi_end_cover_combination(c):
-                multi_v.append(c.key)
-    counts = (trivials, components, components, cylinders, multis)
-    return EstimateSweepReport(components, dict(zip(CHECK_NAMES, counts)), violations)
+    for row in _rows(table, profile, bounds):
+        kind, d, b, p, neg, u, uneg, index, under = row
+        cylinder = len(neg) == 1 and kind is not BTC  # the only rows whose flags are read
+        args = (kind, d, b, len(neg), len(uneg), index, under,
+                cylinder and hyperbolic[u] and hyperbolic[uneg[0]],
+                cylinder and good[p] and good[neg[0]])
+        entry = seen.get(args)
+        if entry is None:
+            verdicts = _estimates(profile.generic_J, *args)
+            failed = [name for name, v in zip(CHECK_NAMES, verdicts) if v is False]
+            entry = seen[args] = [0, verdicts, failed]
+        entry[0] += 1
+        for name in entry[2]:
+            violations[name].append(_component(refs, *row).key)
+    checked = [sum(e[0] for e in seen.values() if e[1][i] is not None) for i in range(5)]
+    return EstimateSweepReport(sum(e[0] for e in seen.values()), dict(zip(CHECK_NAMES, checked)),
+                               violations)
 
 
 # --------------------------------------------------------- proposition check
@@ -892,23 +901,14 @@ CASE_SPLIT_PLANE = "index-two:split-off-plane"
 
 
 def _is_split_plane_shape(b: BuildingSkeleton) -> bool:
-    if len(b.levels) != 2:
+    if len(b.levels) != 2 or len(b.levels[1]) != 2:
         return False
-    bottom = b.levels[1]
-    if len(bottom) != 2:
+    cover = b.root.component  # two negative ends: the bottom level is its subtrees
+    if cover.kind is not BTC or cover.index != 0:
         return False
-    cover = b.root.component  # two negative ends: bottom is its subtrees
-    if cover.kind is not BTC:
-        return False
-    if cover.index != 0:
-        return False
-    trivials = [c for c in bottom if c.is_trivial_cylinder]
-    planes = [c for c in bottom if not c.negative_ends]
-    return (
-        len(trivials) == 1
-        and len(planes) == 1
-        and planes[0].index == 2
-    )
+    trivials = [c for c in b.levels[1] if c.is_trivial_cylinder]
+    planes = [c for c in b.levels[1] if not c.negative_ends]
+    return len(trivials) == 1 and len(planes) == 1 and planes[0].index == 2
 
 
 @dataclass

@@ -22,6 +22,7 @@ from cch.buildings import (
     ComponentKind,
     ComponentSkeleton,
     EnumerationBounds,
+    EstimateSweepReport,
     GenericityProfile,
     building_key,
     check_cover_index_bound,
@@ -50,7 +51,7 @@ from cch.errors import (
     PreconditionError,
     SkeletonError,
 )
-from cch.orbits import OrbitRef, OrbitTable, OrbitType, RotationData, orbit_type
+from cch.orbits import OrbitRef, OrbitTable, OrbitType, RotationData, is_good, orbit_type
 from cch.scenario import parse_scenario
 
 F = Fraction
@@ -212,28 +213,72 @@ def test_components_copy_and_pickle_by_value():
 # ------------------------------------------------------------ index estimates
 
 
+def cylinder_flags(c):
+    """(both underlying ends hyperbolic, both ends of c good) for a
+    cylinder, the flags check_cylinder_cover_index reads; else both False."""
+    if len(c.negative_ends) != 1 or len(c.underlying_negative_ends) != 1:
+        return False, False
+    under = c.underlying_positive_ends + c.underlying_negative_ends
+    return (
+        all(orbit_type(r) is not OrbitType.ELLIPTIC for r in under),
+        all(is_good(r) for r in c.positive_ends + c.negative_ends),
+    )
+
+
+# What each estimate reads from a component, as the arguments it takes
+# (generic profile); CHECKS applies it to the component.
+ARGS = dict(zip(CHECK_NAMES, (
+    lambda c: (c.kind, c.index),
+    lambda c: (
+        c.genus, len(c.positive_ends), c.cover_degree, c.branch_count, c.index,
+        c.underlying_index,
+    ),
+    lambda c: (
+        True, c.kind, c.genus, len(c.positive_ends), len(c.negative_ends),
+        len(c.underlying_negative_ends), c.index, c.underlying_index,
+    ),
+    lambda c: (
+        True, c.kind, len(c.positive_ends), len(c.negative_ends), c.cover_degree, c.index,
+        c.underlying_index, *cylinder_flags(c),
+    ),
+    lambda c: (
+        c.kind, c.cover_degree, c.branch_count, len(c.negative_ends),
+        len(c.underlying_negative_ends), c.index,
+    ),
+)))
+ESTIMATES = dict(zip(CHECK_NAMES, (
+    check_trivial_cover_nonnegative,
+    check_cover_index_bound,
+    check_nontrivial_cover_bounds,
+    check_cylinder_cover_index,
+    check_multi_end_cover_combination,
+)))
+CHECKS = {name: (lambda c, name=name: ESTIMATES[name](*ARGS[name](c))) for name in CHECK_NAMES}
+
+
 def test_trivial_cover_check_examples():
-    assert check_trivial_cover_nonnegative(branched_cover(ELL, (1, 2)))
-    assert check_trivial_cover_nonnegative(trivial_cylinder(ELL, 3))
-    assert check_trivial_cover_nonnegative(branched_cover(NEGH, (1, 1)))
+    check = CHECKS["trivial_cover_nonnegative"]
+    assert check(branched_cover(ELL, (1, 2)))
+    assert check(trivial_cylinder(ELL, 3))
+    assert check(branched_cover(NEGH, (1, 1)))
     assert branched_cover(NEGH, (1, 1)).index == 1
 
 
 def test_trivial_cover_check_wrong_kind():
     with pytest.raises(PreconditionError):
-        check_trivial_cover_nonnegative(si(ref(ELL, 1), ()))
+        CHECKS["trivial_cover_nonnegative"](si(ref(ELL, 1), ()))
 
 
 def test_cover_index_bound_identity_cover():
     cyl = si(ref(ELL, 2), (ref(ELL, 1),))
-    assert check_cover_index_bound(cyl)
+    assert CHECKS["cover_index_bound"](cyl)
 
 
 def test_cover_index_bound_on_pants():
     pants = branched_cover(ELL, (1, 2))
     d, b = pants.cover_degree, pants.branch_count
     assert pants.index >= d * pants.underlying_index + 2 * (1 - d + b)
-    assert check_cover_index_bound(pants)
+    assert CHECKS["cover_index_bound"](pants)
 
 
 def test_cover_index_bound_degree_two_cylinder_cover():
@@ -247,8 +292,8 @@ def test_cover_index_bound_degree_two_cylinder_cover():
     )
     assert cover.underlying_index == 1
     assert cover.index == 2
-    assert check_cover_index_bound(cover)
-    assert check_nontrivial_cover_bounds(cover, GENERIC)
+    assert CHECKS["cover_index_bound"](cover)
+    assert CHECKS["nontrivial_cover_bounds"](cover)
 
 
 def test_nontrivial_cover_bounds_cylinder_case():
@@ -260,12 +305,12 @@ def test_nontrivial_cover_bounds_cylinder_case():
         (under_pos,), (under_neg,),
     )
     assert cover.index >= 2
-    assert check_nontrivial_cover_bounds(cover, GENERIC)
+    assert CHECKS["nontrivial_cover_bounds"](cover)
 
 
 def test_nontrivial_cover_bounds_vacuous_on_plane():
     plane = si(ref(ELL, 1), ())
-    assert check_nontrivial_cover_bounds(plane, GENERIC)
+    assert CHECKS["nontrivial_cover_bounds"](plane)
 
 
 def test_nontrivial_cover_bounds_hyperbolic_bottom_equality_case():
@@ -280,18 +325,19 @@ def test_nontrivial_cover_bounds_hyperbolic_bottom_equality_case():
     )
     assert cover.underlying_index == 1
     assert cover.index == 3 == len(cover.negative_ends)
-    assert check_nontrivial_cover_bounds(cover, GENERIC)
+    assert CHECKS["nontrivial_cover_bounds"](cover)
 
 
 def test_cylinder_cover_index_examples():
+    check = CHECKS["cylinder_cover_index"]
     cyl = si(ref(ELL, 2), (ref(POSH, 1),))
     assert cyl.index == 1
-    assert check_cylinder_cover_index(cyl, GENERIC)
+    assert check(cyl)
     # Hyperbolic-to-hyperbolic underlying cylinder: the cover index is
     # d times the underlying index, so index one forces degree one.
     mixed = si(ref(NEGH, 1), (ref(FLAT, 1),))
     assert mixed.index == 1
-    assert check_cylinder_cover_index(mixed, GENERIC)
+    assert check(mixed)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
         2, 0, 0,
@@ -299,14 +345,15 @@ def test_cylinder_cover_index_examples():
         (ref(NEGH, 1),), (ref(FLAT, 1),),
     )
     assert cover.index == 2 * cover.underlying_index
-    assert check_cylinder_cover_index(cover, GENERIC)
+    assert check(cover)
 
 
-def test_cylinder_cover_index_reads_underlying_orbit_types():
+def test_cylinder_cover_index_reads_underlying_orbit_types(monkeypatch):
     # theta = k/4 with validity bound 3: the underlying ends are elliptic,
     # but their double covers sit at half-integers, so the cover's ends
     # classify as hyperbolic.  Multiplicativity is asserted only from the
-    # underlying ends, and here it fails: 6 != 2 * 2.
+    # underlying ends, and here it fails: 6 != 2 * 2.  The sweep reads the
+    # flag from the underlying ends too: it finds no violation.
     top, bottom = RotationData("t", F(7, 4), 3), RotationData("u", F(1, 4), 3)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
@@ -317,21 +364,44 @@ def test_cylinder_cover_index_reads_underlying_orbit_types():
     assert orbit_type(cover.positive_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
     assert orbit_type(cover.negative_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
     assert (cover.index, cover.underlying_index) == (6, 2)
-    assert check_cylinder_cover_index(cover, GENERIC)
+    assert cylinder_flags(cover) == (False, True)
+    assert CHECKS["cylinder_cover_index"](cover)
+    assert not check_cylinder_cover_index(True, COV, 1, 1, 2, 6, 2, True, True)
+    report = sweep_rows([top, bottom], [cover], monkeypatch)
+    assert "check cylinder_cover_index: checked=1 violations=0" in report.lines()
 
 
 def test_cylinder_cover_index_rejects_trivial():
     with pytest.raises(PreconditionError):
-        check_cylinder_cover_index(trivial_cylinder(ELL, 2), GENERIC)
+        CHECKS["cylinder_cover_index"](trivial_cylinder(ELL, 2))
 
 
-CHECKS = dict(zip(CHECK_NAMES, (
-    check_trivial_cover_nonnegative,
-    check_cover_index_bound,
-    lambda c: check_nontrivial_cover_bounds(c, GENERIC),
-    lambda c: check_cylinder_cover_index(c, GENERIC),
-    check_multi_end_cover_combination,
-)))
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (check_trivial_cover_nonnegative, (SI, 2), "component is not a cover of a trivial"),
+        (check_cover_index_bound, (1, 1, 1, 0, 2, 2), "the bound needs genus zero and one"),
+        (check_cover_index_bound, (0, 2, 1, 0, 2, 2), "the bound needs genus zero and one"),
+        (check_nontrivial_cover_bounds, (False, SI, 0, 1, 1, 1, 2, 2),
+         "the estimates assume a generic profile"),
+        (check_nontrivial_cover_bounds, (True, SI, 1, 1, 1, 1, 2, 2),
+         "the estimates need genus zero and one positive end"),
+        (check_nontrivial_cover_bounds, (True, COV, 0, 1, 1, 1, 2, 0),
+         "underlying curve violates the generic index bound"),
+        (check_cylinder_cover_index, (False, SI, 1, 1, 1, 2, 2, False, True),
+         "the estimate assumes a generic profile"),
+        (check_cylinder_cover_index, (True, SI, 1, 2, 1, 2, 2, False, True),
+         "component is not a cylinder"),
+        (check_cylinder_cover_index, (True, BTC, 1, 1, 2, 0, 0, False, True),
+         "component is a cover of a trivial cylinder"),
+        (check_multi_end_cover_combination, (SI, 1, 0, 2, 2, 3), "needs a cover of a nontrivial"),
+        (check_multi_end_cover_combination, (COV, 2, 0, 2, 1, 3), "needs more than one underlying"),
+    ],
+)
+def test_each_estimate_names_its_precondition(check, args, message):
+    # The estimates take integers and flags; each PreconditionError branch.
+    with pytest.raises(PreconditionError, match="^" + re.escape(message)):
+        check(*args)
 
 
 def _with_index(c, index):
@@ -373,6 +443,49 @@ def _one_below_a_bound(case):
     return cases[case]
 
 
+CASES = ["pants", "cover", "fan", "fork", "hyperbolic", "multi"]
+# Every orbit an injected row ends on, all within the default multiplicity 6.
+P1 = RotationData("q", F(1), 30, contractible=True)
+K32 = RotationData("k", F(3, 2), 30)
+W13 = RotationData("w", F(1, 3), 2)
+INJECTED_ORBITS = [ELL, NEGH, FLAT, POSH, P1, K32, W13]
+
+
+def row_of(table, c):
+    """c as a row of the inventory over table: its ends as ids, the negative
+    ones in the order c stores them."""
+    (p,), neg, (u,), uneg = (
+        tuple(map(table.id_of, ends))
+        for ends in (c.positive_ends, c.negative_ends, c.underlying_positive_ends,
+                     c.underlying_negative_ends)
+    )
+    return c.kind, c.cover_degree, c.branch_count, p, neg, u, uneg, c.index, c.underlying_index
+
+
+def inject_rows(monkeypatch, rows):
+    """Make rows the inventory's rows; return the list of rows read from it."""
+    read = []
+
+    def injected(*args):
+        for row in rows:
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(buildings, "_rows", injected)
+    return read
+
+
+def sweep_rows(orbits, components, monkeypatch):
+    """run_estimate_sweep over orbits with the inventory replaced by the rows
+    of components, asserting that those rows were read, each once."""
+    table = OrbitTable(orbits, EnumerationBounds().max_total_multiplicity)
+    rows = [row_of(table, c) for c in components]
+    read = inject_rows(monkeypatch, rows)
+    report = run_estimate_sweep(orbits, GENERIC, EnumerationBounds())
+    assert read == rows and report.components == len(rows)
+    return report
+
+
 def _applies(check, c):
     try:
         check(c)
@@ -381,21 +494,256 @@ def _applies(check, c):
     return True
 
 
-@pytest.mark.parametrize("case", ["pants", "cover", "fan", "fork", "hyperbolic", "multi"])
+@pytest.mark.parametrize("case", CASES)
 def test_each_estimate_fails_one_below_its_bound(case, monkeypatch):
     real, index, name, also = _one_below_a_bound(case)
     assert all(check(real) for check in CHECKS.values() if _applies(check, real))
     low = _with_index(real, index)
     assert CHECKS[name](low) is False
-    # The sweep applies the estimate and counts the violation under its name.
-    monkeypatch.setattr(buildings, "enumerate_components", lambda *args: iter([low]))
-    report = run_estimate_sweep([], GENERIC, EnumerationBounds())
+    # The sweep applies the estimate to the injected row and counts the
+    # violation, under the component's key, under its name.
+    report = sweep_rows(INJECTED_ORBITS, [low], monkeypatch)
     assert f"check {name}: checked=1 violations=1" in report.lines()
-    assert {n for n, keys in report.violations.items() if keys} == {name, *also}
+    assert {n: keys for n, keys in report.violations.items() if keys} == dict.fromkeys(
+        (name, *also), [low.key]
+    )
     assert not report.ok
 
 
 # ------------------------------------------------------------ component sweep
+# A per-component reference for the estimate sweep: each estimate as it
+# was written on a ComponentSkeleton, applied to every component where its
+# preconditions hold.
+
+
+def old_trivial_cover_nonnegative(c, profile):
+    if c.kind is not BTC:
+        raise PreconditionError("component is not a cover of a trivial cylinder")
+    return c.index >= 0
+
+
+def old_cover_index_bound(c, profile):
+    if c.genus != 0 or len(c.positive_ends) != 1:
+        raise PreconditionError("the bound needs genus zero and one positive end")
+    d, b = c.cover_degree, c.branch_count
+    return c.index >= d * c.underlying_index + 2 * (1 - d + b)
+
+
+def old_nontrivial_cover_bounds(c, profile):
+    if not profile.generic_J:
+        raise PreconditionError("the estimates assume a generic profile")
+    if c.genus != 0 or len(c.positive_ends) != 1:
+        raise PreconditionError("the estimates need genus zero and one positive end")
+    if c.kind is BTC:
+        return True
+    if c.underlying_index < 1:
+        raise PreconditionError("underlying curve violates the generic index bound")
+    n = len(c.negative_ends)
+    if len(c.underlying_negative_ends) == 1 and c.index < n:
+        return False
+    return n < 2 or c.index >= 5 - 2 * n
+
+
+def old_cylinder_cover_index(c, profile):
+    if not profile.generic_J:
+        raise PreconditionError("the estimate assumes a generic profile")
+    if len(c.positive_ends) != 1 or len(c.negative_ends) != 1:
+        raise PreconditionError("component is not a cylinder")
+    if c.kind is BTC:
+        raise PreconditionError("component is a cover of a trivial cylinder")
+    ind, under = c.index, c.underlying_index
+    ok = 1 <= under <= ind
+    if (
+        orbit_type(c.underlying_positive_ends[0]) is not OrbitType.ELLIPTIC
+        and orbit_type(c.underlying_negative_ends[0]) is not OrbitType.ELLIPTIC
+    ):
+        ok = ok and ind == c.cover_degree * under
+        if ind == 1 and (not is_good(c.positive_ends[0]) or not is_good(c.negative_ends[0])):
+            ok = ok and c.cover_degree == 1
+    return ok
+
+
+def old_multi_end_cover_combination(c, profile):
+    if c.kind is not COV:
+        raise PreconditionError("needs a cover of a nontrivial curve")
+    k = len(c.underlying_negative_ends)
+    if k <= 1:
+        raise PreconditionError("needs more than one underlying negative end")
+    n = len(c.negative_ends)
+    d, b = c.cover_degree, c.branch_count
+    return c.index + 2 * n >= d * (2 * k - 3) + 4 * (b + 1)
+
+
+OLD_CHECKS = dict(zip(CHECK_NAMES, (
+    old_trivial_cover_nonnegative,
+    old_cover_index_bound,
+    old_nontrivial_cover_bounds,
+    old_cylinder_cover_index,
+    old_multi_end_cover_combination,
+)))
+# Estimates every component must meet the preconditions of: their
+# PreconditionError is an error of the sweep, not a component they skip.
+ALWAYS = {"cover_index_bound", "nontrivial_cover_bounds"}
+
+
+def reference_sweep(components, profile):
+    checked = dict.fromkeys(CHECK_NAMES, 0)
+    violations = {name: [] for name in CHECK_NAMES}
+    count = 0
+    for count, c in enumerate(components, 1):
+        for name, check in OLD_CHECKS.items():
+            try:
+                ok = check(c, profile)
+            except PreconditionError:
+                if name in ALWAYS:
+                    raise
+                continue
+            checked[name] += 1
+            if not ok:
+                violations[name].append(c.key)
+    return EstimateSweepReport(count, checked, violations)
+
+
+def assert_sweep_matches_reference(orbits, profile, bounds, components=None):
+    """run_estimate_sweep and reference_sweep agree: the same lines and the
+    same violation keys in the same order, or the same PreconditionError."""
+    if components is None:
+        components = enumerate_components(orbits, profile, bounds)
+    try:
+        want = reference_sweep(components, profile)
+    except PreconditionError as err:
+        with pytest.raises(PreconditionError, match="^" + re.escape(str(err)) + "$"):
+            run_estimate_sweep(orbits, profile, bounds)
+        return None
+    got = run_estimate_sweep(orbits, profile, bounds)
+    assert got.lines() == want.lines()
+    assert got.violations == want.violations
+    return got
+
+
+def test_sweep_matches_the_per_component_reference_on_the_estimate_suite():
+    suite = parse_scenario(SCENARIOS / "estimate_suite.json")
+    report = assert_sweep_matches_reference(suite.orbits, suite.profile, suite.bounds)
+    assert report.components == 79568 and report.ok
+
+
+def _twins():
+    """Three pairs of components, each pair with estimate arguments that
+    differ at most in one flag of the cylinder estimate:
+    - "hyperbolic": covers of index 3, below d * u = 4, over two positive
+      hyperbolic ends and over two elliptic ones; only the first fails, on
+      the hyperbolic flag alone;
+    - "good": covers of index 4 = d * u over two negative hyperbolic ends
+      (so both ends of the cover are even covers, bad) and over two positive
+      hyperbolic ones; both pass, and differ in the goodness flag alone;
+    - "same": a pants of index -1 over e and one over h, equal arguments,
+      both failing."""
+    p1, p2, q1, q2, e1, e2, w1, w2, h1, h2, k1, k2 = (
+        ref(o, m) for o in (POSH, P1, ELL, W13, NEGH, K32) for m in (1, 2)
+    )
+    over_ph = _cover(2, 0, p2, (q2,), si(p1, (q1,)))
+    over_ell = _cover(2, 0, e2, (w2,), si(e1, (w1,)))
+    over_nh = _cover(2, 0, k2, (h2,), si(k1, (h1,)))
+    assert over_ph.underlying_index == over_ell.underlying_index == over_nh.underlying_index == 2
+    assert over_ph.index == over_nh.index == 4
+    return {
+        "hyperbolic": [_with_index(over_ph, 3), _with_index(over_ell, 3)],
+        "good": [over_nh, over_ph],
+        "same": [_with_index(branched_cover(o, (1, 2)), -1) for o in (ELL, NEGH)],
+    }
+
+
+def estimate_arguments(c):
+    """The argument tuple of every estimate that applies to c: what the
+    sweep decides once for every component that shares it."""
+    return tuple(ARGS[name](c) for name in CHECK_NAMES if _applies(CHECKS[name], c))
+
+
+def test_twins_differ_in_one_flag_at_most():
+    twins = _twins()
+    cylinder = ARGS["cylinder_cover_index"]
+    (a, b), (c, d) = (map(cylinder, twins[pair]) for pair in ("hyperbolic", "good"))
+    assert a[:-2] == b[:-2] and (a[-2:], b[-2:]) == ((True, True), (False, True))
+    assert c[:-1] == d[:-1] and (c[-1], d[-1]) == (False, True)
+    for pair in twins.values():
+        first, second = map(estimate_arguments, pair)
+        assert sum(x != y for x, y in zip(first, second)) <= 1
+    assert len(set(map(estimate_arguments, twins["same"]))) == 1
+
+
+def test_sweep_matches_the_per_component_reference_on_injected_rows(monkeypatch):
+    lows = [_with_index(real, index) for real, index, _, _ in map(_one_below_a_bound, CASES)]
+    twins = _twins()
+    injected = lows + [c for pair in twins.values() for c in pair]
+    report = sweep_rows(INJECTED_ORBITS, injected, monkeypatch)
+    want = reference_sweep(injected, GENERIC)
+    assert report.lines() == want.lines()
+    assert report.violations == want.violations
+    # Of each failing pair, the hyperbolic cover alone, and both pants.
+    assert want.violations["cylinder_cover_index"][-1] == twins["hyperbolic"][0].key
+    assert want.violations["trivial_cover_nonnegative"][-2:] == [c.key for c in twins["same"]]
+
+
+# Distinct estimate_arguments of the estimate_suite.json inventory.
+DECISIONS = 722
+
+
+def _spy_on_estimates(monkeypatch):
+    """Replace each estimate in the sweep with one that records its
+    arguments; return {name: [argument tuples, in call order]}."""
+    calls = {name: [] for name in CHECK_NAMES}
+    for name, check in ESTIMATES.items():
+        def spy(*args, name=name, check=check):
+            calls[name].append(args)
+            return check(*args)
+
+        monkeypatch.setattr(buildings, check.__name__, spy)
+    return calls
+
+
+@pytest.mark.parametrize("inventory", ["estimate_suite.json", "injected rows"])
+def test_sweep_decides_each_argument_tuple_once(inventory, monkeypatch):
+    # Each estimate sees every argument tuple that a component of the
+    # inventory gives it, and the sweep makes one decision, one call of the
+    # estimate every component meets, per distinct estimate_arguments.
+    if inventory == "injected rows":
+        components = [c for pair in _twins().values() for c in pair]
+        calls = _spy_on_estimates(monkeypatch)
+        sweep_rows(INJECTED_ORBITS, components, monkeypatch)
+    else:
+        suite = parse_scenario(SCENARIOS / inventory)
+        components = list(enumerate_components(suite.orbits, suite.profile, suite.bounds))
+        calls = _spy_on_estimates(monkeypatch)
+        run_estimate_sweep(suite.orbits, suite.profile, suite.bounds)
+    for name in CHECK_NAMES:
+        want = {ARGS[name](c) for c in components if _applies(CHECKS[name], c)}
+        assert set(calls[name]) == want, name
+    decisions = len(set(map(estimate_arguments, components)))
+    assert len(calls["cover_index_bound"]) == decisions
+    if inventory == "estimate_suite.json":
+        assert (decisions, len(components)) == (DECISIONS, 79568)
+
+
+def test_multi_end_and_five_minus_two_n_failures_imply_a_cover_bound_failure():
+    # For a cover with n = 1 + b + d(k - 1) negative ends (Riemann-Hurwitz),
+    # d, k >= 2, u >= 1: check_cover_index_bound's bound d*u + 2(1 - d + b)
+    # exceeds the multi-end bound d(2k - 3) + 4(b + 1) - 2n by d(u - 1) and
+    # the 5 - 2n bound by d(u + 2k - 4) + 4b - 1 > 0, so whenever either of
+    # those fails the cover bound fails too.
+    seen = 0
+    for d, k, b, u in product(range(2, 9), range(2, 6), range(8), range(1, 9)):
+        n = 1 + b + d * (k - 1)
+        cover = d * u + 2 * (1 - d + b)
+        assert cover - (d * (2 * k - 3) + 4 * (b + 1) - 2 * n) == d * (u - 1)
+        assert cover - (5 - 2 * n) == d * (u + 2 * k - 4) + 4 * b - 1 > 0
+        for index in range(-40, 41):
+            if (
+                not check_multi_end_cover_combination(COV, d, b, n, k, index)
+                or not check_nontrivial_cover_bounds(True, COV, 0, 1, n, k, index, u)
+            ):
+                seen += 1
+                assert not check_cover_index_bound(0, 1, d, b, index, u), (d, k, b, u, index)
+    assert seen
 
 
 def test_enumerated_components_pass_all_checks():
@@ -518,7 +866,7 @@ def test_multi_end_cover_combination_applies():
             and len(c.underlying_negative_ends) > 1
         ):
             seen += 1
-            assert check_multi_end_cover_combination(c)
+            assert CHECKS["multi_end_cover_combination"](c)
     assert seen > 0
 
 
@@ -804,6 +1152,16 @@ def test_components_match_oracle(orbits, contractible, generic_J):
         assert got == oracle_rows(orbits, generic_J, top), top
 
 
+@on_grid
+def test_sweep_matches_the_per_component_reference_on_the_grid(orbits, contractible, generic_J):
+    # Without generic J both raise the same PreconditionError.
+    orbits = with_contractible(orbits, contractible)
+    profile = GenericityProfile(generic_J=generic_J)
+    for top in range(1, 7):
+        bounds = EnumerationBounds(max_total_multiplicity=top)
+        assert (assert_sweep_matches_reference(orbits, profile, bounds) is None) is not generic_J
+
+
 # ---------------------------------------------------------------- enumeration
 
 
@@ -998,15 +1356,17 @@ def test_capped_inventory_is_the_uncapped_one_cut_at_the_cap(orbits, generic_J):
     profile = GenericityProfile(generic_J=generic_J)
     for top in range(1, 5):
         bounds = EnumerationBounds(max_total_multiplicity=top)
+        table = OrbitTable(orbits, top)
         rows = [
             (c.key, c.index, c.underlying_index, c.kind is BTC and c.branch_count == 0)
             for c in enumerate_components(orbits, profile, bounds)
         ]
         for cap in range(-2, 5):
-            got = sorted(
-                (c.key, c.index, c.underlying_index)
-                for c in enumerate_components(orbits, profile, bounds, _cap=cap)
+            capped = (
+                buildings._component(table.refs, *row)
+                for row in buildings._rows(table, profile, bounds, cap)
             )
+            got = sorted((c.key, c.index, c.underlying_index) for c in capped)
             want = sorted(row[:3] for row in rows if row[1] <= cap or row[3])
             assert got == want, (top, cap)
 
@@ -1173,12 +1533,14 @@ def test_time_limit_of_any_size_is_exact():
 
 
 def test_time_limit_stops_the_bound_tables(monkeypatch):
-    # With no components the inventory never looks at the clock, and the
-    # search has nothing to expand: only the bound tables can stop it.
-    monkeypatch.setattr(buildings, "enumerate_components", lambda *args: iter(()))
+    # With no rows the inventory never looks at the clock, and the search
+    # has nothing to expand: only the bound tables can stop it.
+    calls = []
+    monkeypatch.setattr(buildings, "_rows", lambda *args: calls.append(args) or iter(()))
     assert enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds()) == []
     with pytest.raises(EnumerationLimitError):
         enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds(), time_limit=1e-9)
+    assert len(calls) == 2  # both searches read the empty inventory
 
 
 @pytest.mark.parametrize("thin", [1, 2, 3])
@@ -1198,9 +1560,14 @@ def test_bound_tables_match_subtree_oracle(orbits, generic_J, multiplicity, thin
     # Without generic J, n^1 bounds a plane of index -2, below open's 0.
     profile = GenericityProfile(generic_J=generic_J)
     bounds = EnumerationBounds(max_levels=3, max_total_multiplicity=multiplicity)
-    kept = list(enumerate_components(orbits, profile, bounds))[::thin]
-    monkeypatch.setattr(buildings, "enumerate_components", lambda *args: iter(kept))
+    table = OrbitTable(orbits, multiplicity)
+    rows = list(buildings._rows(table, profile, bounds))
+    every = list(enumerate_components(orbits, profile, bounds))
+    assert [row_of(table, c) for c in every] == rows
+    kept = every[::thin]
+    read = inject_rows(monkeypatch, rows[::thin])
     enumerator = _Enumerator(orbits, profile, bounds, None)
+    assert read == rows[::thin]
     assert set(enumerator.components) <= set(kept)
     by_pos = {}
     for c in kept:
