@@ -52,7 +52,7 @@ from .errors import (
     PreconditionError,
     SkeletonError,
 )
-from .orbits import OrbitTable, OrbitType, curve_index, is_good, orbit_type
+from .orbits import OrbitTable, OrbitType, curve_index, orbit_type
 
 # Marks "no subtree fits"; larger than any index a bounded search reaches.
 INF = 1 << 62
@@ -271,14 +271,12 @@ def check_nontrivial_cover_bounds(generic_J, kind, genus, positives, n, k, index
 
 
 def check_cylinder_cover_index(generic_J, kind, positives, n, d, index, underlying_index,
-                               hyperbolic, good) -> bool:
+                               hyperbolic) -> bool:
     """For nontrivial cylinders: 1 <= ind(underlying) <= ind(cover).
 
-    hyperbolic: both underlying ends are hyperbolic; good: both ends of the
-    cover are good.  When both underlying ends are hyperbolic the index is
-    exactly multiplicative, ind(cover) = d * ind(underlying); in particular an
-    index-one cylinder with an end at a bad orbit lying over a negative
-    hyperbolic underlying end cannot be multiply covered.  (With an
+    hyperbolic: both underlying ends are hyperbolic.  Then the index is
+    exactly multiplicative, ind(cover) = d * ind(underlying), so an index-one
+    cylinder, with good ends or bad, cannot be multiply covered.  (With an
     elliptic underlying end and a bad end lying over an even cover of a
     negative hyperbolic orbit, multiply covered index-one cylinders do
     occur, so no constraint is asserted there.)
@@ -289,12 +287,7 @@ def check_cylinder_cover_index(generic_J, kind, positives, n, d, index, underlyi
         raise PreconditionError("component is not a cylinder")
     if kind is BTC:
         raise PreconditionError("component is a cover of a trivial cylinder")
-    ok = 1 <= underlying_index <= index
-    if hyperbolic:
-        ok = ok and index == d * underlying_index
-        if index == 1 and not good:
-            ok = ok and d == 1
-    return ok
+    return 1 <= underlying_index <= index and (not hyperbolic or index == d * underlying_index)
 
 
 def check_multi_end_cover_combination(kind, d, b, n, k, index) -> bool:
@@ -540,16 +533,15 @@ def _canonical_node(node):
         if child.component.positive_ends != (end,):
             raise SkeletonError("a subtree's positive end must be the end it hangs from")
         child_data.append(_canonical_node(child))
-    # Sort subtree serializations within runs of equal negative-end refs.
-    i = 0
-    while i < len(ends):
-        j = i
-        while j < len(ends) and ends[j] == ends[i]:
-            j += 1
-        child_data[i:j] = sorted(child_data[i:j], key=lambda t: t[0])
-        i = j
-    text = comp.key + "(" + ",".join(t[0] for t in child_data) + ")"
-    return text, BuildingNode(comp, tuple(t[1] for t in child_data))
+    # The key's end order, then subtrees of equal ends by serialization; each
+    # end's subtrees, in that order, fill its own slots in stored end order.
+    end_key = [(r.base.name, r.multiplicity) for r in ends]
+    order = sorted(range(len(ends)), key=lambda i: (end_key[i], child_data[i][0]))
+    children = [None] * len(ends)
+    for slot, i in zip(sorted(range(len(ends)), key=end_key.__getitem__), order):
+        children[slot] = child_data[i][1]
+    text = comp.key + "(" + ",".join(child_data[i][0] for i in order) + ")"
+    return text, BuildingNode(comp, tuple(children))
 
 
 @dataclass(frozen=True)
@@ -560,12 +552,12 @@ class BuildingSkeleton:
     connectedness make the component graph a tree, so the tree is the whole
     building: level i holds the components at depth i, and the constructor
     orders every node's subtrees canonically.  key is then equal exactly
-    for isomorphic buildings.
+    for isomorphic buildings, and equality and hash read key alone.
     """
 
-    root: BuildingNode
+    root: BuildingNode = field(compare=False)
     levels: tuple = field(init=False, repr=False, compare=False)
-    key: str = field(init=False, compare=False)
+    key: str = field(init=False)
     total_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -634,6 +626,15 @@ class _Enumerator:
     the frontier ends after it, and pending, the negative part of the
     completions of the components before it: both are zero, and change
     nothing, unless some index is negative.
+
+    The search has no symmetry rule: it emits every assignment of components
+    to the frontier ends, and _emit keeps one building per key.  That is
+    exact, as every building is some assignment and the key is equal exactly
+    for isomorphic buildings.  It costs the assignments that differ only in
+    the order of subtrees at equal ends: 921 emits for 861 buildings on the
+    search benchmark's seed-1 input.  Ordering equal ends across the whole
+    frontier emitted 849 for 849 there, and missed 12: swapping subtrees of
+    equal ends of different components gives a different building.
     """
 
     def __init__(self, orbits, profile, bounds, time_limit):
@@ -772,10 +773,9 @@ class _Enumerator:
         rest = [0] * len(frontier)
         for pos in range(len(frontier) - 1, 0, -1):
             rest[pos - 1] = rest[pos] + opened[frontier[pos]]
-        last = [0] * len(self.by_pos)
-        self._assign(stack, frontier, rest, 0, [], last, depth, total, 0)
+        self._assign(stack, frontier, rest, 0, [], depth, total, 0)
 
-    def _assign(self, stack, frontier, rest, pos, chosen, last, depth, total, pending):
+    def _assign(self, stack, frontier, rest, pos, chosen, depth, total, pending):
         b = self.bounds
         if pos == len(frontier):
             if all(self.trivial[n] for n in chosen):
@@ -785,23 +785,17 @@ class _Enumerator:
             self._recurse(stack, new_frontier, depth + 1, total)
             stack.pop()
             return
-        ref = frontier[pos]
-        group = self.by_pos[ref]
         down = self._down[b.max_levels - depth - 1]
         budget = b.max_index - total - pending - rest[pos]
-        start = last[ref]
-        for idx in range(start, len(group)):
-            n = group[idx]
+        for n in self.by_pos[frontier[pos]]:
             ind = self.ind[n]
             below = down[n]
             if below == INF or ind + below > budget:
                 continue
             chosen.append(n)
-            last[ref] = idx
-            self._assign(stack, frontier, rest, pos + 1, chosen, last, depth,
+            self._assign(stack, frontier, rest, pos + 1, chosen, depth,
                          total + ind, pending + min(below, 0))
             chosen.pop()
-        last[ref] = start
 
 
 def enumerate_buildings(orbits, profile, bounds, time_limit=None):
@@ -845,14 +839,14 @@ class EstimateSweepReport:
         ]
 
 
-def _estimates(generic_J, kind, d, b, n, k, index, under, hyperbolic, good):
+def _estimates(generic_J, kind, d, b, n, k, index, under, hyperbolic):
     """Each estimate's verdict, in CHECK_NAMES order, on the argument tuple of
     an inventory row (genus zero, one positive end); None where it does not apply."""
     return (
         check_trivial_cover_nonnegative(kind, index) if kind is BTC else None,
         check_cover_index_bound(0, 1, d, b, index, under),
         check_nontrivial_cover_bounds(generic_J, kind, 0, 1, n, k, index, under),
-        check_cylinder_cover_index(generic_J, kind, 1, n, d, index, under, hyperbolic, good)
+        check_cylinder_cover_index(generic_J, kind, 1, n, d, index, under, hyperbolic)
         if kind is not BTC and n == 1 else None,
         check_multi_end_cover_combination(kind, d, b, n, k, index)
         if kind is COV and k > 1 else None,
@@ -870,15 +864,13 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     table = OrbitTable(orbits, bounds.max_total_multiplicity)
     refs = table.refs
     hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in refs]
-    good = [is_good(r) for r in refs]
     seen = {}  # argument tuple -> [rows, verdicts, the estimates it fails]
     violations = {name: [] for name in CHECK_NAMES}
     for row in _rows(table, profile, bounds):
         kind, d, b, p, neg, u, uneg, index, under = row
-        cylinder = len(neg) == 1 and kind is not BTC  # the only rows whose flags are read
+        cylinder = len(neg) == 1 and kind is not BTC  # the only rows whose flag is read
         args = (kind, d, b, len(neg), len(uneg), index, under,
-                cylinder and hyperbolic[u] and hyperbolic[uneg[0]],
-                cylinder and good[p] and good[neg[0]])
+                cylinder and hyperbolic[u] and hyperbolic[uneg[0]])
         entry = seen.get(args)
         if entry is None:
             verdicts = _estimates(profile.generic_J, *args)

@@ -213,16 +213,13 @@ def test_components_copy_and_pickle_by_value():
 # ------------------------------------------------------------ index estimates
 
 
-def cylinder_flags(c):
-    """(both underlying ends hyperbolic, both ends of c good) for a
-    cylinder, the flags check_cylinder_cover_index reads; else both False."""
+def cylinder_flag(c):
+    """Whether both underlying ends of a cylinder are hyperbolic, the flag
+    check_cylinder_cover_index reads; False for any other component."""
     if len(c.negative_ends) != 1 or len(c.underlying_negative_ends) != 1:
-        return False, False
+        return False
     under = c.underlying_positive_ends + c.underlying_negative_ends
-    return (
-        all(orbit_type(r) is not OrbitType.ELLIPTIC for r in under),
-        all(is_good(r) for r in c.positive_ends + c.negative_ends),
-    )
+    return all(orbit_type(r) is not OrbitType.ELLIPTIC for r in under)
 
 
 # What each estimate reads from a component, as the arguments it takes
@@ -239,7 +236,7 @@ ARGS = dict(zip(CHECK_NAMES, (
     ),
     lambda c: (
         True, c.kind, len(c.positive_ends), len(c.negative_ends), c.cover_degree, c.index,
-        c.underlying_index, *cylinder_flags(c),
+        c.underlying_index, cylinder_flag(c),
     ),
     lambda c: (
         c.kind, c.cover_degree, c.branch_count, len(c.negative_ends),
@@ -364,9 +361,9 @@ def test_cylinder_cover_index_reads_underlying_orbit_types(monkeypatch):
     assert orbit_type(cover.positive_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
     assert orbit_type(cover.negative_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
     assert (cover.index, cover.underlying_index) == (6, 2)
-    assert cylinder_flags(cover) == (False, True)
+    assert cylinder_flag(cover) is False
     assert CHECKS["cylinder_cover_index"](cover)
-    assert not check_cylinder_cover_index(True, COV, 1, 1, 2, 6, 2, True, True)
+    assert not check_cylinder_cover_index(True, COV, 1, 1, 2, 6, 2, True)
     report = sweep_rows([top, bottom], [cover], monkeypatch)
     assert "check cylinder_cover_index: checked=1 violations=0" in report.lines()
 
@@ -388,11 +385,11 @@ def test_cylinder_cover_index_rejects_trivial():
          "the estimates need genus zero and one positive end"),
         (check_nontrivial_cover_bounds, (True, COV, 0, 1, 1, 1, 2, 0),
          "underlying curve violates the generic index bound"),
-        (check_cylinder_cover_index, (False, SI, 1, 1, 1, 2, 2, False, True),
+        (check_cylinder_cover_index, (False, SI, 1, 1, 1, 2, 2, False),
          "the estimate assumes a generic profile"),
-        (check_cylinder_cover_index, (True, SI, 1, 2, 1, 2, 2, False, True),
+        (check_cylinder_cover_index, (True, SI, 1, 2, 1, 2, 2, False),
          "component is not a cylinder"),
-        (check_cylinder_cover_index, (True, BTC, 1, 1, 2, 0, 0, False, True),
+        (check_cylinder_cover_index, (True, BTC, 1, 1, 2, 0, 0, False),
          "component is a cover of a trivial cylinder"),
         (check_multi_end_cover_combination, (SI, 1, 0, 2, 2, 3), "needs a cover of a nontrivial"),
         (check_multi_end_cover_combination, (COV, 2, 0, 2, 1, 3), "needs more than one underlying"),
@@ -629,13 +626,14 @@ def test_sweep_matches_the_per_component_reference_on_the_estimate_suite():
 
 def _twins():
     """Three pairs of components, each pair with estimate arguments that
-    differ at most in one flag of the cylinder estimate:
+    differ at most in the flag of the cylinder estimate:
     - "hyperbolic": covers of index 3, below d * u = 4, over two positive
       hyperbolic ends and over two elliptic ones; only the first fails, on
       the hyperbolic flag alone;
     - "good": covers of index 4 = d * u over two negative hyperbolic ends
       (so both ends of the cover are even covers, bad) and over two positive
-      hyperbolic ones; both pass, and differ in the goodness flag alone;
+      hyperbolic ones (good ends); goodness is no argument, so their
+      arguments are equal, and both pass;
     - "same": a pants of index -1 over e and one over h, equal arguments,
       both failing."""
     p1, p2, q1, q2, e1, e2, w1, w2, h1, h2, k1, k2 = (
@@ -662,13 +660,13 @@ def estimate_arguments(c):
 def test_twins_differ_in_one_flag_at_most():
     twins = _twins()
     cylinder = ARGS["cylinder_cover_index"]
-    (a, b), (c, d) = (map(cylinder, twins[pair]) for pair in ("hyperbolic", "good"))
-    assert a[:-2] == b[:-2] and (a[-2:], b[-2:]) == ((True, True), (False, True))
-    assert c[:-1] == d[:-1] and (c[-1], d[-1]) == (False, True)
+    a, b = map(cylinder, twins["hyperbolic"])
+    assert a[:-1] == b[:-1] and (a[-1], b[-1]) == (True, False)
     for pair in twins.values():
         first, second = map(estimate_arguments, pair)
         assert sum(x != y for x, y in zip(first, second)) <= 1
-    assert len(set(map(estimate_arguments, twins["same"]))) == 1
+    for pair in ("good", "same"):
+        assert len(set(map(estimate_arguments, twins[pair]))) == 1
 
 
 def test_sweep_matches_the_per_component_reference_on_injected_rows(monkeypatch):
@@ -685,7 +683,7 @@ def test_sweep_matches_the_per_component_reference_on_injected_rows(monkeypatch)
 
 
 # Distinct estimate_arguments of the estimate_suite.json inventory.
-DECISIONS = 722
+DECISIONS = 675
 
 
 def _spy_on_estimates(monkeypatch):
@@ -743,6 +741,22 @@ def test_multi_end_and_five_minus_two_n_failures_imply_a_cover_bound_failure():
             ):
                 seen += 1
                 assert not check_cover_index_bound(0, 1, d, b, index, u), (d, k, b, u, index)
+    assert seen
+
+
+def test_index_one_over_hyperbolic_ends_forces_degree_one():
+    # With both underlying ends hyperbolic the cylinder estimate requires
+    # index == d * u with u >= 1, so an index-one cylinder that passes has
+    # d = u = 1.  A clause asking d == 1 of index-one cylinders with a bad
+    # end, good false, would change no verdict.
+    seen = 0
+    for d, u, index in product(range(1, 9), range(-2, 9), range(-4, 41)):
+        ok = check_cylinder_cover_index(True, COV, 1, 1, d, index, u, True)
+        for good in (True, False):
+            assert (ok and (index != 1 or good or d == 1)) == ok, (d, u, index, good)
+        if ok and index == 1:
+            seen += 1
+            assert d == u == 1
     assert seen
 
 
@@ -1322,7 +1336,7 @@ def test_enumeration_matches_brute_force_no_negative_ends():
 @pytest.mark.parametrize("multiplicity,levels", [(3, 3), (3, 4), (4, 3), (4, 4)])
 def test_enumeration_matches_brute_force_deeper(multiplicity, levels):
     # Multiply covered ends, several components per level and up to four
-    # levels, where the completion bounds and the symmetry breaking prune.
+    # levels, where the completion bounds prune and equal ends repeat.
     orbits = [
         RotationData("e", F(6, 5), 4, contractible=True),
         RotationData("h", F(1, 2), 4),
@@ -1416,23 +1430,17 @@ CAP_GRID = [
         (False, 1, 2),
     ]
     for max_negative_ends in (0, 1)
+] + [
+    # Three and four levels under generic J, where equal ends of different
+    # components on one level take subtrees that cannot be swapped.
+    (True, levels, per_level, max_negative_ends)
+    for levels, per_level, max_negative_ends in [
+        (3, 2, 2), (3, 3, 1), (4, 2, 1), (3, 3, 2), (4, 3, 1)
+    ]
 ]
-# The search misses buildings in this cell whether or not its inventory is
-# capped: its symmetry breaking also orders equal ends of different components.
-SYMMETRY_MISS = pytest.mark.xfail(
-    strict=True,
-    reason="the search also breaks symmetry between equal ends of different "
-    "components, so from three levels on it misses buildings",
-)
 
 
-@pytest.mark.parametrize(
-    "generic_J, levels, per_level, max_negative_ends",
-    [
-        pytest.param(*case, marks=SYMMETRY_MISS) if case == (True, 3, 2, 1) else case
-        for case in CAP_GRID
-    ],
-)
+@pytest.mark.parametrize("generic_J, levels, per_level, max_negative_ends", CAP_GRID)
 def test_index_cap_keeps_every_building(generic_J, levels, per_level, max_negative_ends):
     # The enumerator builds only components whose index fits under the cap
     # and drops those that cannot fit with their cheapest completion; the
@@ -1474,19 +1482,27 @@ NEG_PLANE = RotationData("n", F(-1, 7), 6, contractible=True)
 
 
 @pytest.mark.parametrize(
-    "max_negative_ends, counts", [(0, [22, 44, 44, 44]), (1, [57, 153, 153, 188])]
+    "levels, max_negative_ends, counts",
+    [
+        (2, 0, [22, 44, 44, 44]),
+        (2, 1, [57, 153, 153, 188]),
+        (3, 0, [370, 740, 740, 740]),
+        (3, 1, [1196, 3204, 3204, 4030]),
+    ],
 )
-def test_budget_counts_what_later_ends_give_back(max_negative_ends, counts):
+def test_budget_counts_what_later_ends_give_back(levels, max_negative_ends, counts):
     # Without generic J, n = -1/7 bounds planes of negative index, so the
     # ends of a level still to be assigned can lower the total: a component
-    # above max_index - total fits when they do.  Two levels of two
-    # components, against the brute-force reference, at each max_index.
+    # above max_index - total fits when they do.  Two components per level,
+    # against the brute-force reference, at each max_index.  From three
+    # levels the completions of the components chosen before one on its
+    # level (pending) can be negative too.
     orbits = [RotationData("a", F(1, 7), 6, contractible=True), NEG_PLANE]
     profile = GenericityProfile(generic_J=False)
     got = []
     for max_index in range(-1, 3):
         bounds = EnumerationBounds(
-            max_levels=2,
+            max_levels=levels,
             max_total_multiplicity=2,
             max_index=max_index,
             max_components_per_level=2,
@@ -1654,18 +1670,12 @@ def test_building_key_is_independent_of_subtree_order():
     assert a == b
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a component key lists its negative ends sorted by name, but the building "
-    "key writes the subtrees in stored end order, so it can put a subtree in the "
-    "slot of another end",
-)
 def test_building_key_is_independent_of_stored_end_order():
     # One building, an index-one curve e^2 => h^1, p^1 with a plane at p^1
     # and a trivial cylinder at h^1, built with its ends stored in either
     # order.  The enumerator stores them in table-id order, so on
-    # convex_small (orbits e, p, h) its key for this building reads
-    # si[g=0]e^2=>h^1,p^1(si[g=0]p^1=>(),btc[d=1,b=0]h^1=>h^1(!)).
+    # convex_small (orbits e, p, h) it stores p^1 first; the key writes each
+    # subtree in its end's place in the component key, which lists h^1 first.
     plane, tcyl = si(ref(POSH, 1), ()), trivial_cylinder(NEGH, 1)
     hp = si(ref(ELL, 2), [ref(NEGH, 1), ref(POSH, 1)])
     ph = si(ref(ELL, 2), [ref(POSH, 1), ref(NEGH, 1)])
@@ -1673,6 +1683,14 @@ def test_building_key_is_independent_of_stored_end_order():
     b = BuildingSkeleton(BuildingNode(ph, [BuildingNode(plane), BuildingNode(tcyl)]))
     assert hp.key == ph.key
     assert a.key == b.key
+    assert a.key.endswith("=>h^1,p^1(btc[d=1,b=0]h^1=>h^1(!),si[g=0]p^1=>())")
+    assert a == b and hash(a) == hash(b)
+    # Each subtree stays under its own end.
+    for building in (a, b):
+        node = building.root
+        assert [c.component.positive_ends for c in node.children] == [
+            (e,) for e in node.component.negative_ends
+        ]
 
 
 def test_classification_of_split_plane_building():

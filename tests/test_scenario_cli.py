@@ -908,7 +908,7 @@ REPORT_DIGESTS = {
     ("estimate_suite.json", "enumerate"): (0, "2fd059ffa869a261cd3123d6fe475814d5a9ca82f77ad1933d581d1d550dff43"),
     ("estimate_suite.json", "verify-props"): (2, "c8f9d5ad387c4621f9eaef9d4ab516b3b541189898f12a54ca81139e3b508c81"),
     ("estimate_suite.json", "complex"): (0, "f0b685493cccd5f692a1c2b1b4159cdf2df296082f0846fb94a61767fe7def4e"),
-    ("split_cancel.json", "enumerate"): (0, "0290266e3963a421d1bf6242decd496762e6bd8490598d1a64378a55b11d1bde"),
+    ("split_cancel.json", "enumerate"): (0, "0c5e6f4d9cadcda55db5536bfd110511f78b6adf4cbecd6642b19fed542082de"),
     ("split_cancel.json", "verify-props"): (2, "c8f9d5ad387c4621f9eaef9d4ab516b3b541189898f12a54ca81139e3b508c81"),
     ("split_cancel.json", "complex"): (0, "8e4b5865e3339877b7041589720d4c40a4ddde633cecfea9fcfc0edbc78e79ed"),
 }
@@ -922,8 +922,8 @@ FLIPPED_COMPLEX_DIGEST = (1, "c645ac8b99bb16500f56d060d14138f1bbc3308af61b7843c6
 # The same at levels 5, multiplicity 8, index 4 on convex_small, where
 # buildings reach five levels; the shipped scenarios never do.
 DEEP_DIGESTS = {
-    "enumerate": "74a701a4194494e5d1efcae4795c45f2dd000dc9987b35eb8d6da1479f7f40b6",
-    "verify-props": "f6b86b133e24f423ba1bd9793d780f29a0817d770a73869195c90184d96b731a",
+    "enumerate": "1b0b1a26cecf08a79926a9d42437d5d13aed18972b8b0ccd09b95d1e86a338de",
+    "verify-props": "f9f207984041e7eebc56655793e4fb14acc21f7a42fccc99371a5e8f3969a0f1",
 }
 
 
@@ -944,10 +944,10 @@ def test_five_level_reports_match_pinned_digests(tmp_path):
 # convex_small at levels 4, index 4 and multiplicity 10 or 12, where most
 # enumerated components cannot fit in any building under index 4.
 WIDE_DIGESTS = {
-    (10, "enumerate"): "313992b34ac19948c8793aece013f1dd23ca69d242ef6472ae08a84b98749dd0",
-    (10, "verify-props"): "62ed0044a98d28cdf2f10304bfd2ffd16eadee6d131f32821e909330199dc89c",
-    (12, "enumerate"): "a827d21a3f00914bf51eb819c4a2186872cfaa8c490b67e9202cfe261da142e9",
-    (12, "verify-props"): "9f6fb85c5bc6543a14bedac6a7723e9b3054580356fd4f3f09b58e79f0893ffe",
+    (10, "enumerate"): "37dde25d7a495fcab6acd0c29732ada9c5afe597ce8ea5c608ac2cdfb39756eb",
+    (10, "verify-props"): "afeec55f37dff5e2ec3f5cecb7855e6b650c5e24232a318826a24ec51a55b031",
+    (12, "enumerate"): "88d6c6dc6efbed0eec8d4cc2de2be9b395d029abd45757d091eafc765da11e3d",
+    (12, "verify-props"): "06959976ff6d9601624c2009f4ece0281536aaf9fc52928207ea9ed78d727de1",
 }
 
 
