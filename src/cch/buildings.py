@@ -10,26 +10,26 @@ somewhere-injective curves have index at least one) and of dynamical
 convexity (contractible orbits have Conley-Zehnder index at least three,
 and only contractible orbits bound planes).
 
-Every index is computed once, by the object it belongs to: an OrbitRef
-carries its Conley-Zehnder index, and a ComponentSkeleton its Fredholm
-index and that of its underlying curve; its kinds are BTC, COV and SI.  The
-public constructor computes both with curve_index and runs every check.
+Each object carries its indices: an OrbitRef its Conley-Zehnder index, and
+a ComponentSkeleton its Fredholm index and that of its underlying curve; its
+kinds are BTC, COV and SI.  Its constructor, the only one, computes both
+with curve_index and runs every check.
 
 The component inventory is rows of ids into one OrbitTable (_rows), which
 holds each cover's grading cz - 1.  A genus-zero curve with one positive end
 has index grading(+) less the grading sum of its negative ends, so each
-index is computed once and the generic-J and cap filters compare it with 1
-and the cap.  A row becomes an object, through _store (each slot once, both
-indices as given, no checks), only where one is needed: enumerate_components
-builds one per row, guarded by an independent oracle
+row's index is computed once and the generic-J and cap filters compare it
+with 1 and the cap.  A row becomes an object only where one is needed:
+enumerate_components builds one per row, guarded by an independent oracle
 (test_components_match_oracle) and by
-test_enumerated_components_equal_their_public_rebuilds; the building search
-one per row it keeps; the estimate sweep one per failing row.  In the search
-the ends of a component are a tuple of ids and the bound tables are lists
-indexed by id; the least index that can still hang below each component at
-each number of levels to go is computed once, before the search.  An
-unreachable bound is the integer sentinel INF, so the arithmetic here is
-exact integer arithmetic throughout.
+test_enumerated_components_are_their_rows, as each object recomputes the
+indices its row carries; the building search builds one per row it keeps,
+the estimate sweep one per failing row.  In the search the ends of a
+component are a tuple of ids and the bound tables are lists indexed by id;
+the least index that can still hang below each component at each number of
+levels to go is computed once, before the search.  An unreachable bound is
+the integer sentinel INF, so the arithmetic here is exact integer arithmetic
+throughout.
 
 The search builds only components that fit in some building.  A building
 has at most K = max_levels * max_components_per_level components, each of
@@ -40,7 +40,7 @@ in none; it is never built, and the search emits the same buildings without it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, product
@@ -97,14 +97,15 @@ def _grouping_exists(cover_ends, under_ends, degree) -> bool:
     return assign(0)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ComponentSkeleton:
     """One curve in a building: cover data plus the ends of cover and base.
 
     index is the Fredholm index of the covering curve and underlying_index
     that of the underlying somewhere-injective curve (genus zero unless the
-    component is that curve itself).  The constructor raises SkeletonError
-    on an invalid shape; the enumerator's path skips the checks (see above).
+    component is that curve itself); key is its canonical serialization.
+    The constructor, the only way to build one, raises SkeletonError on an
+    invalid shape and sets all three once, from the ends.
 
     A trivial cylinder has one representation, a BTC with b = 0.  A curve
     whose ends total the same multiplicity of each orbit on both sides has
@@ -122,70 +123,17 @@ class ComponentSkeleton:
     underlying_negative_ends: tuple
     index: int = field(init=False, repr=False, compare=False)
     underlying_index: int = field(init=False, repr=False, compare=False)
-    _key: str = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, repr=False, compare=False)
 
-    def __init__(self, kind, cover_degree, branch_count, genus, positive_ends, negative_ends,
-                 underlying_positive_ends, underlying_negative_ends):
-        pos, neg = tuple(positive_ends), tuple(negative_ends)
-        upos, uneg = tuple(underlying_positive_ends), tuple(underlying_negative_ends)
-        ind = curve_index(genus, pos, neg)
-        under = ind if kind is SI else curve_index(0, upos, uneg)
-        _store(self, kind, cover_degree, branch_count, genus, pos, neg, upos, uneg, ind, under)
+    def __post_init__(self):
+        for name in ("positive_ends", "negative_ends", "underlying_positive_ends",
+                     "underlying_negative_ends"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         self._check()
-
-    def _check(self):
-        d, b = self.cover_degree, self.branch_count
-        if d < 1 or b < 0 or self.genus < 0:
-            raise SkeletonError("cover degree, branch count, genus out of range")
-        if not self.positive_ends or not self.underlying_positive_ends:
-            raise SkeletonError("a component needs at least one positive end")
-        if self.kind is SI:
-            if d != 1 or b != 0:
-                raise SkeletonError("somewhere-injective components have d=1, b=0")
-            if (
-                self.underlying_positive_ends != self.positive_ends
-                or self.underlying_negative_ends != self.negative_ends
-            ):
-                raise SkeletonError("somewhere-injective ends must equal underlying ends")
-            if _sorted_ends(self.positive_ends) == _sorted_ends(self.negative_ends):
-                raise SkeletonError("trivial cylinders must use the dedicated kind")
-            return
-        k, n = len(self.positive_ends), len(self.negative_ends)
-        chi = 2 - 2 * self.genus - k - n
-        up, un = self.underlying_positive_ends, self.underlying_negative_ends
-        if self.kind is BTC:
-            if len(up) != 1 or len(un) != 1 or up[0] != un[0] or up[0].multiplicity != 1:
-                raise SkeletonError(
-                    "the underlying trivial cylinder must sit over one embedded orbit"
-                )
-            base = up[0].base
-            if any(r.base != base for r in self.positive_ends + self.negative_ends):
-                raise SkeletonError("all ends must cover the cylinder's orbit")
-            if sum(r.multiplicity for r in self.positive_ends) != d:
-                raise SkeletonError("positive end multiplicities must partition the degree")
-            if sum(r.multiplicity for r in self.negative_ends) != d:
-                raise SkeletonError("negative end multiplicities must partition the degree")
-            if chi != -b:
-                raise SkeletonError("branch count violates Riemann-Hurwitz")
-            return
-        # Cover of a nontrivial somewhere-injective curve (underlying genus zero).
-        if d < 2:
-            raise SkeletonError("covers of nontrivial curves need degree >= 2")
-        if _sorted_ends(up) == _sorted_ends(un):
-            raise SkeletonError("covers of trivial cylinders must use the dedicated kind")
-        kk, nn = len(up), len(un)
-        if chi != d * (2 - kk - nn) - b:
-            raise SkeletonError("branch count violates Riemann-Hurwitz")
-        if not _grouping_exists(self.positive_ends, up, d):
-            raise SkeletonError("positive ends do not cover the underlying positive ends")
-        if not _grouping_exists(self.negative_ends, un, d):
-            raise SkeletonError("negative ends do not cover the underlying negative ends")
-
-    @property
-    def key(self) -> str:
-        """Canonical serialization, computed on first use and kept."""
-        if self._key is not None:
-            return self._key
+        index = curve_index(self.genus, self.positive_ends, self.negative_ends)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "underlying_index", index if self.kind is SI else curve_index(
+            0, self.underlying_positive_ends, self.underlying_negative_ends))
         pos = ",".join(r.key for r in self.positive_ends)
         neg = ",".join(r.key for r in _sorted_ends(self.negative_ends))
         head = f"d={self.cover_degree},b={self.branch_count}"
@@ -197,37 +145,55 @@ class ComponentSkeleton:
             upos = ",".join(r.key for r in self.underlying_positive_ends)
             uneg = ",".join(r.key for r in _sorted_ends(self.underlying_negative_ends))
             key = f"cov[{head};{upos}=>{uneg}]{pos}=>{neg}"
-        _set_key(self, key)
-        return key
+        object.__setattr__(self, "key", key)
+
+    def _check(self):
+        d, b = self.cover_degree, self.branch_count
+        pos, neg = self.positive_ends, self.negative_ends
+        up, un = self.underlying_positive_ends, self.underlying_negative_ends
+        if d < 1 or b < 0 or self.genus < 0:
+            raise SkeletonError("cover degree, branch count, genus out of range")
+        if not pos or not up:
+            raise SkeletonError("a component needs at least one positive end")
+        if self.kind is SI:
+            if d != 1 or b != 0:
+                raise SkeletonError("somewhere-injective components have d=1, b=0")
+            if (up, un) != (pos, neg):
+                raise SkeletonError("somewhere-injective ends must equal underlying ends")
+            if _sorted_ends(pos) == _sorted_ends(neg):
+                raise SkeletonError("trivial cylinders must use the dedicated kind")
+            return
+        chi = 2 - 2 * self.genus - len(pos) - len(neg)
+        if self.kind is BTC:
+            if len(up) != 1 or len(un) != 1 or up[0] != un[0] or up[0].multiplicity != 1:
+                raise SkeletonError(
+                    "the underlying trivial cylinder must sit over one embedded orbit"
+                )
+            if any(r.base != up[0].base for r in pos + neg):
+                raise SkeletonError("all ends must cover the cylinder's orbit")
+            if sum(r.multiplicity for r in pos) != d:
+                raise SkeletonError("positive end multiplicities must partition the degree")
+            if sum(r.multiplicity for r in neg) != d:
+                raise SkeletonError("negative end multiplicities must partition the degree")
+            if chi != -b:
+                raise SkeletonError("branch count violates Riemann-Hurwitz")
+            return
+        # Cover of a nontrivial somewhere-injective curve (underlying genus zero).
+        if d < 2:
+            raise SkeletonError("covers of nontrivial curves need degree >= 2")
+        if _sorted_ends(up) == _sorted_ends(un):
+            raise SkeletonError("covers of trivial cylinders must use the dedicated kind")
+        if chi != d * (2 - len(up) - len(un)) - b:
+            raise SkeletonError("branch count violates Riemann-Hurwitz")
+        if not _grouping_exists(pos, up, d):
+            raise SkeletonError("positive ends do not cover the underlying positive ends")
+        if not _grouping_exists(neg, un, d):
+            raise SkeletonError("negative ends do not cover the underlying negative ends")
 
     @property
     def is_trivial_cylinder(self) -> bool:
         # Riemann-Hurwitz gives an unbranched BTC one end on each side.
         return self.kind is BTC and self.branch_count == 0
-
-
-# Slot setters in field order; only _store and the key cache use them.
-(_set_kind, _set_cover_degree, _set_branch_count, _set_genus, _set_pos, _set_neg,
- _set_upos, _set_uneg, _set_index, _set_underlying_index, _set_key) = (
-    getattr(ComponentSkeleton, f.name).__set__ for f in fields(ComponentSkeleton))
-_new = object.__new__
-
-
-def _store(c, kind, d, b, genus, pos, neg, upos, uneg, index, underlying_index):
-    """Store each slot of c once (ends as tuples), indices as given; return c.
-    No checks: the enumerator passes _new(ComponentSkeleton), valid shapes."""
-    _set_kind(c, kind)
-    _set_cover_degree(c, d)
-    _set_branch_count(c, b)
-    _set_genus(c, genus)
-    _set_pos(c, pos)
-    _set_neg(c, neg)
-    _set_upos(c, upos)
-    _set_uneg(c, uneg)
-    _set_key(c, None)
-    _set_index(c, index)
-    _set_underlying_index(c, underlying_index)
-    return c
 
 
 # ------------------------------------------------------------------ checks
@@ -422,20 +388,18 @@ def _rows(table, profile, bounds, cap=INF):
                 yield COV, d, b, p, tuple(sorted(key, key=by_name.__getitem__)), u, ids, ind, under
 
 
-def _component(refs, kind, d, b, p, neg, u, uneg, index, underlying_index):
-    """The ComponentSkeleton of one row of _rows, stored through _store."""
-    pos, ends = (refs[p],), tuple(map(refs.__getitem__, neg))
-    if kind is SI:  # its own underlying curve
-        return _store(_new(ComponentSkeleton), SI, 1, 0, 0, pos, ends, pos, ends, index, index)
-    return _store(_new(ComponentSkeleton), kind, d, b, 0, pos, ends, (refs[u],),
-                  tuple(map(refs.__getitem__, uneg)), index, underlying_index)
+def _component(refs, kind, d, b, p, neg, u, uneg, *indices):
+    """The ComponentSkeleton of a row of _rows; its constructor recomputes the indices."""
+    return ComponentSkeleton(kind, d, b, 0, (refs[p],), [refs[i] for i in neg], (refs[u],),
+                             [refs[i] for i in uneg])
 
 
 def enumerate_components(orbits, profile, bounds) -> Iterator[ComponentSkeleton]:
     """Yield every admissible component skeleton within the bounds: one per
-    row of _rows, in its order, each end a cover from the enumeration's
-    OrbitTable.  Nothing in the library iterates it: the estimate sweep and
-    the building search read the rows and build objects only where needed."""
+    row of _rows, in its order, built by the public constructor, each end a
+    cover from the enumeration's OrbitTable.  Nothing in the library iterates
+    it: the estimate sweep and the building search read the rows and build
+    objects only for the rows that fail an estimate or that the search keeps."""
     table = OrbitTable(orbits, bounds.max_total_multiplicity)
     for row in _rows(table, profile, bounds):
         yield _component(table.refs, *row)

@@ -37,9 +37,10 @@ def parse_rational(text, location="rational") -> Fraction:
         raise ScenarioError(f"expected a rational string, got {text!r}", location)
     parts = text.strip().split("/")
     if len(parts) <= 2 and all(_is_digits(p.removeprefix("-")) for p in parts):
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        num, den = int(parts[0]), int(parts[1])
+        try:
+            num, den = int(parts[0]), int(parts[-1]) if len(parts) == 2 else 1
+        except ValueError as err:  # more digits than int() converts
+            raise ScenarioError(f"cannot parse rational: {err}", location) from None
         if den <= 0:
             raise ScenarioError(f"denominator must be positive in {text!r}", location)
         return Fraction(num, den)
@@ -58,7 +59,10 @@ def parse_orbit_key(text, orbits_by_name, location="orbit reference") -> OrbitRe
         raise ScenarioError(f"orbit {name!r} is not declared", location)
     if not _is_digits(mult):
         raise ScenarioError(f"bad multiplicity in {text!r}", location)
-    m = int(mult)
+    try:
+        m = int(mult)
+    except ValueError as err:  # more digits than int() converts
+        raise ScenarioError(f"bad multiplicity: {err}", location) from None
     orbit = orbits_by_name[name]
     if not 1 <= m <= orbit.validity_bound:
         raise ScenarioError(
@@ -145,6 +149,8 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
         raise ScenarioError(
             f"invalid JSON: {err.msg}", f"{source}:{err.lineno}:{err.colno}"
         ) from err
+    except ValueError as err:  # an integer with more digits than int() converts
+        raise ScenarioError(f"invalid JSON: {err}", source) from None
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object", source)
 

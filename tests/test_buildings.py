@@ -40,9 +40,7 @@ from cch.buildings import (
     _cover_ways,
     _index_floor,
     _is_split_plane_shape,
-    _new,
     _partitions,
-    _store,
     verify_propositions,
 )
 from cch.errors import (
@@ -189,23 +187,21 @@ def test_constructor_stores_list_ends_as_tuples_and_is_frozen():
 
 def test_components_copy_and_pickle_by_value():
     # Slotted components have no instance dict, so copy and pickle go
-    # through the dataclass's slot state; the cached key travels with it.
+    # through the dataclass's slot state; the stored indices and key travel
+    # with it.
     firsts = {}
     for c in enumerate_components([ELL, NEGH, POSH], GENERIC, EnumerationBounds()):
         firsts.setdefault(c.kind, c)
     assert set(firsts) == {BTC, COV, SI}
     for c in firsts.values():
         assert not hasattr(c, "__dict__")
-        # The first round copies c before its key is cached, the second after.
-        for _ in range(2):
-            twins = [copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))]
-            for twin in twins:
-                assert type(twin) is ComponentSkeleton
-                assert twin == c and hash(twin) == hash(c)
-                assert twin.key == c.key
-                assert (twin.index, twin.underlying_index) == (c.index, c.underlying_index)
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    twin.index = 0
+        for twin in [copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))]:
+            assert type(twin) is ComponentSkeleton
+            assert twin == c and hash(twin) == hash(c)
+            assert twin.key == c.key
+            assert (twin.index, twin.underlying_index) == (c.index, c.underlying_index)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                twin.index = 0
         with pytest.raises(SkeletonError, match="cover degree"):
             dataclasses.replace(c, cover_degree=0)
 
@@ -402,12 +398,10 @@ def test_each_estimate_names_its_precondition(check, args, message):
 
 
 def _with_index(c, index):
-    """c with its index replaced, stored through the enumerator's unchecked path."""
-    return _store(
-        _new(ComponentSkeleton), c.kind, c.cover_degree, c.branch_count, c.genus,
-        c.positive_ends, c.negative_ends, c.underlying_positive_ends,
-        c.underlying_negative_ends, index, c.underlying_index,
-    )
+    """A copy of c with its stored index replaced; the key stays c's."""
+    low = copy.copy(c)
+    object.__setattr__(low, "index", index)
+    return low
 
 
 def _cover(d, b, pos, negs, under):
@@ -764,22 +758,32 @@ def test_enumerated_components_pass_all_checks():
     assert report.ok, report.violations
 
 
-def test_enumerated_components_equal_their_public_rebuilds():
-    # enumerate_components builds components without the constructor's
-    # checks; each of estimate_suite.json's whole inventory, rebuilt through
-    # the public constructor, passes every check and is equal, with equal
-    # stored indices.
+def test_enumerated_components_are_their_rows():
+    # The constructor recomputes both indices from the ends with curve_index;
+    # each row carries its index as a drop in grading.  Over the whole
+    # inventory of estimate_suite.json every component, read back as a row,
+    # is the row it was built from.
     suite = parse_scenario(SCENARIOS / "estimate_suite.json")
+    table = OrbitTable(suite.orbits, suite.bounds.max_total_multiplicity)
+    rows = list(buildings._rows(table, suite.profile, suite.bounds))
     inventory = enumerate_components(suite.orbits, suite.profile, suite.bounds)
-    count = 0
-    for count, c in enumerate(inventory, 1):
-        twin = ComponentSkeleton(
-            c.kind, c.cover_degree, c.branch_count, c.genus, c.positive_ends,
-            c.negative_ends, c.underlying_positive_ends, c.underlying_negative_ends,
-        )
-        assert twin == c
-        assert (twin.index, twin.underlying_index) == (c.index, c.underlying_index), c.key
-    assert count == 79568
+    assert [row_of(table, c) for c in inventory] == rows
+    assert len(rows) == 79568
+
+
+def test_search_rejects_an_invalid_kept_row(monkeypatch):
+    # The search builds each row it keeps through the public constructor, so
+    # a kept branched cover with its branch count off by one raises, where an
+    # unchecked build would emit buildings that contain it.
+    orbits, bounds = [ELL, POSH], EnumerationBounds()
+    table = OrbitTable(orbits, bounds.max_total_multiplicity)
+    rows = list(buildings._rows(table, CONVEX, bounds))
+    kept = [row_of(table, c) for c in _Enumerator(orbits, CONVEX, bounds, None).components]
+    kind, d, b, *rest = next(r for r in kept if r[0] is BTC and r[2] > 0)
+    read = inject_rows(monkeypatch, rows + [(kind, d, b + 1, *rest)])
+    with pytest.raises(SkeletonError, match="^branch count violates Riemann-Hurwitz$"):
+        enumerate_buildings(orbits, CONVEX, bounds)
+    assert read == rows + [(kind, d, b + 1, *rest)]
 
 
 # sha256 of "\n".join(report.lines()) of the estimate sweep.
@@ -848,7 +852,7 @@ def test_stored_indices_stay_out_of_equality_and_hash():
     c, d = branched_cover(ELL, (1, 2)), branched_cover(ELL, (1, 2))
     object.__setattr__(d, "index", d.index + 1)
     object.__setattr__(d, "underlying_index", d.underlying_index + 1)
-    assert d.key  # cached on d only
+    assert d.key == c.key  # set by the constructor, from the ends alone
     assert c == d and hash(c) == hash(d)
 
 

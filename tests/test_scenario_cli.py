@@ -377,6 +377,45 @@ def test_json_syntax_error_carries_position():
     assert ":1:" in str(err.value)
 
 
+# More digits than int() converts from a string (4,300 by default): each
+# such number is a ScenarioError at its location, exit 2, not a ValueError.
+LONG = "1" * 5000
+
+
+def test_over_long_theta_flag_exits_2_naming_it():
+    code, text = run_command(["cz", "--theta", f"{LONG}/7", "--mult", "1"])
+    assert code == 2
+    assert "\nerror: --theta: cannot parse rational: " in text and "digits" in text
+    assert LONG not in text
+
+
+def test_over_long_scenario_theta_names_its_location():
+    doc = json.loads(MINIMAL)
+    doc["orbits"][0]["theta"] = f"{LONG}/7"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(json.dumps(doc))
+    assert err.value.location == "scenario.orbits[0].theta"
+    assert "cannot parse rational: " in str(err.value)
+
+
+def test_over_long_orbit_key_multiplicity_names_its_location():
+    orbit = RotationData("a", F(6, 5), 4)
+    with pytest.raises(ScenarioError) as err:
+        parse_orbit_key(f"a^{LONG}", {"a": orbit}, "here")
+    assert str(err.value).startswith("here: bad multiplicity: ")
+
+
+def test_over_long_json_integer_exits_2_naming_the_file(tmp_path):
+    path = tmp_path / "levels.json"
+    path.write_text(MINIMAL.replace('"bounds": {}', f'"bounds": {{"max_levels": {LONG}}}'))
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(path)
+    assert err.value.location == str(path)
+    code, text = run_command(["enumerate", "--scenario", str(path)])
+    assert code == 2
+    assert f"\nerror: {path}: invalid JSON: " in text and "digits" in text
+
+
 def test_rational_formatting():
     assert format_rational(F(7)) == "7"
     assert format_rational(F(-3, 2)) == "-3/2"
