@@ -21,15 +21,15 @@ has index grading(+) less the grading sum of its negative ends, so each
 row's index is computed once and the generic-J and cap filters compare it
 with 1 and the cap.  A row becomes an object only where one is needed:
 enumerate_components builds one per row, guarded by an independent oracle
-(test_components_match_oracle) and by
-test_enumerated_components_are_their_rows, as each object recomputes the
-indices its row carries; the building search builds one per row it keeps,
-the estimate sweep one per failing row.  In the search the ends of a
-component are a tuple of ids and the bound tables are lists indexed by id;
-the least index that can still hang below each component at each number of
-levels to go is computed once, before the search.  An unreachable bound is
-the integer sentinel INF, so the arithmetic here is exact integer arithmetic
-throughout.
+(test_components_match_oracle) and by test_enumerated_components_are_their_rows,
+as each object recomputes the indices its row carries; the building search
+builds one per row it keeps, the estimate sweep, which counts SI rows of one
+shape without listing them (_tally), one per failing row.  In the search the
+ends of a component are a tuple of ids and the bound tables are lists indexed
+by id; the least index that can still hang below each component at each
+number of levels to go is computed once, before the search.  An unreachable
+bound is the integer sentinel INF, so the arithmetic here is exact integer
+arithmetic throughout.
 
 The search builds only components that fit in some building.  A building
 has at most K = max_levels * max_components_per_level components, each of
@@ -339,7 +339,7 @@ def _sorted_ends(ends):
     return tuple(sorted(ends, key=lambda ref: (ref.base.name, ref.multiplicity)))
 
 
-def _rows(table, profile, bounds, cap=INF):
+def _rows(table, profile, bounds, cap=INF, multisets=None):
     """The component inventory as rows of table ids, (kind, d, b, p, neg, u,
     uneg, index, underlying index): refs[p] => refs[neg] over refs[u] =>
     refs[uneg].  neg is in the order the component stores its ends, by name
@@ -372,7 +372,8 @@ def _rows(table, profile, bounds, cap=INF):
                 yield BTC, d, len(parts) - 1, i, ends, u, (u,), ind, 0
 
     # Somewhere-injective curves.
-    multisets = _neg_multisets(range(len(refs)), top, table)
+    if multisets is None:  # (ids, grading sum) pairs; _tally passes one per shape
+        multisets = _neg_multisets(range(len(refs)), top, table)
     for p, pos in enumerate(refs):
         for ids, total in multisets:
             ind = g[p] - total
@@ -817,35 +818,51 @@ def _estimates(generic_J, kind, d, b, n, k, index, under, hyperbolic):
     )
 
 
+def _arguments(hyperbolic, kind, d, b, p, neg, u, uneg, index, under):
+    """_estimates' arguments for a row of _rows; hyperbolic[i]: refs[i] is not elliptic."""
+    return (kind, d, b, len(neg), len(uneg), index, under,
+            len(neg) == 1 and kind is not BTC and hyperbolic[u] and hyperbolic[uneg[0]])
+
+
+def _tally(table, profile, bounds, hyperbolic):
+    """{argument tuple: its number of rows in _rows(...)} in order of first sight."""
+    shapes = {}  # (n, t), or the ids of one end -> [its first ids, t, multisets]
+    for ids, t in _neg_multisets(range(len(table.refs)), bounds.max_total_multiplicity, table):
+        shapes.setdefault(ids if len(ids) == 1 else (len(ids), t), [ids, t, 0])[2] += 1
+    size = {ids: count for ids, _, count in shapes.values()}
+    tally = {}
+    for row in _rows(table, profile, bounds, multisets=[s[:2] for s in shapes.values()]):
+        args = _arguments(hyperbolic, *row)
+        tally[args] = tally.get(args, 0) + (size[row[4]] if row[0] is SI else 1)
+    return tally
+
+
 def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     """Apply every index estimate to every row of the component inventory.
 
     Each estimate reads only its arguments, integers and flags of the row,
-    so the sweep decides each distinct argument tuple once, the first time
-    it sees it, and every later row of the tuple has the same verdicts.  A
-    component is built, for its key, only for a row whose tuple fails; the
-    checked= counts still count components."""
+    so the sweep decides each distinct argument tuple once, weighed by its
+    rows (_tally).  An SI row p => ids with n ends of grading sum t has the
+    tuple (SI, 1, 0, n, n, g[p] - t, g[p] - t, flag), and _rows admits it by
+    that index, n == 0 and ids == (p,).  For n != 1 the flag is False and
+    ids is not (p,), so the multisets of one shape (n, t) share tuple and
+    admission: the SI rows run over the first of each shape, weighed by its
+    count.  A one-end multiset is its own shape, as the flag reads its end
+    and (p,) is the trivial cylinder.  In that order the shapes keep the
+    rows' order of first sight, so errors come in the same order.  Rows are
+    listed, for keys, only if some tuple fails."""
     table = OrbitTable(orbits, bounds.max_total_multiplicity)
-    refs = table.refs
-    hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in refs]
-    seen = {}  # argument tuple -> [rows, verdicts, the estimates it fails]
+    hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in table.refs]
+    tally = _tally(table, profile, bounds, hyperbolic)
+    verdicts = {args: _estimates(profile.generic_J, *args) for args in tally}
     violations = {name: [] for name in CHECK_NAMES}
-    for row in _rows(table, profile, bounds):
-        kind, d, b, p, neg, u, uneg, index, under = row
-        cylinder = len(neg) == 1 and kind is not BTC  # the only rows whose flag is read
-        args = (kind, d, b, len(neg), len(uneg), index, under,
-                cylinder and hyperbolic[u] and hyperbolic[uneg[0]])
-        entry = seen.get(args)
-        if entry is None:
-            verdicts = _estimates(profile.generic_J, *args)
-            failed = [name for name, v in zip(CHECK_NAMES, verdicts) if v is False]
-            entry = seen[args] = [0, verdicts, failed]
-        entry[0] += 1
-        for name in entry[2]:
-            violations[name].append(_component(refs, *row).key)
-    checked = [sum(e[0] for e in seen.values() if e[1][i] is not None) for i in range(5)]
-    return EstimateSweepReport(sum(e[0] for e in seen.values()), dict(zip(CHECK_NAMES, checked)),
-                               violations)
+    if any(False in v for v in verdicts.values()):
+        for row in _rows(table, profile, bounds):
+            for name, v in zip(CHECK_NAMES, verdicts[_arguments(hyperbolic, *row)]):
+                if v is False:
+                    violations[name].append(_component(table.refs, *row).key)
+    checked = [sum(n for a, n in tally.items() if verdicts[a][i] is not None) for i in range(5)]
+    return EstimateSweepReport(sum(tally.values()), dict(zip(CHECK_NAMES, checked)), violations)
 
 
 # --------------------------------------------------------- proposition check

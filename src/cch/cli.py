@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
@@ -26,16 +27,14 @@ from .complexes import (
     render_homology_report,
     verify_d_squared,
 )
-from .errors import CCHError, EnumerationLimitError, OrbitDataError, UsageError
+from .errors import CCHError, DegenerateOrbitError, EnumerationLimitError, UsageError
 from .orbits import (
     CurveData,
-    OrbitRef,
     RotationData,
-    cz_index,
+    cover_is_good,
+    cover_type,
+    cz_of_rotation,
     fredholm_index,
-    grading,
-    is_good,
-    orbit_type,
 )
 from .scenario import (
     format_rational,
@@ -104,34 +103,38 @@ def _scenario_echo(scenario):
     return lines
 
 
-def _cover(args, contractible=False):
-    """The --mult cover of an orbit with rotation number --theta."""
+def _cover(args):
+    """--theta and the cz of its --mult cover, the one cover that must be nondegenerate."""
     theta = parse_rational(args.theta, "--theta")
     if args.mult < 1:
         raise UsageError("--mult must be >= 1")
     try:
-        orbit = RotationData("orbit", theta, args.mult, contractible=contractible)
-    except OrbitDataError:
-        raise UsageError(
-            f"--theta {format_rational(theta)} degenerates at multiplicity "
-            f"{theta.denominator}, within --mult {args.mult}"
-        )
-    return OrbitRef(orbit, args.mult)
+        return theta, cz_of_rotation(theta, args.mult)
+    except DegenerateOrbitError:
+        raise UsageError(f"--theta {format_rational(theta)} degenerates at --mult {args.mult}")
+
+
+@contextmanager
+def _printable(flags="--theta and --mult"):
+    """A usage error for str()'s ValueError past sys.get_int_max_str_digits()."""
+    try:
+        yield
+    except ValueError:
+        raise UsageError(f"{flags} give an integer too long to print")
 
 
 def _cmd_cz(args):
-    ref = _cover(args, args.contractible)
-    lines = [
-        f"theta: {format_rational(ref.base.theta)}",
-        f"multiplicity: {args.mult}",
-        f"cz: {cz_index(ref)}",
-        f"type: {orbit_type(ref).value}",
-        f"good: {str(is_good(ref)).lower()}",
-    ]
-    if args.contractible:
-        lines.append(f"grading: {grading(ref)}")
-    else:
-        lines.append("grading: unavailable (orbit not marked contractible)")
+    theta, cz = _cover(args)
+    with _printable():
+        lines = [
+            f"theta: {format_rational(theta)}",
+            f"multiplicity: {args.mult}",
+            f"cz: {cz}",
+            f"type: {cover_type(theta, args.mult).value}",
+            f"good: {str(cover_is_good(theta, args.mult)).lower()}",
+            f"grading: {cz - 1}" if args.contractible
+            else "grading: unavailable (orbit not marked contractible)",
+        ]
     return 0, _report("cz", lines)
 
 
@@ -164,16 +167,17 @@ def _cmd_index(args):
     positive = tuple(parse_orbit_key(t, orbits, "--positive") for t in args.positive)
     negative = tuple(parse_orbit_key(t, orbits, "--negative") for t in args.negative)
     curve = CurveData(args.genus, positive, negative, args.c_tau)
-    lines = [
-        "curve: genus={} c_tau={} positive={} negative={}".format(
-            args.genus,
-            args.c_tau,
-            ",".join(args.positive) or "-",
-            ",".join(args.negative) or "-",
-        ),
-        f"euler-characteristic: {curve.euler_characteristic}",
-        f"index: {fredholm_index(curve)}",
-    ]
+    with _printable("--orbit, --genus, --c-tau, --positive and --negative"):
+        lines = [
+            "curve: genus={} c_tau={} positive={} negative={}".format(
+                args.genus,
+                args.c_tau,
+                ",".join(args.positive) or "-",
+                ",".join(args.negative) or "-",
+            ),
+            f"euler-characteristic: {curve.euler_characteristic}",
+            f"index: {fredholm_index(curve)}",
+        ]
     return 0, _report("index", lines)
 
 
@@ -261,23 +265,25 @@ def _cmd_no_bad_break(args):
         raise UsageError(f"--d must be >= 1, got {args.degree}")
     cert = no_bad_break_certificate(theta, args.degree)
     code = 0 if cert.verdict is not BreakingVerdict.COUNTEREXAMPLE else 1
-    return code, _report("no-bad-break", cert.lines())
+    with _printable("--theta and --d"):
+        return code, _report("no-bad-break", cert.lines())
 
 
 def _cmd_bounds(args):
     if args.improved and args.side != "positive":
         raise UsageError("--improved applies to --side positive only")
-    ref = _cover(args)
+    theta, cz = _cover(args)
     side = EndSide(args.side)
-    lines = [
-        f"orbit: theta={format_rational(ref.base.theta)} multiplicity={args.mult}",
-        f"cz: {ref.cz}",
-        f"side: {args.side}",
-        f"wind-bound: {wind_bound(ref.cz, side)}",
-        f"writhe-bound: {writhe_bound(ref.cz, args.mult, side)}",
-    ]
-    if args.improved:
-        lines.append(f"improved-writhe-bound: {improved_writhe_bound(ref.cz, args.mult)}")
+    with _printable():
+        lines = [
+            f"orbit: theta={format_rational(theta)} multiplicity={args.mult}",
+            f"cz: {cz}",
+            f"side: {args.side}",
+            f"wind-bound: {wind_bound(cz, side)}",
+            f"writhe-bound: {writhe_bound(cz, args.mult, side)}",
+        ]
+        if args.improved:
+            lines.append(f"improved-writhe-bound: {improved_writhe_bound(cz, args.mult)}")
     return 0, _report("bounds", lines)
 
 

@@ -131,8 +131,12 @@ def cz_index(orbit: OrbitRef) -> int:
 
 
 def orbit_type(orbit: OrbitRef) -> OrbitType:
-    """Classify the cover by where m*theta sits relative to (1/2)Z."""
-    total = orbit.base.theta * orbit.multiplicity
+    return cover_type(orbit.base.theta, orbit.multiplicity)
+
+
+def cover_type(theta: Fraction, m: int) -> OrbitType:
+    """Classify the m-fold cover by where m*theta sits relative to (1/2)Z."""
+    total = theta * m
     if total.denominator == 1:
         return OrbitType.POSITIVE_HYPERBOLIC
     if total.denominator == 2:
@@ -167,9 +171,12 @@ class OrbitTable:
 
 
 def is_good(orbit: OrbitRef) -> bool:
+    return cover_is_good(orbit.base.theta, orbit.multiplicity)
+
+
+def cover_is_good(theta: Fraction, m: int) -> bool:
     """False exactly for even covers of a negative hyperbolic orbit."""
-    base_negative = orbit.base.theta.denominator == 2
-    return not (base_negative and orbit.multiplicity % 2 == 0)
+    return not (theta.denominator == 2 and m % 2 == 0)
 
 
 def grading(orbit: OrbitRef) -> int:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import pickle
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -454,26 +455,40 @@ def row_of(table, c):
 
 
 def inject_rows(monkeypatch, rows):
-    """Make rows the inventory's rows; return the list of rows read from it."""
-    read = []
+    """Make rows the inventory on each path that reads it: _rows, which the
+    search reads and the estimate sweep lists for violation keys, and
+    _tally, which counts the sweep's argument tuples over _rows.  Return
+    {path: the rows it read, in order}."""
+    read = {"_rows": [], "_tally": []}
 
-    def injected(*args):
+    def listed(*args):
         for row in rows:
-            read.append(row)
+            read["_rows"].append(row)
             yield row
 
-    monkeypatch.setattr(buildings, "_rows", injected)
+    def tallied(table, profile, bounds, hyperbolic):
+        tally = {}
+        for row in rows:
+            read["_tally"].append(row)
+            args = buildings._arguments(hyperbolic, *row)
+            tally[args] = tally.get(args, 0) + 1
+        return tally
+
+    monkeypatch.setattr(buildings, "_rows", listed)
+    monkeypatch.setattr(buildings, "_tally", tallied)
     return read
 
 
 def sweep_rows(orbits, components, monkeypatch):
     """run_estimate_sweep over orbits with the inventory replaced by the rows
-    of components, asserting that those rows were read, each once."""
+    of components, asserting that the tally read those rows, each once, and
+    that the sweep listed them, each once, exactly when some row failed."""
     table = OrbitTable(orbits, EnumerationBounds().max_total_multiplicity)
     rows = [row_of(table, c) for c in components]
     read = inject_rows(monkeypatch, rows)
     report = run_estimate_sweep(orbits, GENERIC, EnumerationBounds())
-    assert read == rows and report.components == len(rows)
+    assert read == {"_tally": rows, "_rows": [] if report.ok else rows}
+    assert report.components == len(rows)
     return report
 
 
@@ -612,9 +627,18 @@ def assert_sweep_matches_reference(orbits, profile, bounds, components=None):
     return got
 
 
-def test_sweep_matches_the_per_component_reference_on_the_estimate_suite():
+@pytest.fixture(scope="module")
+def suite_inventory():
+    """estimate_suite.json, its OrbitTable and its 79,568 components, built
+    once for the tests that read the whole inventory."""
     suite = parse_scenario(SCENARIOS / "estimate_suite.json")
-    report = assert_sweep_matches_reference(suite.orbits, suite.profile, suite.bounds)
+    table = OrbitTable(suite.orbits, suite.bounds.max_total_multiplicity)
+    return suite, table, list(enumerate_components(suite.orbits, suite.profile, suite.bounds))
+
+
+def test_sweep_matches_the_per_component_reference_on_the_estimate_suite(suite_inventory):
+    suite, _, components = suite_inventory
+    report = assert_sweep_matches_reference(suite.orbits, suite.profile, suite.bounds, components)
     assert report.components == 79568 and report.ok
 
 
@@ -694,7 +718,7 @@ def _spy_on_estimates(monkeypatch):
 
 
 @pytest.mark.parametrize("inventory", ["estimate_suite.json", "injected rows"])
-def test_sweep_decides_each_argument_tuple_once(inventory, monkeypatch):
+def test_sweep_decides_each_argument_tuple_once(inventory, monkeypatch, request):
     # Each estimate sees every argument tuple that a component of the
     # inventory gives it, and the sweep makes one decision, one call of the
     # estimate every component meets, per distinct estimate_arguments.
@@ -703,8 +727,7 @@ def test_sweep_decides_each_argument_tuple_once(inventory, monkeypatch):
         calls = _spy_on_estimates(monkeypatch)
         sweep_rows(INJECTED_ORBITS, components, monkeypatch)
     else:
-        suite = parse_scenario(SCENARIOS / inventory)
-        components = list(enumerate_components(suite.orbits, suite.profile, suite.bounds))
+        suite, _, components = request.getfixturevalue("suite_inventory")
         calls = _spy_on_estimates(monkeypatch)
         run_estimate_sweep(suite.orbits, suite.profile, suite.bounds)
     for name in CHECK_NAMES:
@@ -758,15 +781,13 @@ def test_enumerated_components_pass_all_checks():
     assert report.ok, report.violations
 
 
-def test_enumerated_components_are_their_rows():
+def test_enumerated_components_are_their_rows(suite_inventory):
     # The constructor recomputes both indices from the ends with curve_index;
     # each row carries its index as a drop in grading.  Over the whole
     # inventory of estimate_suite.json every component, read back as a row,
     # is the row it was built from.
-    suite = parse_scenario(SCENARIOS / "estimate_suite.json")
-    table = OrbitTable(suite.orbits, suite.bounds.max_total_multiplicity)
+    suite, table, inventory = suite_inventory
     rows = list(buildings._rows(table, suite.profile, suite.bounds))
-    inventory = enumerate_components(suite.orbits, suite.profile, suite.bounds)
     assert [row_of(table, c) for c in inventory] == rows
     assert len(rows) == 79568
 
@@ -783,7 +804,7 @@ def test_search_rejects_an_invalid_kept_row(monkeypatch):
     read = inject_rows(monkeypatch, rows + [(kind, d, b + 1, *rest)])
     with pytest.raises(SkeletonError, match="^branch count violates Riemann-Hurwitz$"):
         enumerate_buildings(orbits, CONVEX, bounds)
-    assert read == rows + [(kind, d, b + 1, *rest)]
+    assert read == {"_rows": rows + [(kind, d, b + 1, *rest)], "_tally": []}
 
 
 # sha256 of "\n".join(report.lines()) of the estimate sweep.
@@ -1006,7 +1027,14 @@ def oracle_partitions(n, cap):
 
 def oracle_components(orbits, generic_J, top):
     """Every component enumerate_components should emit, once each, as the
-    arguments of the public ComponentSkeleton constructor.
+    arguments of the public ComponentSkeleton constructor; computed once per
+    orbit set, profile and bound, as several grid tests read it."""
+    return _oracle_components(tuple(orbits), generic_J, top)
+
+
+@lru_cache(maxsize=None)
+def _oracle_components(orbits, generic_J, top):
+    """oracle_components, as a tuple.
 
     Shares no code with the enumerator.  A branched cover of a trivial
     cylinder takes each partition of its degree as its negative ends.  A
@@ -1072,7 +1100,7 @@ def oracle_components(orbits, generic_J, top):
                     neg = oracle_sorted(covers[i] for i in ids)
                     if b >= 0 and assignable(neg, uneg, d):
                         out.append((COV, d, b, 0, (covers[pos],), neg, (r,), uneg))
-    return out
+    return tuple(out)
 
 
 def oracle_rows(orbits, generic_J, top):
@@ -1174,6 +1202,99 @@ def test_sweep_matches_the_per_component_reference_on_the_grid(orbits, contracti
     for top in range(1, 7):
         bounds = EnumerationBounds(max_total_multiplicity=top)
         assert (assert_sweep_matches_reference(orbits, profile, bounds) is None) is not generic_J
+
+
+def tally_key(kind, d, b, neg, upos, uneg, index, under):
+    """The argument tuple the sweep decides for a component, written out
+    here: the flag says that the component is a cylinder off BTC over two
+    ends with m * theta in (1/2)Z, ends that are not elliptic."""
+    flag = kind is not BTC and len(neg) == 1 and all(
+        (r.base.theta * r.multiplicity).denominator <= 2 for r in upos + uneg
+    )
+    return kind, d, b, len(neg), len(uneg), index, under, flag
+
+
+def component_key(c):
+    return tally_key(c.kind, c.cover_degree, c.branch_count, c.negative_ends,
+                     c.underlying_positive_ends, c.underlying_negative_ends, c.index,
+                     c.underlying_index)
+
+
+def assert_tally_counts_the_rows(orbits, profile, bounds, components=None):
+    """_tally, which counts SI rows by shape, equals the Counter of argument
+    tuples over the listed rows of _rows, and over components if given: the
+    same tuples, counts and order of first sight.  Returns it."""
+    table = OrbitTable(orbits, bounds.max_total_multiplicity)
+    hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in table.refs]
+    got = buildings._tally(table, profile, bounds, hyperbolic)
+    listed = Counter(
+        buildings._arguments(hyperbolic, *row) for row in buildings._rows(table, profile, bounds)
+    )
+    assert list(got.items()) == list(listed.items())
+    if components is not None:
+        assert list(got.items()) == list(Counter(map(component_key, components)).items())
+    return got
+
+
+@on_grid
+def test_tally_counts_every_row(orbits, contractible, generic_J):
+    # And, unordered, the oracle's components: the trivial cylinder (p,) and
+    # planes over non-contractible orbits are left out as the oracle leaves
+    # them out, so a tally that counted either fails here even where _rows
+    # shares the fault.
+    orbits = with_contractible(orbits, contractible)
+    profile = GenericityProfile(generic_J=generic_J)
+    for top in range(1, 7):
+        bounds = EnumerationBounds(max_total_multiplicity=top)
+        got = assert_tally_counts_the_rows(orbits, profile, bounds)
+        want = Counter(
+            tally_key(kind, d, b, neg, upos, uneg, oracle_index(genus, pos, neg),
+                      oracle_index(0, upos, uneg))
+            for kind, d, b, genus, pos, neg, upos, uneg
+            in oracle_components(orbits, generic_J, top)
+        )
+        assert got == want, top
+
+
+def test_tally_counts_every_row_of_the_estimate_suite(suite_inventory):
+    suite, _, components = suite_inventory
+    got = assert_tally_counts_the_rows(suite.orbits, suite.profile, suite.bounds, components)
+    assert sum(got.values()) == 79568
+    # 675 tuples, DECISIONS; 75,193 SI rows share 158 of them.
+    si = [n for args, n in got.items() if args[0] is SI]
+    assert (len(got), sum(si), len(si)) == (DECISIONS, 75193, 158)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in SCENARIOS.glob("*.json") if p.name != "estimate_suite.json")
+)
+def test_tally_counts_every_row_of_each_shipped_scenario(name):
+    suite = parse_scenario(SCENARIOS / name)
+    components = enumerate_components(suite.orbits, suite.profile, suite.bounds)
+    assert_tally_counts_the_rows(suite.orbits, suite.profile, suite.bounds, components)
+
+
+def test_sweep_lists_the_rows_of_a_failing_shape_in_row_order(monkeypatch):
+    # A shape stands for many SI rows; if its tuple fails, the sweep lists
+    # the inventory and reports each of those rows, in inventory order.
+    # Here every SI row with two negative ends fails the generic bounds.
+    orbits, bounds = [ELL, NEGH, POSH], EnumerationBounds(max_total_multiplicity=4)
+    check = buildings.check_nontrivial_cover_bounds
+
+    def failing(generic_J, kind, genus, positives, n, k, index, under):
+        return check(generic_J, kind, genus, positives, n, k, index, under) and not (
+            kind is SI and n == 2
+        )
+
+    monkeypatch.setattr(buildings, "check_nontrivial_cover_bounds", failing)
+    report = run_estimate_sweep(orbits, GENERIC, bounds)
+    pairs = [c for c in enumerate_components(orbits, GENERIC, bounds)
+             if c.kind is SI and len(c.negative_ends) == 2]
+    assert report.violations == dict.fromkeys(CHECK_NAMES, []) | {
+        "nontrivial_cover_bounds": [c.key for c in pairs]
+    }
+    # Some positive end has several of those rows at one index: one shape.
+    assert len({(c.positive_ends, c.index) for c in pairs}) < len(pairs)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -1583,7 +1704,7 @@ def test_bound_tables_match_subtree_oracle(orbits, generic_J, multiplicity, thin
     kept = every[::thin]
     read = inject_rows(monkeypatch, rows[::thin])
     enumerator = _Enumerator(orbits, profile, bounds, None)
-    assert read == rows[::thin]
+    assert read == {"_rows": rows[::thin], "_tally": []}
     assert set(enumerator.components) <= set(kept)
     by_pos = {}
     for c in kept:

@@ -654,7 +654,7 @@ def test_single_certificate_reports_match_pinned_digest():
 
 def test_bounds_reports_match_pinned_digest():
     # Elliptic, hyperbolic and degenerate covers; the degenerate ones are
-    # usage errors.
+    # usage errors, and a cover above a degenerate one is reported.
     argvs = (
         ["bounds", "--theta", theta, "--mult", str(m), *side]
         for theta in ("6/5", "2", "3/2", "233/144", "1/3", "7/5", "5")
@@ -667,7 +667,7 @@ def test_bounds_reports_match_pinned_digest():
     )
     assert _reports_digest(argvs) == (
         168,
-        "15457a0133ec540632c044ec1b5f87031162da619cc83c2c28c74f77d4daed6d",
+        "6877c2d30280d09e99ad9bdda917305497335aa0a3c7bc4f769b28921fc93dcf",
     )
 
 
@@ -726,17 +726,66 @@ def test_mult_below_one_is_a_usage_error_naming_the_flag(command):
 
 
 @pytest.mark.parametrize("command", ["cz", "bounds"])
-@pytest.mark.parametrize("mult", ["5", "7"])
+@pytest.mark.parametrize("mult", ["5", "10"])
 def test_degenerate_cover_is_a_usage_error_naming_theta_and_mult(command, mult):
-    # 5 * 6/5 is an integer: the orbit degenerates at its fifth cover.
+    # 5 * 6/5 and 10 * 6/5 are integers: those covers are degenerate.
     extra = ["--side", "positive"] if command == "bounds" else []
     code, text = run_command([command, "--theta", "6/5", "--mult", mult, *extra])
     assert code == 2
     assert text.startswith("usage:")
-    assert text.endswith(
-        f"error: --theta 6/5 degenerates at multiplicity 5, within --mult {mult}\n"
-    )
+    assert text.endswith(f"error: --theta 6/5 degenerates at --mult {mult}\n")
     assert "validity bound" not in text
+
+
+@pytest.mark.parametrize("mult", [6, 7, 9, 11])
+def test_cover_above_a_degenerate_one_is_reported(mult):
+    # Only the cover asked for must be nondegenerate: m * 6/5 is no integer
+    # for these m, though the fifth cover is degenerate.
+    floor = mult * 6 // 5
+    code, text = run_command(["cz", "--theta", "6/5", "--mult", str(mult), "--contractible"])
+    assert code == 0
+    assert f"\ncz: {2 * floor + 1}\ntype: elliptic\ngood: true\ngrading: {2 * floor}\n" in text
+    code, text = run_command(["bounds", "--theta", "6/5", "--mult", str(mult), "--side", "positive"])
+    assert code == 0
+    assert f"\ncz: {2 * floor + 1}\n" in text
+    assert f"\nwrithe-bound: {(mult - 1) * floor}\n" in text
+
+
+# The largest numerator int() reads by default: its covers' indices have
+# more digits than str() writes.
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("command", ["cz", "bounds"])
+def test_report_integer_longer_than_str_writes_exits_2_naming_the_flags(command):
+    extra = ["--side", "positive"] if command == "bounds" else []
+    code, text = run_command([command, "--theta", NINES, "--mult", "30", *extra])
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith("error: --theta and --mult give an integer too long to print\n")
+    # A rotation number as long whose cover's integers str() still writes.
+    code, text = run_command([command, "--theta", "4" * 4300, "--mult", "1", *extra])
+    assert code == 0 and f"\ncz: {'8' * 4300}\n" in text
+
+
+def test_certificate_longer_than_str_writes_exits_2_naming_the_flags():
+    code, text = run_command(["no-bad-break", "--theta", f"{NINES}/7", "--d", NINES])
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith("error: --theta and --d give an integer too long to print\n")
+
+
+@pytest.mark.parametrize(
+    "extra", [["--orbit", f"a={NINES}:1"], ["--orbit", "a=1/2:1", "--c-tau", NINES]]
+)
+def test_index_longer_than_str_writes_exits_2_naming_the_flags(extra):
+    code, text = run_command(["index", *extra, "--positive", "a^1"])
+    assert code == 2
+    assert text.startswith("usage:")
+    assert text.endswith(
+        "error: --orbit, --genus, --c-tau, --positive and --negative give an integer"
+        " too long to print\n"
+    )
 
 
 @pytest.mark.parametrize(
