@@ -1642,6 +1642,15 @@ def test_enumeration_requires_convex_data_when_flagged():
         enumerate_buildings([bad], CONVEX, EnumerationBounds())
 
 
+def test_sweep_raises_the_convexity_error_before_any_estimate():
+    # Without generic J every estimate tuple raises a PreconditionError, but
+    # the inventory refuses the data first, before a tuple is decided.
+    bad = RotationData("c", F(1, 2), 10, contractible=True)
+    profile = GenericityProfile(generic_J=False, dynamically_convex=True)
+    with pytest.raises(DynamicalConvexityError):
+        run_estimate_sweep([bad], profile, EnumerationBounds())
+
+
 def test_enumeration_limit_carries_partial_results():
     orbits = [ELL, POSH]
     with pytest.raises(EnumerationLimitError) as err:
