@@ -12,7 +12,9 @@ generator by its multiplicity, so each entry of d is a sum of
 sign * m(alpha) / cover_degree: an integer, since each cover degree
 divides m(alpha).  d is stored once, as sparse integer columns.  Every
 record joins generators of one homotopy class whose gradings differ by
-one, so homology ranks are taken per (class, grading) block of d.
+one, so homology ranks are taken per (class, grading) block of d, each
+cut down first to one row, then one column, per direction: exact, as a
+multiple of a kept vector adds nothing to the span that the rank counts.
 
 For the same reason column j of d lies in the block below j, so it packs
 into one integer with a w-bit field per row of that block (Kronecker
@@ -304,6 +306,16 @@ def verify_d_squared(c: ChainComplex) -> DSquaredReport:
     return c.d_squared
 
 
+def _directions(vectors):
+    """Each nonzero vector over its content (the gcd of its entries), signed
+    so that its first nonzero entry is positive, kept once in seen order."""
+    kept = {}
+    for v in vectors:
+        content = gcd(*v) if next(filter(None, v)) > 0 else -gcd(*v)
+        kept[tuple(x // content for x in v)] = None
+    return list(kept)
+
+
 def homology_ranks(c: ChainComplex):
     """Rank of homology per (homotopy class, grading), zero ranks omitted."""
     if c.d_squared is None or not c.d_squared.ok:
@@ -316,18 +328,19 @@ def homology_ranks(c: ChainComplex):
         blocks.setdefault((c.classes[j], c.gradings[j]), {})[j] = column
     # Zero rows and columns do not change a rank, so each block is cut down
     # to the rows and columns that hold an entry (the boundary stores no
-    # zero).  Dividing a column by its content, the gcd of its entries,
-    # does not change the rank either and keeps the elimination's entries
-    # small where multiplicities are large.
+    # zero), then to one row per direction and, of what is left, one column
+    # per direction (_directions; every column keeps an entry).  That is
+    # exact: scaling a row or column by a nonzero integer changes no rank,
+    # and a row that is a nonzero multiple of a kept row adds nothing to the
+    # row space, nor a column that is one of a kept column to the columns'.
     map_rank = {}
     for key, columns in blocks.items():
         rows = {i: r for r, i in enumerate(sorted({i for col in columns.values() for i in col}))}
         matrix = [[0] * len(columns) for _ in rows]
         for k, j in enumerate(sorted(columns)):
-            content = gcd(*columns[j].values())
             for i, value in columns[j].items():
-                matrix[rows[i]][k] = value // content
-        map_rank[key] = linalg.rank(matrix)
+                matrix[rows[i]][k] = value
+        map_rank[key] = linalg.rank(list(zip(*_directions(zip(*_directions(matrix))))))
     ranks = {}
     for (cls, g), size in sorted(sizes.items()):
         value = size - map_rank.get((cls, g), 0) - map_rank.get((cls, g + 1), 0)

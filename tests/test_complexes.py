@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import floor
 
@@ -540,6 +541,108 @@ def test_sparse_kernel_matches_dense_oracle():
         assert not square_zero
         tops.append([v * 60 for _, _, v in entries])  # all in column x^60
     assert tops == [[32], [-32], [-12, 8]]
+
+
+def _planted_complex(maps, empty=()):
+    """A complex in class t with one multiplicity-one generator per row and
+    column of maps, plus len(empty) generators at each grading in empty:
+    maps[g][i][j] is the coefficient of generator i of grading g - 1 in the
+    boundary of generator j of grading g, written as that many records."""
+    sizes = Counter(empty)
+    for g, rows in maps.items():
+        sizes[g - 1] = max(sizes[g - 1], len(rows))
+        sizes[g] = max(sizes[g], len(rows[0]))
+    gens = {
+        g: [RotationData(f"g{g}n{k}", F(6, 5), 1, homotopy_class="t") for k in range(n)]
+        for g, n in sizes.items()
+    }
+    counts = [
+        record(OrbitRef(gens[g][j], 1), OrbitRef(gens[g - 1][i], 1), 1 if v > 0 else -1)
+        for g, rows in maps.items()
+        for i, row in enumerate(rows)
+        for j, v in enumerate(row)
+        for _ in range(abs(v))
+    ]
+    orbits = [o for g in sorted(gens) for o in gens[g]]
+    gradings = {f"{o.name}^1": g for g, group in gens.items() for o in group}
+    return build_complex(orbits, 1, gradings, counts), counts
+
+
+def _planted_cases():
+    """Blocks with repeated, proportional and sign-flipped rows and
+    columns, next to rows and columns that are distinct directions but
+    share their absolute values, their support or their sorted entries."""
+    m = [[1, 2, 0], [2, 1, 0], [1, 2, 0]]  # rows 0 and 2 repeat
+    q = [[1, -1, 1], [-1, 1, 1], [2, -2, 2]]  # row 2 is twice row 0
+    # Mirrored generators: delta u = (Mu, Mu), delta v = Qv, delta w = -Qw.
+    yield {2: m + m, 1: [row + [-x for x in row] for row in q]}, ()
+    # A row copied twice and a row scaled by 2 and by -3.
+    yield {1: [[1, 2, 3], [1, 2, 3], [1, 2, 3], [2, 4, 6], [-3, -6, -9], [3, 2, 1]]}, ()
+    # A column with its sign flipped, beside columns (1, 1) and (1, -1).
+    yield {1: [[1, -1, 1, 1], [2, -2, 1, -1]]}, ()
+    # Rows equal in absolute value, in support and in sorted entries.
+    yield {1: [[1, 1], [1, -1]]}, ()
+    yield {1: [[1, 2], [2, 1]]}, ()
+    yield {1: [[2, 0, 1], [0, 2, 1], [1, 0, 2]]}, ()
+    # Zero blocks: generators at gradings 3 and 0 that no record reaches,
+    # and a zero row and a zero column inside a nonzero map.
+    yield {2: [[1, 0, 2], [0, 0, 0], [2, 0, 4]]}, (3, 3, 0)
+
+
+def test_reduced_ranks_match_dense_oracle_on_planted_repeats():
+    for maps, empty in _planted_cases():
+        cx, counts = _planted_complex(maps, empty)
+        _, square_zero, ranks = _dense_oracle(cx, counts)
+        assert square_zero and verify_d_squared(cx).ok
+        assert homology_ranks(cx) == ranks, maps
+    # Seeded grid: rows drawn from a few base rows, each scaled by a random
+    # nonzero factor, so blocks repeat rows up to sign and scale.
+    rng = random.Random(20261020)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        base = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+        block = [
+            [rng.choice((-3, -2, -1, 1, 2, 3)) * x for x in rng.choice(base)]
+            for _ in range(rows)
+        ]
+        if not any(map(any, block)):
+            continue
+        cx, counts = _planted_complex({1: block})
+        verify_d_squared(cx)
+        assert homology_ranks(cx) == _dense_oracle(cx, counts)[2], block
+
+
+def test_benchmark_shaped_complex_homology_is_closed_form():
+    # u (grading 2), v, w (grading 1) and z (grading 0), as the covers
+    # 1..k of four orbits in class f, with delta u = (Mu, Mu), delta v = Qv
+    # and delta w = -Qw for M and Q whose rank falls short through
+    # repeated rows.
+    rng = random.Random(25)
+
+    def rank_deficient(k, distinct):
+        base = [[rng.choice((-2, -1, 1, 2)) for _ in range(k)] for _ in range(distinct)]
+        rows = base + [list(rng.choice(base)) for _ in range(k - distinct)]
+        rng.shuffle(rows)
+        return rows
+
+    for k in range(4, 11):
+        m, q = rank_deficient(k, k - k // 4), rank_deficient(k, k - k // 2)
+        orbits = [RotationData(name, F(1), k, homotopy_class="f") for name in "uvwz"]
+        counts = [
+            record(OrbitRef(orbits[a], j + 1), OrbitRef(orbits[b], i + 1), sign if v > 0 else -sign)
+            for matrix, a, b, sign in ((m, 0, 1, 1), (m, 0, 2, 1), (q, 1, 3, 1), (q, 2, 3, -1))
+            for i, row in enumerate(matrix)
+            for j, v in enumerate(row)
+            for _ in range(abs(v))
+        ]
+        gradings = {
+            f"{o.name}^{c}": g for o, g in zip(orbits, (2, 1, 1, 0)) for c in range(1, k + 1)
+        }
+        cx = build_complex(orbits, k, gradings, counts)
+        assert verify_d_squared(cx).ok
+        rk_m, rk_q = _gauss_rank(m), _gauss_rank(q)
+        closed = {0: k - rk_q, 1: 2 * k - rk_m - rk_q, 2: k - rk_m}
+        assert homology_ranks(cx) == {("f", g): r for g, r in closed.items() if r}
 
 
 def test_middle_multiplicity_weights_the_composite():
