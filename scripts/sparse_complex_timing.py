@@ -5,9 +5,9 @@
 
 The complex has three orbits a, b, c in one non-contractible class, each
 with covers 1..N at gradings 2, 1 and 0.  Every cover of a and of b has
-two count records, of random sign, to two distinct random covers one
+two count rows, of random sign, to two distinct random covers one
 grading below, so d has 2 entries per column in two nonzero blocks and
-d^2 is (almost surely) nonzero; the records come from a fixed seed.
+d^2 is (almost surely) nonzero; the rows come from a fixed seed.
 
 Both calls, and a plain per-entry dict loop over the stored boundary, are
 timed in process, the minimum over RUNS runs.  Every nonzero entry of
@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cch import CountRecord, OrbitRef, RotationData, build_complex, verify_d_squared
+from cch import OrbitRef, RotationData, build_complex, verify_d_squared
 from cch.orbits import format_orbit
 
 SEED = 1
@@ -31,20 +31,18 @@ RUNS = 5
 
 
 def sparse_complex_inputs(n, seed):
-    """Orbits, relative gradings and count records of the complex."""
+    """Orbits, relative gradings, count rows and the covers they index:
+    cover k * n + m - 1 is the m-fold cover of orbit k."""
     rng = random.Random(seed)
     orbits = [RotationData(name, Fraction(1), n, homotopy_class="f") for name in "abc"]
     gradings = {f"{o.name}^{m}": g for o, g in zip(orbits, (2, 1, 0)) for m in range(1, n + 1)}
+    covers = [OrbitRef(o, m) for o in orbits for m in range(1, n + 1)]
     counts = []
-    for upper, lower in zip(orbits, orbits[1:]):
+    for upper in (0, n):
         for m in range(1, n + 1):
-            alpha = OrbitRef(upper, m)
             for target in rng.sample(range(1, n + 1), 2):
-                beta = OrbitRef(lower, target)
-                counts.append(CountRecord(
-                    format_orbit(alpha), format_orbit(beta), rng.choice((1, -1)), 1, alpha, beta
-                ))
-    return orbits, gradings, counts
+                counts.append((upper + m - 1, upper + n + target - 1, rng.choice((1, -1)), 1))
+    return orbits, gradings, counts, covers
 
 
 def per_entry_d_squared(cx):
@@ -79,8 +77,8 @@ def main(argv=None):
     if args.per_block < 2:
         parser.error("--per-block must be >= 2")
 
-    orbits, gradings, counts = sparse_complex_inputs(args.per_block, SEED)
-    cx, build_s = best_of(lambda: build_complex(orbits, args.per_block, gradings, counts))
+    orbits, gradings, counts, covers = sparse_complex_inputs(args.per_block, SEED)
+    cx, build_s = best_of(lambda: build_complex(orbits, args.per_block, gradings, counts, covers))
     report, verify_s = best_of(lambda: verify_d_squared(cx))
     expected, loop_s = best_of(lambda: per_entry_d_squared(cx))
 

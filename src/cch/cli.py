@@ -303,7 +303,7 @@ def _cmd_complex(args):
         scenario.orbits,
         max_mult,
         scenario.relative_gradings,
-        scenario.count_table(),
+        *scenario.count_table(),
     )
     lines.append(f"generators: {len(cx.generators)}")
     report = verify_d_squared(cx)

@@ -1,17 +1,19 @@
 """Rational chain complexes on good orbit covers.
 
-Cylinder counts are inputs, never computed: a sequence of CountRecords,
-each one signed index-one cylinder between two covers.  This module
-groups the records by the orbit-table ids of their ends, validates every
-algebraic constraint such counts must satisfy, assembles the boundary
-d = delta kappa, verifies that delta kappa delta vanishes, and computes
-homology ranks by exact elimination.
+Cylinder counts are inputs, never computed: rows (alpha, beta, sign,
+cover_degree) of ints, each one signed index-one cylinder between two
+covers, alpha and beta indexing a tuple of distinct covers.  Equal rows
+are repeated cylinders.  This module weighs each distinct row by how
+often it occurs, groups the rows by the generators at their ends,
+validates every algebraic constraint such counts must satisfy, assembles
+the boundary d = delta kappa, verifies that delta kappa delta vanishes,
+and computes homology ranks by exact elimination.
 
 delta weighs each cylinder by sign / cover_degree and kappa multiplies a
 generator by its multiplicity, so each entry of d is a sum of
 sign * m(alpha) / cover_degree: an integer, since each cover degree
 divides m(alpha).  d is stored once, as sparse integer columns.  Every
-record joins generators of one homotopy class whose gradings differ by
+row joins generators of one homotopy class whose gradings differ by
 one, so homology ranks are taken per (class, grading) block of d, each
 cut down first to one row, then one column, per direction: exact, as a
 multiple of a kept vector adds nothing to the span that the rank counts.
@@ -25,7 +27,7 @@ column) * (largest |entry|)^2, which bounds every entry of d^2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
@@ -39,41 +41,6 @@ from .errors import (
     SequencingError,
 )
 from .orbits import OrbitRef, OrbitTable, format_orbit, is_good
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class CountRecord:
-    """One signed index-one cylinder from alpha to beta that covers its
-    underlying cylinder cover_degree times.
-
-    alpha and beta are the cover keys as written, which scenario emission
-    writes back; alpha_ref and beta_ref are the covers they name.
-    """
-
-    alpha: str
-    beta: str
-    sign: int
-    cover_degree: int
-    alpha_ref: OrbitRef
-    beta_ref: OrbitRef
-
-    def __init__(self, alpha, beta, sign, cover_degree, alpha_ref, beta_ref):
-        # One pass: check, then store each slot once.
-        if sign not in (1, -1):
-            raise PreconditionError(f"sign must be +1 or -1, got {sign}")
-        if cover_degree < 1:
-            raise PreconditionError("cover degree must be >= 1")
-        _set_alpha(self, alpha)
-        _set_beta(self, beta)
-        _set_sign(self, sign)
-        _set_cover_degree(self, cover_degree)
-        _set_alpha_ref(self, alpha_ref)
-        _set_beta_ref(self, beta_ref)
-
-
-# Slot setters in field order; only the constructor uses them.
-(_set_alpha, _set_beta, _set_sign, _set_cover_degree, _set_alpha_ref, _set_beta_ref) = (
-    getattr(CountRecord, f.name).__set__ for f in fields(CountRecord))
 
 
 @dataclass
@@ -142,18 +109,32 @@ def build_complex(
     max_multiplicity: int,
     relative_gradings: Optional[Mapping] = None,
     counts=(),
+    covers=(),
 ) -> ChainComplex:
     """Assemble the complex on all good covers up to the multiplicity cap.
 
     Each orbit contributes covers up to min(validity bound, cap); orbit
-    names must be distinct.  counts is a sequence of CountRecords.  The
-    records of each ordered pair of covers must connect good generators of
-    the same homotopy class with grading difference one, and each record's
-    cover degree must divide both end multiplicities; pairs are checked in
-    the order of their first record.  That makes every boundary entry an
+    names must be distinct.  counts is a sequence of rows (alpha, beta,
+    sign, cover_degree) of ints, one per signed index-one cylinder, and
+    alpha and beta index covers, a sequence of OrbitRefs.  Each row's
+    alpha and beta must index a cover, its sign must be +1 or -1 and its
+    cover degree at least 1; rows are checked in order of first use,
+    before anything else.  The rows of each ordered
+    pair of generators must connect good generators of the same homotopy
+    class with grading difference one, and each cover degree must divide
+    both end multiplicities; pairs are checked in the order of their first
+    row, and a pair's rows in order.  That makes every boundary entry an
     integer: it is a sum of sign * m(alpha) / cover_degree, and each cover
     degree divides m(alpha).
     """
+    rows = Counter(counts)  # each distinct row, weighed by how often it occurs
+    for alpha, beta, sign, degree in rows:
+        if not (0 <= alpha < len(covers) and 0 <= beta < len(covers)):
+            raise PreconditionError(f"count row {alpha, beta, sign, degree} indexes no cover")
+        if sign not in (1, -1):
+            raise PreconditionError(f"sign must be +1 or -1, got {sign}")
+        if degree < 1:
+            raise PreconditionError("cover degree must be >= 1")
     if max_multiplicity < 1:
         raise PreconditionError("max multiplicity must be >= 1")
     relative_gradings = dict(relative_gradings or {})
@@ -185,25 +166,18 @@ def build_complex(
             return ref
         return p if p is not None and generators[p] == ref else ref
 
-    # Group the records by the generator positions of their ends.  Each
-    # OrbitRef object is located once: records parsed from one spelling
-    # share it, so the loop hashes ints, not covers.
-    located = {}
+    # Group the rows by the generators at their ends, each cover located
+    # once; two spellings of one cover (a^1, a^01) share a group.
+    where = [locate(ref) for ref in covers]
     groups = {}
-    for rec in counts:
-        j = located.get(id(rec.alpha_ref))
-        if j is None:
-            j = located[id(rec.alpha_ref)] = locate(rec.alpha_ref)
-        i = located.get(id(rec.beta_ref))
-        if i is None:
-            i = located[id(rec.beta_ref)] = locate(rec.beta_ref)
-        groups.setdefault((j, i), []).append(rec)
+    for row in rows:
+        groups.setdefault((where[row[0]], where[row[1]]), []).append(row)
 
     boundary = {}
-    for (j, i), records in groups.items():
-        alpha, beta = records[0].alpha_ref, records[0].beta_ref
-        for where, ref in ((j, alpha), (i, beta)):
-            if isinstance(where, OrbitRef):
+    for (j, i), group in groups.items():
+        alpha, beta = covers[group[0][0]], covers[group[0][1]]
+        for end, ref in ((j, alpha), (i, beta)):
+            if isinstance(end, OrbitRef):
                 raise BadOrbitError(_not_a_generator(format_orbit(ref), not is_good(ref)))
         if classes[j] != classes[i]:
             raise GradingMismatchError(
@@ -216,14 +190,14 @@ def build_complex(
                 f"by one, got {gradings[j]} -> {gradings[i]}"
             )
         total = 0
-        for rec in records:
-            degree = rec.cover_degree
+        for row in group:
+            degree = row[3]
             if kappa_diag[j] % degree or kappa_diag[i] % degree:
                 raise CoverDivisibilityError(
                     f"{format_orbit(alpha)} -> {format_orbit(beta)}: cover degree "
                     f"{degree} does not divide both end multiplicities"
                 )
-            total += rec.sign * (kappa_diag[j] // degree)
+            total += rows[row] * row[2] * (kappa_diag[j] // degree)
         if total:
             boundary.setdefault(j, {})[i] = total
 

@@ -17,10 +17,6 @@ class DegenerateOrbitError(CCHError):
     """An elliptic-modeled rotation number hit an integer multiple."""
 
 
-class GradingUnavailableError(CCHError):
-    """Absolute grading requested for a non-contractible orbit."""
-
-
 class SkeletonError(CCHError):
     """A curve or building skeleton violates a structural invariant."""
 

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .errors import (
     DegenerateOrbitError,
-    GradingUnavailableError,
     MultiplicityBoundError,
     OrbitDataError,
     SkeletonError,
@@ -177,26 +176,6 @@ def is_good(orbit: OrbitRef) -> bool:
 def cover_is_good(theta: Fraction, m: int) -> bool:
     """False exactly for even covers of a negative hyperbolic orbit."""
     return not (theta.denominator == 2 and m % 2 == 0)
-
-
-def grading(orbit: OrbitRef) -> int:
-    """Absolute grading cz - 1; defined only in the contractible class."""
-    if not orbit.base.contractible:
-        raise GradingUnavailableError(
-            f"orbit {orbit.base.name!r} is not contractible; no absolute grading"
-        )
-    return orbit.cz - 1
-
-
-def cz_supermultiplicativity_check(rotation: RotationData, d: int) -> bool:
-    """Whether cz of the d-fold cover is >= d*cz - d + 1.
-
-    Property tests assert this holds for every rotation number and degree
-    within the validity bound.
-    """
-    cover = OrbitRef(rotation, d)
-    base = OrbitRef(rotation, 1)
-    return cover.cz >= d * base.cz - d + 1
 
 
 @dataclass(frozen=True)

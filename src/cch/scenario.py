@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Mapping
 
 from .buildings import EnumerationBounds, GenericityProfile
-from .complexes import CountRecord
 from .errors import OrbitDataError, PreconditionError, ScenarioError
 from .orbits import OrbitRef, RotationData, format_orbit
 
@@ -74,15 +73,23 @@ def parse_orbit_key(text, orbits_by_name, location="orbit reference") -> OrbitRe
 
 @dataclass(frozen=True)
 class Scenario:
+    """Parsed scenario data.  counts holds rows (alpha, beta, sign,
+    cover_degree) of ints in file order, alpha and beta indexing covers:
+    one (key as written, cover) pair per distinct spelling, in order of
+    first use, so that emission writes every key back as written."""
+
     orbits: tuple
     profile: GenericityProfile
     bounds: EnumerationBounds
     relative_gradings: Mapping = field(default_factory=dict)
     counts: tuple = ()
+    covers: tuple = ()
 
     def count_table(self) -> tuple:
-        """The count records in file order, as build_complex takes them."""
-        return self.counts
+        """(counts, covers) as build_complex takes them: the count rows
+        (alpha, beta, sign, cover_degree) in file order, and the cover that
+        each alpha and beta indexes."""
+        return self.counts, tuple(ref for _, ref in self.covers)
 
 
 def _require(mapping, key, location):
@@ -109,7 +116,8 @@ def _reject_unknown(mapping, known, what, location):
         raise ScenarioError(f"unknown {what} field {min(unknown)!r}", location)
 
 
-_SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
+# Spelled out: covers is filled from the count keys, never read as a key.
+_SCENARIO_FIELDS = frozenset(("orbits", "profile", "bounds", "relative_gradings", "counts"))
 _ORBIT_FIELDS = frozenset(f.name for f in fields(RotationData))
 _PROFILE_FIELDS = frozenset(f.name for f in fields(GenericityProfile))
 _BOUNDS_FIELDS = frozenset(f.name for f in fields(EnumerationBounds))
@@ -215,14 +223,19 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
     raw_counts = data.get("counts", [])
     if not isinstance(raw_counts, list):
         raise ScenarioError("counts must be an array", f"{source}.counts")
-    # Each spelling of a key is resolved once, and records spelled alike
-    # share the cover.  Only resolutions that succeed are kept, so a bad
-    # key raises where it first occurs.  A record's location is formatted
-    # only where one of its checks fails.
-    resolved = {}
+    # Each spelling of a key is resolved once, to its index in covers, and
+    # records spelled alike share it.  Only resolutions that succeed are
+    # kept, so a bad key raises where it first occurs.  A record's location
+    # is formatted only where one of its checks fails.
+    index = {}
+    covers = []
 
     def at(i, field=""):
         return f"{source}.counts[{i}]{field}"
+
+    def resolve(key, location):
+        covers.append((key, parse_orbit_key(key, by_name, location)))
+        return len(covers) - 1
 
     for i, entry in enumerate(raw_counts):
         if not isinstance(entry, dict):
@@ -233,13 +246,13 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
         except KeyError as err:
             raise ScenarioError(f"missing required field {err.args[0]!r}", at(i)) from None
         try:
-            alpha_ref = resolved[alpha]
+            a = index[alpha]
         except (KeyError, TypeError):  # a new spelling, or not a string
-            alpha_ref = resolved[alpha] = parse_orbit_key(alpha, by_name, at(i, ".alpha"))
+            a = index[alpha] = resolve(alpha, at(i, ".alpha"))
         try:
-            beta_ref = resolved[beta]
+            b = index[beta]
         except (KeyError, TypeError):
-            beta_ref = resolved[beta] = parse_orbit_key(beta, by_name, at(i, ".beta"))
+            b = index[beta] = resolve(beta, at(i, ".beta"))
         try:
             sign = entry["sign"]
         except KeyError:
@@ -257,10 +270,10 @@ def parse_scenario_text(text: str, source="scenario") -> Scenario:
         # All four fields are present, so any other key makes five.
         if len(entry) != 4:
             _reject_unknown(entry, _COUNT_FIELDS, "count", at(i))
-        counts.append(CountRecord(alpha, beta, sign, degree, alpha_ref, beta_ref))
+        counts.append((a, b, sign, degree))
 
     _reject_unknown(data, _SCENARIO_FIELDS, "scenario", source)
-    return Scenario(tuple(orbits), profile, bounds, gradings, tuple(counts))
+    return Scenario(tuple(orbits), profile, bounds, gradings, tuple(counts), tuple(covers))
 
 
 def parse_scenario(path) -> Scenario:
@@ -292,13 +305,9 @@ def emit_scenario(s: Scenario) -> str:
     if s.relative_gradings:
         doc["relative_gradings"] = {k: s.relative_gradings[k] for k in sorted(s.relative_gradings)}
     if s.counts:
+        keys = [key for key, _ in s.covers]
         doc["counts"] = [
-            {
-                "alpha": r.alpha,
-                "beta": r.beta,
-                "sign": r.sign,
-                "cover_degree": r.cover_degree,
-            }
-            for r in s.counts
+            {"alpha": keys[a], "beta": keys[b], "sign": sign, "cover_degree": degree}
+            for a, b, sign, degree in s.counts
         ]
     return json.dumps(doc, indent=2) + "\n"

@@ -47,13 +47,6 @@ def improved_writhe_bound(cz: int, degree: int) -> int:
     return (degree - 1) * half - gcd(degree, half) + 1
 
 
-def automatic_transversality(genus: int, h_plus: int, index: int) -> bool:
-    """True when 2*genus - 2 + h_plus < index."""
-    if genus < 0 or h_plus < 0:
-        raise PreconditionError("genus and h_plus must be nonnegative")
-    return 2 * genus - 2 + h_plus < index
-
-
 class BreakingVerdict(Enum):
     BREAKING_EXCLUDED = "breaking-excluded"
     INDEX_HYPOTHESIS_NOT_MET = "index-hypothesis-not-met"

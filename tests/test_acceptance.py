@@ -25,7 +25,6 @@ from cch.buildings import (
 )
 from cch.cli import run_command
 from cch.complexes import (
-    CountRecord,
     build_complex,
     end_contribution,
     gluing_count,
@@ -42,7 +41,7 @@ from cch.orbits import (
     orbit_type,
 )
 from cch.scenario import emit_scenario, parse_scenario, parse_scenario_text
-from cch.writhe import automatic_transversality, sweep_no_bad_break
+from cch.writhe import sweep_no_bad_break
 
 F = Fraction
 
@@ -182,16 +181,19 @@ def _split_cancel_complex(flip_sign=False):
     q = RotationData("q", F(6, 5), 2, homotopy_class="t")
     r = RotationData("r", F(6, 5), 2, homotopy_class="t")
     second = 1 if flip_sign else -1
+    covers = (
+        OrbitRef(a, 1), OrbitRef(b, 1), OrbitRef(c, 1), OrbitRef(p, 2), OrbitRef(q, 2), OrbitRef(r, 2)
+    )
     counts = [
-        CountRecord("a^1", "b^1", 1, 1, OrbitRef(a, 1), OrbitRef(b, 1)),
-        CountRecord("b^1", "c^1", 1, 1, OrbitRef(b, 1), OrbitRef(c, 1)),
-        CountRecord("b^1", "c^1", second, 1, OrbitRef(b, 1), OrbitRef(c, 1)),
-        CountRecord("p^2", "q^2", 1, 2, OrbitRef(p, 2), OrbitRef(q, 2)),
-        CountRecord("q^2", "r^2", 1, 2, OrbitRef(q, 2), OrbitRef(r, 2)),
-        CountRecord("q^2", "r^2", second, 2, OrbitRef(q, 2), OrbitRef(r, 2)),
+        (0, 1, 1, 1),  # a^1 -> b^1
+        (1, 2, 1, 1),  # b^1 -> c^1
+        (1, 2, second, 1),
+        (3, 4, 1, 2),  # p^2 -> q^2
+        (4, 5, 1, 2),  # q^2 -> r^2
+        (4, 5, second, 2),
     ]
     gradings = {"p^1": 6, "p^2": 3, "q^1": 5, "q^2": 2, "r^1": 4, "r^2": 1}
-    return build_complex([a, b, c, p, q, r], 2, gradings, counts)
+    return build_complex([a, b, c, p, q, r], 2, gradings, counts, covers)
 
 
 def test_criterion_6_split_contributions_cancel():
@@ -271,6 +273,9 @@ def test_criterion_8_property_battery():
             gap = cz - cz_index(OrbitRef(base, m1)) - cz_index(OrbitRef(base, m2))
             assert -1 <= gap <= 1
         assert cz >= m * cz_index(OrbitRef(base, 1)) - m + 1
+
+    def automatic_transversality(genus, h_plus, index):
+        return 2 * genus - 2 + h_plus < index
 
     for g in range(0, 4):
         for h in range(0, 8):

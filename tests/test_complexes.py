@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from cch.complexes import (
     ChainComplex,
-    CountRecord,
     GluingEnds,
     build_complex,
     end_contribution,
@@ -30,9 +30,7 @@ from cch.orbits import (
     OrbitRef,
     OrbitType,
     RotationData,
-    cz_index,
     format_orbit,
-    grading,
     orbit_type,
 )
 
@@ -43,8 +41,19 @@ GOLD2 = RotationData("g2", F(233, 89), 30, contractible=True)
 
 
 def record(alpha, beta, sign=1, degree=1):
-    """A count record from alpha to beta, keyed by canonical spellings."""
-    return CountRecord(format_orbit(alpha), format_orbit(beta), sign, degree, alpha, beta)
+    """A count record from cover alpha to cover beta."""
+    return alpha, beta, sign, degree
+
+
+def as_rows(records):
+    """build_complex's counts and covers for records: one row of ints per
+    record, indexing the distinct covers in order of first use."""
+    covers = {}
+    counts = [
+        (covers.setdefault(alpha, len(covers)), covers.setdefault(beta, len(covers)), sign, degree)
+        for alpha, beta, sign, degree in records
+    ]
+    return counts, tuple(covers)
 
 
 def boundary(cx):
@@ -69,7 +78,7 @@ def synthetic_complex(flip_sign=False):
         record(OrbitRef(q, 2), OrbitRef(r, 2), second, 2),
     ]
     gradings = {"p^2": 3, "q^2": 2, "r^2": 1, "p^1": 6, "q^1": 5, "r^1": 4}
-    return build_complex([a, b, c, p, q, r], 2, gradings, counts)
+    return build_complex([a, b, c, p, q, r], 2, gradings, *as_rows(counts))
 
 
 # ----------------------------------------------------------------- building
@@ -93,7 +102,7 @@ def test_smallest_nonzero_boundary_coefficient():
     alpha = RotationData("al", F(10, 7), 3, homotopy_class="w")
     beta = RotationData("be", F(6, 5), 3, homotopy_class="w")
     counts = [record(OrbitRef(alpha, 1), OrbitRef(beta, 1))]
-    cx = build_complex([alpha, beta], 1, {"al^1": 1, "be^1": 0}, counts)
+    cx = build_complex([alpha, beta], 1, {"al^1": 1, "be^1": 0}, *as_rows(counts))
     i, j = cx.generators.index(OrbitRef(beta, 1)), cx.generators.index(OrbitRef(alpha, 1))
     assert boundary(cx) == {(i, j): 1}
 
@@ -110,7 +119,7 @@ def test_counts_referencing_bad_orbit_rejected():
     e = RotationData("e", F(6, 5), 4)
     counts = [record(OrbitRef(e, 1), OrbitRef(h, 2))]
     with pytest.raises(BadOrbitError):
-        build_complex([h, e], 4, {"e^1": 1, "h^1": 0, "h^3": 0}, counts)
+        build_complex([h, e], 4, {"e^1": 1, "h^1": 0, "h^3": 0}, *as_rows(counts))
 
 
 def test_counts_outside_the_generators_rejected():
@@ -122,8 +131,8 @@ def test_counts_outside_the_generators_rejected():
     gradings = {"e^1": 1, "e^2": 1, "f^1": 0, "f^2": 0}
     for alpha in (OrbitRef(e, 3), OrbitRef(impostor, 1)):
         with pytest.raises(BadOrbitError, match="e\\^[13] is not among the generators"):
-            build_complex([e, f], 2, gradings, [record(alpha, OrbitRef(f, 1))])
-    cx = build_complex([e, f], 2, gradings, [record(OrbitRef(e, 1), OrbitRef(f, 1))])
+            build_complex([e, f], 2, gradings, *as_rows([record(alpha, OrbitRef(f, 1))]))
+    cx = build_complex([e, f], 2, gradings, *as_rows([record(OrbitRef(e, 1), OrbitRef(f, 1))]))
     assert cx.boundary == {0: {2: 1}}
 
 
@@ -144,7 +153,30 @@ def test_cover_degree_divisibility_enforced():
     q = RotationData("q", F(6, 5), 4, homotopy_class="t")
     counts = [record(OrbitRef(p, 1), OrbitRef(q, 2), 1, 2)]
     with pytest.raises(CoverDivisibilityError):
-        build_complex([p, q], 2, {"p^1": 6, "q^2": 5, "p^2": 0, "q^1": 0}, counts)
+        build_complex([p, q], 2, {"p^1": 6, "q^2": 5, "p^2": 0, "q^1": 0}, *as_rows(counts))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((0, 1, 0, 1), "sign must be +1 or -1, got 0"),
+        ((0, 1, 2, 1), "sign must be +1 or -1, got 2"),
+        ((0, 1, 1, 0), "cover degree must be >= 1"),
+        ((0, 3, 1, 1), "count row (0, 3, 1, 1) indexes no cover"),
+        ((-1, 1, 1, 1), "count row (-1, 1, 1, 1) indexes no cover"),
+    ],
+)
+def test_rows_with_bad_sign_degree_or_cover_index_rejected(row, message):
+    # Checked before anything else: the row ahead of it joins two classes
+    # and the multiplicity cap is 0, yet the bad row is the one named.
+    p = RotationData("p", F(6, 5), 1, homotopy_class="t")
+    q = RotationData("q", F(6, 5), 1, homotopy_class="t")
+    x = RotationData("x", F(6, 5), 1, homotopy_class="x")
+    covers = (OrbitRef(p, 1), OrbitRef(q, 1), OrbitRef(x, 1))
+    counts = [(0, 2, 1, 1), (0, 1, 1, 1), row]
+    for cap in (1, 0):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            build_complex([p, q, x], cap, {"p^1": 1, "q^1": 0}, counts, covers)
 
 
 def test_grading_must_drop_by_one():
@@ -152,7 +184,7 @@ def test_grading_must_drop_by_one():
     b = RotationData("b", F(233, 144), 2, contractible=True)
     counts = [record(OrbitRef(a, 1), OrbitRef(b, 1))]
     with pytest.raises(GradingMismatchError):
-        build_complex([a, b], 1, None, counts)
+        build_complex([a, b], 1, None, *as_rows(counts))
 
 
 def test_cross_class_counts_rejected():
@@ -160,7 +192,7 @@ def test_cross_class_counts_rejected():
     b = RotationData("b", F(6, 5), 2, homotopy_class="y")
     counts = [record(OrbitRef(a, 1), OrbitRef(b, 1))]
     with pytest.raises(GradingMismatchError):
-        build_complex([a, b], 1, {"a^1": 1, "b^1": 0}, counts)
+        build_complex([a, b], 1, {"a^1": 1, "b^1": 0}, *as_rows(counts))
 
 
 def test_contractible_grading_cannot_be_overridden():
@@ -255,7 +287,7 @@ def test_homology_invariant_under_generator_permutation_and_sign_flip():
             record(OrbitRef(b, 1), OrbitRef(c, 1), sign),
             record(OrbitRef(b, 1), OrbitRef(c, 1), -sign),
         ]
-        cx = build_complex(order, 1, {"a^1": 2, "b^1": 1, "c^1": 0}, counts)
+        cx = build_complex(order, 1, {"a^1": 2, "b^1": 1, "c^1": 0}, *as_rows(counts))
         verify_d_squared(cx)
         return homology_ranks(cx)
 
@@ -397,15 +429,16 @@ def _gauss_rank(rows):
 
 def _dense_oracle(cx, counts):
     """delta kappa delta entries in row-major order, whether (delta kappa)^2
-    vanishes, and homology ranks, from the count records with dense
-    Fraction matrices over the generators of cx."""
+    vanishes, homology ranks and the nonzero entries of delta kappa as
+    {(i, j): entry}, from the count records with dense Fraction matrices
+    over the generators of cx."""
     gens = cx.generators
     n = len(gens)
     pos = {ref: i for i, ref in enumerate(gens)}
     kappa = [ref.multiplicity for ref in gens]
     delta = [[F(0)] * n for _ in range(n)]
-    for rec in counts:
-        delta[pos[rec.beta_ref]][pos[rec.alpha_ref]] += F(rec.sign, rec.cover_degree)
+    for alpha, beta, sign, degree in counts:
+        delta[pos[beta]][pos[alpha]] += F(sign, degree)
     d_kappa = [[delta[i][j] * kappa[j] for j in range(n)] for i in range(n)]
 
     def product(a, b):
@@ -435,12 +468,14 @@ def _dense_oracle(cx, counts):
         value = len(here) - block_rank(below, here) - block_rank(here, above)
         if value:
             ranks[(cls, g)] = value
-    return entries, square_zero, ranks
+    d = {(i, j): v for i, row in enumerate(d_kappa) for j, v in enumerate(row) if v}
+    return entries, square_zero, ranks, d
 
 
 def _random_complex(rng):
     """2-4 orbits in one or two classes, random gradings, and records of
-    both signs with cover degrees 1-3 between generators one grading apart."""
+    both signs with cover degrees 1-3 between generators one grading apart,
+    some repeated."""
     classes = rng.choice((["t"], ["t", "u"]))
     orbits = [
         RotationData(f"o{k}", F(6, 5), rng.randint(1, 3), homotopy_class=rng.choice(classes))
@@ -464,7 +499,7 @@ def _random_complex(rng):
                 record(alpha, beta, rng.choice((1, -1)), rng.choice(degrees))
                 for _ in range(rng.randint(1, 2))
             )
-    return build_complex(orbits, 3, gradings, counts), counts
+    return orbits, gradings, counts
 
 
 def _width_edge_complexes():
@@ -486,7 +521,7 @@ def _width_edge_complexes():
             for _ in range(repeat)
         ]
         gradings = {f"x^{m}": g for m, g in gradings.items()}
-        return build_complex([x], 60, gradings, counts), counts
+        return build_complex([x], 60, gradings, *as_rows(counts)), counts
 
     at_bound = {60: 2, 15: 1, 30: 1, 45: 0}
     for sign in (1, -1):
@@ -503,18 +538,31 @@ def _width_edge_complexes():
     ])
 
 
+def _check_against_dense_oracle(cx, counts):
+    """Whether cx passes verify_d_squared, asserting that its boundary,
+    report and homology ranks equal the dense oracle's."""
+    entries, square_zero, ranks, d = _dense_oracle(cx, counts)
+    assert boundary(cx) == d
+    report = verify_d_squared(cx)
+    assert list(report.nonzero_entries) == entries
+    assert report.ok == (not entries)
+    assert report.ok == square_zero
+    if report.ok:
+        assert homology_ranks(cx) == ranks
+    else:
+        with pytest.raises(SequencingError):
+            homology_ranks(cx)
+    return report.ok
+
+
 def test_sparse_kernel_matches_dense_oracle():
     rng = random.Random(20261018)
+    repeat = random.Random(20261020)
     seen = {"fail": 0, "pass_nonzero": 0, "pass_scaled": 0, "fractional": 0}
     for _ in range(300):
-        cx, counts = _random_complex(rng)
-        entries, square_zero, ranks = _dense_oracle(cx, counts)
-        report = verify_d_squared(cx)
-        assert list(report.nonzero_entries) == entries
-        assert report.ok == (not entries)
-        assert report.ok == square_zero
-        if report.ok:
-            assert homology_ranks(cx) == ranks
+        orbits, gradings, counts = _random_complex(rng)
+        cx = build_complex(orbits, 3, gradings, *as_rows(counts))
+        if _check_against_dense_oracle(cx, counts):
             seen["pass_nonzero"] += bool(cx.boundary)
             # A nonzero column of multiplicity above one: the oracle scales
             # it by kappa, so a boundary built or read without the right
@@ -522,11 +570,16 @@ def test_sparse_kernel_matches_dense_oracle():
             seen["pass_scaled"] += any(cx.kappa_diag[j] > 1 for j in cx.boundary)
         else:
             seen["fail"] += 1
-            with pytest.raises(SequencingError):
-                homology_ranks(cx)
         seen["fractional"] += any(
             v % cx.kappa_diag[j] for j, column in cx.boundary.items() for v in column.values()
         )
+        # The same records with more of them repeated, in shuffled order:
+        # equal rows are repeated cylinders, and the covers are indexed in a
+        # new order.
+        shuffled = counts + [repeat.choice(counts) for _ in counts[::2]]
+        repeat.shuffle(shuffled)
+        again = build_complex(orbits, 3, gradings, *as_rows(shuffled))
+        _check_against_dense_oracle(again, shuffled)
     # The grid covers failing complexes, passing ones with a nonzero
     # differential (some with a nonzero column of multiplicity above one),
     # and delta with fractional entries (boundary entries kappa does not
@@ -536,7 +589,7 @@ def test_sparse_kernel_matches_dense_oracle():
     # field is negative.
     tops = []
     for cx, counts in _width_edge_complexes():
-        entries, square_zero, _ = _dense_oracle(cx, counts)
+        entries, square_zero, _, _ = _dense_oracle(cx, counts)
         assert list(verify_d_squared(cx).nonzero_entries) == entries
         assert not square_zero
         tops.append([v * 60 for _, _, v in entries])  # all in column x^60
@@ -565,7 +618,7 @@ def _planted_complex(maps, empty=()):
     ]
     orbits = [o for g in sorted(gens) for o in gens[g]]
     gradings = {f"{o.name}^1": g for g, group in gens.items() for o in group}
-    return build_complex(orbits, 1, gradings, counts), counts
+    return build_complex(orbits, 1, gradings, *as_rows(counts)), counts
 
 
 def _planted_cases():
@@ -592,7 +645,7 @@ def _planted_cases():
 def test_reduced_ranks_match_dense_oracle_on_planted_repeats():
     for maps, empty in _planted_cases():
         cx, counts = _planted_complex(maps, empty)
-        _, square_zero, ranks = _dense_oracle(cx, counts)
+        _, square_zero, ranks, _ = _dense_oracle(cx, counts)
         assert square_zero and verify_d_squared(cx).ok
         assert homology_ranks(cx) == ranks, maps
     # Seeded grid: rows drawn from a few base rows, each scaled by a random
@@ -638,7 +691,7 @@ def test_benchmark_shaped_complex_homology_is_closed_form():
         gradings = {
             f"{o.name}^{c}": g for o, g in zip(orbits, (2, 1, 1, 0)) for c in range(1, k + 1)
         }
-        cx = build_complex(orbits, k, gradings, counts)
+        cx = build_complex(orbits, k, gradings, *as_rows(counts))
         assert verify_d_squared(cx).ok
         rk_m, rk_q = _gauss_rank(m), _gauss_rank(q)
         closed = {0: k - rk_q, 1: 2 * k - rk_m - rk_q, 2: k - rk_m}
@@ -657,7 +710,7 @@ def test_middle_multiplicity_weights_the_composite():
         record(OrbitRef(b, 1), OrbitRef(c, 1)),
         record(OrbitRef(b, 2), OrbitRef(c, 1), -1),
     ]
-    cx = build_complex([a, b, c], 2, {"a^1": 2, "b^1": 1, "b^2": 1, "c^1": 0}, counts)
+    cx = build_complex([a, b, c], 2, {"a^1": 2, "b^1": 1, "b^2": 1, "c^1": 0}, *as_rows(counts))
     report = verify_d_squared(cx)
     assert report.nonzero_entries == (("a^1", "c^1", F(-1)),)
     assert not report.ok

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cch.cli import run_command
 from cch.errors import (
     DegenerateOrbitError,
-    GradingUnavailableError,
     MultiplicityBoundError,
     OrbitDataError,
     SkeletonError,
@@ -20,9 +20,7 @@ from cch.orbits import (
     RotationData,
     cz_index,
     cz_of_rotation,
-    cz_supermultiplicativity_check,
     fredholm_index,
-    grading,
     is_good,
     orbit_type,
 )
@@ -136,20 +134,29 @@ def test_curve_needs_positive_end():
 
 def test_grading_contractible():
     base = rot(F(6, 5), bound=4, contractible=True)
-    assert grading(OrbitRef(base, 1)) == 2
+    assert OrbitTable([base], 1).grading == (2,)
 
 
 def test_grading_golden_cover():
     base = rot(F(233, 144), contractible=True)
-    assert grading(OrbitRef(base, 2)) == 6
+    assert OrbitTable([base], 2).grading[1] == 6
 
 
 def test_grading_requires_contractible():
-    with pytest.raises(GradingUnavailableError):
-        grading(OrbitRef(rot(F(6, 5), bound=4, contractible=False), 1))
+    # Only a contractible cover has an absolute grading; cch cz prints it
+    # under --contractible alone.
+    report = run_command(["cz", "--theta", "6/5", "--mult", "1"])[1].splitlines()
+    assert report[-1] == "grading: unavailable (orbit not marked contractible)"
+    report = run_command(["cz", "--theta", "6/5", "--mult", "1", "--contractible"])[1].splitlines()
+    assert report[-1] == "grading: 2"
 
 
 # ------------------------------------------------- supermultiplicativity
+
+
+def cz_supermultiplicativity_check(rotation, d):
+    """Whether cz of the d-fold cover is >= d*cz - d + 1."""
+    return OrbitRef(rotation, d).cz >= d * OrbitRef(rotation, 1).cz - d + 1
 
 
 def test_supermultiplicativity_examples():

@@ -17,7 +17,6 @@ from cch.cli import run_command
 from cch.complexes import build_complex
 from cch.errors import ScenarioError
 from cch.scenario import (
-    CountRecord,
     Scenario,
     emit_scenario,
     format_rational,
@@ -165,7 +164,8 @@ def test_count_keys_spelled_two_ways_sum_into_one_entry():
     doc = _graded_pair({"a^1": 1, "b^1": 0})
     doc["counts"] = [_count("a^01", "b^1"), _count("a^1", "b^01")]
     s = parse_scenario_text(json.dumps(doc))
-    cx = build_complex(s.orbits, 4, s.relative_gradings, s.count_table())
+    assert [key for key, _ in s.covers] == ["a^01", "b^1", "a^1", "b^01"]
+    cx = build_complex(s.orbits, 4, s.relative_gradings, *s.count_table())
     a, b = (cx.generators.index(OrbitRef(o, 1)) for o in s.orbits)
     assert cx.boundary == {a: {b: 2}}
     emitted = json.loads(emit_scenario(s))["counts"]
@@ -337,6 +337,29 @@ def test_unknown_keys_are_scenario_errors(path, location, what):
     )
 
 
+def test_internal_covers_field_is_not_a_scenario_key(tmp_path):
+    # Scenario.covers is filled from the count keys; as a top-level key it
+    # is unknown, like any other.
+    doc = json.loads((SCENARIOS / "split_cancel.json").read_text())
+    doc["covers"] = []
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_command(["complex", "--scenario", str(path)])
+    assert code == 2
+    assert f"error: {path}: unknown scenario field 'covers'\n" in text
+
+
+def test_split_cancel_stores_no_entry_for_its_cancelling_pair():
+    # b^1 -> c^1 and q^2 -> r^2 each carry a +1 and a -1 record.
+    s = parse_scenario(SCENARIOS / "split_cancel.json")
+    cx = build_complex(s.orbits, 2, s.relative_gradings, *s.count_table())
+    keys = [f"{g.base.name}^{g.multiplicity}" for g in cx.generators]
+    stored = {
+        (keys[j], keys[i]): v for j, column in cx.boundary.items() for i, v in column.items()
+    }
+    assert stored == {("a^1", "b^1"): 1, ("p^2", "q^2"): 1}
+
+
 def test_misspelled_counts_key_exits_2_naming_it(tmp_path):
     doc = json.loads((SCENARIOS / "split_cancel.json").read_text())
     path = tmp_path / "count.json"
@@ -473,18 +496,11 @@ def scenarios(draw):
     first = orbits[0]
     if draw(st.booleans()):
         gradings[f"{first.name}^1"] = draw(st.integers(-5, 5))
+    covers = ()
     if draw(st.booleans()) and len(orbits) > 1:
-        counts.append(
-            CountRecord(
-                f"{orbits[0].name}^1",
-                f"{orbits[1].name}^1",
-                1,
-                1,
-                OrbitRef(orbits[0], 1),
-                OrbitRef(orbits[1], 1),
-            )
-        )
-    return Scenario(tuple(orbits), profile, bounds, gradings, tuple(counts))
+        counts.append((0, 1, 1, 1))
+        covers = tuple((f"{o.name}^1", OrbitRef(o, 1)) for o in orbits[:2])
+    return Scenario(tuple(orbits), profile, bounds, gradings, tuple(counts), covers)
 
 
 @given(scenarios())
