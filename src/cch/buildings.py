@@ -23,8 +23,8 @@ with 1 and the cap.  A row becomes an object only where one is needed:
 enumerate_components builds one per row, guarded by an independent oracle
 (test_components_match_oracle) and by test_enumerated_components_are_their_rows,
 as each object recomputes the indices its row carries; the building search
-builds one per row it keeps, the estimate sweep, which counts SI rows of one
-shape without listing them (_tally), one per failing row.  In the search the
+builds one per row it keeps, the estimate sweep, which counts SI rows by
+shape with a knapsack (_shapes), one per failing row.  In the search the
 ends of a component are a tuple of ids and the bound tables are lists indexed
 by id; the least index that can still hang below each component at each
 number of levels to go is computed once, before the search.  An unreachable
@@ -335,6 +335,28 @@ def _neg_multisets(ids, budget, table):
     return out
 
 
+def _shapes(table, budget):
+    """{(n, t): (count, least)}: how many multisets of covers of total
+    multiplicity <= budget have n ends of grading sum t, and their least id
+    tuple; the coefficients of prod_i 1/(1 - x^m_i y z^g_i), by an unbounded
+    knapsack from the last id to the first, listing none.  Id i comes before
+    the ids it is added to, so (i,) + least is the new state's least tuple."""
+    level = [{} for _ in range(budget + 1)]  # level[u]: multisets of multiplicity u
+    level[0][0, 0] = 1, ()
+    for i in reversed(range(len(table.refs))):
+        m, g = table.refs[i].multiplicity, table.grading[i]
+        for u in range(m, budget + 1):
+            into = level[u]
+            for (n, t), (count, least) in level[u - m].items():
+                old = into.get((n + 1, t + g), (0,))
+                into[n + 1, t + g] = count + old[0], (i,) + least
+    shapes = {}
+    for (n, t), (count, least) in chain.from_iterable(s.items() for s in level):
+        old = shapes.get((n, t), (0, least))
+        shapes[n, t] = count + old[0], min(least, old[1])
+    return shapes
+
+
 def _sorted_ends(ends):
     return tuple(sorted(ends, key=lambda ref: (ref.base.name, ref.multiplicity)))
 
@@ -458,10 +480,10 @@ def _cover_shapes(table, p, ids, d, ways):
 def _index_floor(table, profile, top):
     """min(0, L) for L a lower bound on every component index.  BTC >= 0;
     SI >= 1 under generic J, so L is the least index of the cover shapes
-    the inventory builds; else min grading - max grading sum of a multiset
-    of negative ends bounds SI and COV, each index grading(+) - sum grading(-)."""
+    the inventory builds; else min grading - the largest grading sum t of
+    _shapes bounds SI and COV, each index grading(+) - sum grading(-)."""
     if not profile.generic_J:
-        most = max(t for _, t in _neg_multisets(range(len(table.refs)), top, table))
+        most = max(t for _, t in _shapes(table, top))
         return min(0, min(table.grading, default=0) - most)
     return min(chain([0], (ind for d, _, p, ids, ways, _ in _cover_bases(table, 1, top)
                            for _, _, ind in _cover_shapes(table, p, ids, d, ways))))
@@ -825,13 +847,15 @@ def _arguments(hyperbolic, kind, d, b, p, neg, u, uneg, index, under):
 
 
 def _tally(table, profile, bounds, hyperbolic):
-    """{argument tuple: its number of rows in _rows(...)} in order of first sight."""
-    shapes = {}  # (n, t), or the ids of one end -> [its first ids, t, multisets]
-    for ids, t in _neg_multisets(range(len(table.refs)), bounds.max_total_multiplicity, table):
-        shapes.setdefault(ids if len(ids) == 1 else (len(ids), t), [ids, t, 0])[2] += 1
-    size = {ids: count for ids, _, count in shapes.values()}
+    """{argument tuple: its number of rows in _rows(...)} in order of first
+    sight; SI rows run over shapes, ranked by least id tuple (run_estimate_sweep)."""
+    shapes = [(least, t, count) for (n, t), (count, least)
+              in _shapes(table, bounds.max_total_multiplicity).items() if n != 1]
+    shapes += [((i,), g, 1) for i, g in enumerate(table.grading)]  # one end of any cover
+    shapes.sort()
+    size = {ids: count for ids, _, count in shapes}
     tally = {}
-    for row in _rows(table, profile, bounds, multisets=[s[:2] for s in shapes.values()]):
+    for row in _rows(table, profile, bounds, multisets=[s[:2] for s in shapes]):
         args = _arguments(hyperbolic, *row)
         tally[args] = tally.get(args, 0) + (size[row[4]] if row[0] is SI else 1)
     return tally
@@ -846,11 +870,16 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     tuple (SI, 1, 0, n, n, g[p] - t, g[p] - t, flag), and _rows admits it by
     that index, n == 0 and ids == (p,).  For n != 1 the flag is False and
     ids is not (p,), so the multisets of one shape (n, t) share tuple and
-    admission: the SI rows run over the first of each shape, weighed by its
-    count.  A one-end multiset is its own shape, as the flag reads its end
-    and (p,) is the trivial cylinder.  In that order the shapes keep the
-    rows' order of first sight, so errors come in the same order.  Rows are
-    listed, for keys, only if some tuple fails."""
+    admission: the SI rows run over the least of each shape (_shapes' n, t),
+    weighed by its count.  A one-end multiset is its own shape, as the flag
+    reads its end and (p,) is the trivial cylinder.  The counts are exact:
+    _shapes adds each cover k >= 0 times, one cover at a time, so it builds
+    each multiset once, from its own number of each cover, within the
+    budget.  So is the order: the listing runs through the multisets in
+    lexicographic order of id tuples, so a shape is first seen at its least
+    tuple, and ranked by it the shapes keep the rows' order of first sight;
+    errors come in the same order.  Rows are listed, for keys, only if some
+    tuple fails."""
     table = OrbitTable(orbits, bounds.max_total_multiplicity)
     hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in table.refs]
     tally = _tally(table, profile, bounds, hyperbolic)

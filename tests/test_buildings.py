@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -1634,6 +1635,85 @@ def test_budget_counts_what_later_ends_give_back(levels, max_negative_ends, coun
         assert {building_key(b): b.total_index for b in out} == expected, max_index
         got.append(len(out))
     assert got == counts
+
+
+def random_orbit_set(seed):
+    """One to four orbits with rotation numbers in [-3, 3], some of them
+    negative, and validity bounds 1 to 8, each below the denominator of an
+    elliptic rotation number."""
+    rng = random.Random(seed)
+    orbits = []
+    for name in "abcd"[: rng.randint(1, 4)]:
+        den = rng.choice([1, 2, 5, 7, 9, 11])
+        theta = F(rng.randint(-3 * den, 3 * den), den)
+        top = 8 if theta.denominator <= 2 else min(8, theta.denominator - 1)
+        contractible = rng.random() < 0.5
+        orbits.append(RotationData(name, theta, rng.randint(1, top), contractible=contractible))
+    return orbits
+
+
+SHAPE_ORBIT_SETS = ORACLE_ORBITS + [
+    FLOOR_ORBITS,
+    [RotationData("a", F(1, 7), 6, contractible=True), NEG_PLANE],
+    [ELL, NEGH, POSH],
+] + [random_orbit_set(seed) for seed in range(8)]
+
+
+def listed_shapes(table, budget):
+    """{(n, t): (count, first ids)} over the listed multisets of covers, in
+    order of first sight: a Counter over _neg_multisets."""
+    listed = buildings._neg_multisets(range(len(table.refs)), budget, table)
+    counts = Counter((len(ids), t) for ids, t in listed)
+    first = {}
+    for ids, t in listed:
+        first.setdefault((len(ids), t), ids)
+    return {key: (count, first[key]) for key, count in counts.items()}
+
+
+@pytest.mark.parametrize("orbits", SHAPE_ORBIT_SETS, ids=orbit_names)
+def test_shapes_count_the_listed_multisets(orbits):
+    # The table holds covers up to multiplicity 8 at every budget, so a
+    # program that read the table's covers in place of the budget counts
+    # multisets the listing leaves out.  Ranked by least id tuple, the
+    # shapes come in the listing's order of first sight, which the order of
+    # the sweep's errors rests on; the largest t is the non-generic floor's.
+    table = OrbitTable(orbits, 8)
+    for budget in range(9):
+        got, want = buildings._shapes(table, budget), listed_shapes(table, budget)
+        assert got == want, budget
+        assert sorted(got, key=lambda key: got[key][1]) == list(want), budget
+        assert max(t for _, t in got) == max(t for _, t in want), budget
+
+
+def test_shape_grid_holds_negative_gradings_and_both_signs_of_largest_t():
+    gradings = [OrbitTable(orbits, 8).grading for orbits in SHAPE_ORBIT_SETS]
+    assert sum(min(g) < 0 for g in gradings) >= 4
+    assert sum(max(g) < 0 for g in gradings) >= 1  # the largest t is 0, the empty multiset
+
+
+@pytest.mark.parametrize("orbits", SHAPE_ORBIT_SETS, ids=orbit_names)
+def test_loose_index_floor_is_that_of_the_listed_multisets(orbits):
+    # Without generic J the floor is the least grading less the largest
+    # grading sum of a multiset of negative ends, read from the program.
+    loose = GenericityProfile(generic_J=False)
+    for top in range(9):
+        table = OrbitTable(orbits, top)
+        most = max(t for _, t in buildings._neg_multisets(range(len(table.refs)), top, table))
+        floor = min(0, min(table.grading, default=0) - most)
+        assert _index_floor(table, loose, top) == floor, top
+
+
+def test_tally_keeps_each_one_end_multiset_apart():
+    # Three covers of grading 0, a^1 elliptic and b^1, c^1 negative
+    # hyperbolic, so the six cylinders between them have index 0 and the
+    # flag holds for b^1 => c^1 and c^1 => b^1 alone.  As one (1, 0) shape
+    # of three multisets, led by (a,), each of them would be read as a
+    # cylinder to a^1: four rows too many, and none flagged.
+    orbits = [RotationData(name, F(1, q), 1) for name, q in [("a", 3), ("b", 2), ("c", 2)]]
+    assert OrbitTable(orbits, 1).grading == (0, 0, 0)
+    profile = GenericityProfile(generic_J=False)
+    tally = assert_tally_counts_the_rows(orbits, profile, EnumerationBounds(max_total_multiplicity=1))
+    assert {args[-1]: n for args, n in tally.items() if args[0] is SI} == {False: 4, True: 2}
 
 
 def test_enumeration_requires_convex_data_when_flagged():
