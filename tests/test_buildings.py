@@ -1685,10 +1685,12 @@ def test_shapes_count_the_listed_multisets(orbits):
         assert max(t for _, t in got) == max(t for _, t in want), budget
 
 
-def test_shape_grid_holds_negative_gradings_and_both_signs_of_largest_t():
+def test_shape_grid_holds_negative_gradings():
+    # Some sets mix signs; in some every grading is negative, so the
+    # largest t is that of the empty multiset, 0.
     gradings = [OrbitTable(orbits, 8).grading for orbits in SHAPE_ORBIT_SETS]
-    assert sum(min(g) < 0 for g in gradings) >= 4
-    assert sum(max(g) < 0 for g in gradings) >= 1  # the largest t is 0, the empty multiset
+    assert sum(min(g) < 0 < max(g) for g in gradings) >= 2
+    assert sum(max(g) < 0 for g in gradings) >= 1
 
 
 @pytest.mark.parametrize("orbits", SHAPE_ORBIT_SETS, ids=orbit_names)
@@ -1707,8 +1709,8 @@ def test_tally_keeps_each_one_end_multiset_apart():
     # Three covers of grading 0, a^1 elliptic and b^1, c^1 negative
     # hyperbolic, so the six cylinders between them have index 0 and the
     # flag holds for b^1 => c^1 and c^1 => b^1 alone.  As one (1, 0) shape
-    # of three multisets, led by (a,), each of them would be read as a
-    # cylinder to a^1: four rows too many, and none flagged.
+    # of three multisets, led by (a,), each would be read as a cylinder to
+    # a^1: none from a^1, three from each of b^1 and c^1, and none flagged.
     orbits = [RotationData(name, F(1, q), 1) for name, q in [("a", 3), ("b", 2), ("c", 2)]]
     assert OrbitTable(orbits, 1).grading == (0, 0, 0)
     profile = GenericityProfile(generic_J=False)
