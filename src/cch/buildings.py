@@ -33,9 +33,9 @@ arithmetic throughout.
 
 The search builds only components that fit in some building.  A building
 has at most K = max_levels * max_components_per_level components, each of
-index at least L (_index_floor, from the cover shapes the inventory builds),
-so a component of index above the cap max_index - (K - 1) * min(0, L) fits
-in none; it is never built, and the search emits the same buildings without it.
+index at least L, the least index of the inventory's rows, so a component of
+index above the cap max_index - (K - 1) * min(0, L) fits in none; it is
+never built, and the search emits the same buildings without it.
 """
 from __future__ import annotations
 
@@ -364,8 +364,8 @@ def _sorted_ends(ends):
 def _rows(table, profile, bounds, cap=INF, multisets=None):
     """The component inventory as rows of table ids, (kind, d, b, p, neg, u,
     uneg, index, underlying index): refs[p] => refs[neg] over refs[u] =>
-    refs[uneg].  neg is in the order the component stores its ends, by name
-    for BTC and COV and by id for SI; uneg is by id.
+    refs[uneg].  neg, the order in which the component stores its ends, and
+    uneg are sorted by id.
 
     Components have genus zero and one positive end; negative-end
     multiplicities total at most the multiplicity bound.  Under a generic
@@ -404,11 +404,10 @@ def _rows(table, profile, bounds, cap=INF, multisets=None):
                 yield SI, 1, 0, p, ids, p, ids, ind, ind
 
     # Covers of nontrivial somewhere-injective curves.
-    by_name = [(r.base.name, r.multiplicity) for r in refs]  # each id's key in _sorted_ends
     for d, u, p, ids, ways, under in _cover_bases(table, least, top):
         for key, b, ind in _cover_shapes(table, p, ids, d, ways):
             if ind <= cap:
-                yield COV, d, b, p, tuple(sorted(key, key=by_name.__getitem__)), u, ids, ind, under
+                yield COV, d, b, p, key, u, ids, ind, under
 
 
 def _component(refs, kind, d, b, p, neg, u, uneg, *indices):
@@ -475,18 +474,6 @@ def _cover_shapes(table, p, ids, d, ways):
         if b >= 0 and key not in seen:
             seen.add(key)
             yield key, b, g[p] - sum(g[e] for e in key)
-
-
-def _index_floor(table, profile, top):
-    """min(0, L) for L a lower bound on every component index.  BTC >= 0;
-    SI >= 1 under generic J, so L is the least index of the cover shapes
-    the inventory builds; else min grading - the largest grading sum t of
-    _shapes bounds SI and COV, each index grading(+) - sum grading(-)."""
-    if not profile.generic_J:
-        most = max(t for _, t in _shapes(table, top))
-        return min(0, min(table.grading, default=0) - most)
-    return min(chain([0], (ind for d, _, p, ids, ways, _ in _cover_bases(table, 1, top)
-                           for _, _, ind in _cover_shapes(table, p, ids, d, ways))))
 
 
 # ------------------------------------------------------------------ buildings
@@ -602,10 +589,14 @@ class _Enumerator:
 
     The tables come from the inventory capped as in the module docstring,
     so they bound every subtree of the capped components that emitted
-    buildings are made of.  They never increase with r (each row starts from
-    the last), and no component has more than max_levels - 1 levels below
-    it, so a row whose index plus the completion of its ends at max_levels - 1
-    exceeds the cap is dropped before any object, key or group is made.
+    buildings are made of.  L is read off the rows: listed at the cap
+    max(max_index, 0), they hold every row of negative index, so their least
+    index, or 0, is min(0, L) exactly under any profile, and they are listed
+    again only if the cap differs (L < 0 or max_index < 0).  The tables never
+    increase with r (each row starts from the last), and no component has
+    more than max_levels - 1 levels below it, so a row whose index plus the
+    completion of its ends at max_levels - 1 exceeds the cap is dropped
+    before any object, key or group is made.
     Only branches that emit nothing go: the buildings and their order stay
     those of the whole inventory.
 
@@ -628,15 +619,13 @@ class _Enumerator:
         self.bounds, self.results = bounds, {}
         # Exact nanoseconds for an int or a Fraction of seconds; None: no limit.
         self.deadline = None if time_limit is None else time.monotonic_ns() + time_limit * 10**9
-        top = bounds.max_total_multiplicity
-        table = OrbitTable(orbits, top)
+        table = OrbitTable(orbits, bounds.max_total_multiplicity)
         others = bounds.max_levels * bounds.max_components_per_level - 1  # K - 1
-        cap = bounds.max_index - others * _index_floor(table, profile, top)
-        # The setup can outlast the search, so the deadline bounds it too.
-        rows = []
-        for row in _rows(table, profile, bounds, cap):
-            self._check_deadline()
-            rows.append(row)
+        listed = max(bounds.max_index, 0)
+        rows = self._listed(table, profile, bounds, listed)
+        cap = bounds.max_index - others * min([0] + [r[7] for r in rows])
+        if cap != listed:
+            rows = self._listed(table, profile, bounds, cap)
         self._closed, self._open = self._bound_tables(len(table.refs), rows)
         rem = bounds.max_levels - 1  # the most levels any component has below it
         rows = [r for r in rows if r[7] + self._completion(r[4], rem) <= cap]
@@ -651,6 +640,14 @@ class _Enumerator:
         # What the search reads at each number of levels to go: the least
         # index below each component, and below each end on its own.
         self._down = [[self._completion(e, r) for e in self.ends] for r in range(rem + 1)]
+
+    def _listed(self, table, profile, bounds, cap):
+        # The setup can outlast the search, so the deadline bounds it too.
+        rows = []
+        for row in _rows(table, profile, bounds, cap):
+            self._check_deadline()
+            rows.append(row)
+        return rows
 
     def _bound_tables(self, size, rows):
         closed = [[INF] * size]

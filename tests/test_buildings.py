@@ -40,7 +40,6 @@ from cch.buildings import (
     _Enumerator,
     _cover_shapes,
     _cover_ways,
-    _index_floor,
     _is_split_plane_shape,
     _partitions,
     verify_propositions,
@@ -1525,17 +1524,33 @@ def oracle_least_index(orbits, generic_J, top):
 FLOOR_CASES = [(o, range(1, 5)) for o in ORACLE_ORBITS] + [(FLOOR_ORBITS, [6])]
 
 
+@pytest.mark.parametrize("max_index", [-2, 0, 3])
+@pytest.mark.parametrize("generic_J", [True, False])
 @pytest.mark.parametrize("orbits, tops", FLOOR_CASES, ids=[orbit_names(o) for o, _ in FLOOR_CASES])
-def test_index_floor_is_the_least_component_index(orbits, tops):
-    # The floor sets the search's index cap.  Under generic J it is exactly
-    # the least index of any component; without it, a lower bound on that.
+def test_search_caps_the_rows_by_their_least_index(orbits, tops, generic_J, max_index,
+                                                   monkeypatch):
+    # The search lists the rows at cap max(max_index, 0), which holds every
+    # row of negative index, so their least index is L exactly under either
+    # profile.  It lists them again at max_index - (K - 1) * min(0, L) only
+    # if that cap differs: never under generic J with L = 0 and max_index >= 0.
+    caps = []
+    listed = buildings._rows
+
+    def recorded(table, profile, bounds, cap=buildings.INF, multisets=None):
+        caps.append(cap)
+        return listed(table, profile, bounds, cap, multisets)
+
+    monkeypatch.setattr(buildings, "_rows", recorded)
+    profile = GenericityProfile(generic_J=generic_J)
     for top in tops:
-        table = OrbitTable(orbits, top)
-        floor = _index_floor(table, GENERIC, top)
-        assert floor == oracle_least_index(orbits, True, top), top
-        loose = _index_floor(table, GenericityProfile(generic_J=False), top)
-        assert loose <= oracle_least_index(orbits, False, top), top
-    if orbits is FLOOR_ORBITS:
+        floor = oracle_least_index(orbits, generic_J, top)
+        bounds = EnumerationBounds(max_total_multiplicity=top, max_index=max_index)
+        others = bounds.max_levels * bounds.max_components_per_level - 1
+        first, cap = max(max_index, 0), max_index - others * floor
+        caps.clear()
+        _Enumerator(orbits, profile, bounds, None)
+        assert caps == ([first] if cap == first else [first, cap]), top
+    if orbits is FLOOR_ORBITS and generic_J:
         assert floor == -1
 
 
@@ -1676,13 +1691,12 @@ def test_shapes_count_the_listed_multisets(orbits):
     # program that read the table's covers in place of the budget counts
     # multisets the listing leaves out.  Ranked by least id tuple, the
     # shapes come in the listing's order of first sight, which the order of
-    # the sweep's errors rests on; the largest t is the non-generic floor's.
+    # the sweep's errors rests on.
     table = OrbitTable(orbits, 8)
     for budget in range(9):
         got, want = buildings._shapes(table, budget), listed_shapes(table, budget)
         assert got == want, budget
         assert sorted(got, key=lambda key: got[key][1]) == list(want), budget
-        assert max(t for _, t in got) == max(t for _, t in want), budget
 
 
 def test_shape_grid_holds_negative_gradings():
@@ -1691,18 +1705,6 @@ def test_shape_grid_holds_negative_gradings():
     gradings = [OrbitTable(orbits, 8).grading for orbits in SHAPE_ORBIT_SETS]
     assert sum(min(g) < 0 < max(g) for g in gradings) >= 2
     assert sum(max(g) < 0 for g in gradings) >= 1
-
-
-@pytest.mark.parametrize("orbits", SHAPE_ORBIT_SETS, ids=orbit_names)
-def test_loose_index_floor_is_that_of_the_listed_multisets(orbits):
-    # Without generic J the floor is the least grading less the largest
-    # grading sum of a multiset of negative ends, read from the program.
-    loose = GenericityProfile(generic_J=False)
-    for top in range(9):
-        table = OrbitTable(orbits, top)
-        most = max(t for _, t in buildings._neg_multisets(range(len(table.refs)), top, table))
-        floor = min(0, min(table.grading, default=0) - most)
-        assert _index_floor(table, loose, top) == floor, top
 
 
 def test_tally_keeps_each_one_end_multiset_apart():
@@ -1741,12 +1743,15 @@ def test_enumeration_limit_carries_partial_results():
 
 
 def test_time_limit_stops_the_component_inventory(monkeypatch):
-    # A deadline already past stops the enumerator while it drains the
-    # component inventory, before it builds its bound tables.
-    def unreachable(self, *args):
-        raise AssertionError("bound tables built past the deadline")
+    # A deadline already past stops the enumerator at the inventory's first
+    # row, a trivial cylinder: before it lists a multiset of negative ends or
+    # a cover shape, and before it builds its bound tables.
+    def unreachable(*args):
+        raise AssertionError("listed past the deadline")
 
     monkeypatch.setattr(_Enumerator, "_bound_tables", unreachable)
+    monkeypatch.setattr(buildings, "_neg_multisets", unreachable)
+    monkeypatch.setattr(buildings, "_cover_shapes", unreachable)
     with pytest.raises(EnumerationLimitError) as err:
         enumerate_buildings([ELL, POSH], CONVEX, EnumerationBounds(), time_limit=1e-9)
     assert err.value.partial == []
@@ -1795,7 +1800,11 @@ def test_bound_tables_match_subtree_oracle(orbits, generic_J, multiplicity, thin
     kept = every[::thin]
     read = inject_rows(monkeypatch, rows[::thin])
     enumerator = _Enumerator(orbits, profile, bounds, None)
-    assert read == {"_rows": rows[::thin], "_tally": []}
+    # The search reads the rows once for their least index, and again at the
+    # cap that gives if it differs: the tables come from the last read.
+    assert len(read["_rows"]) in (len(rows[::thin]), 2 * len(rows[::thin]))
+    assert read["_rows"][-len(rows[::thin]):] == rows[::thin]
+    assert read["_tally"] == []
     assert set(enumerator.components) <= set(kept)
     by_pos = {}
     for c in kept:
