@@ -1,14 +1,15 @@
 """Combinatorial skeletons of genus-zero holomorphic buildings.
 
-A component is a branched cover of a trivial cylinder, a cover of a
+A component is a genus-zero curve with one positive end, the only curves a
+cylinder breaks into: a branched cover of a trivial cylinder, a cover of a
 nontrivial somewhere-injective curve, or a somewhere-injective curve
 itself.  A building is the tree of its components, each hanging from a
-negative end of the one above it.  The enumerator generates every
-skeleton within configured bounds, subject to the combinatorial
-surrogates of a generic almost complex structure (nontrivial
-somewhere-injective curves have index at least one) and of dynamical
-convexity (contractible orbits have Conley-Zehnder index at least three,
-and only contractible orbits bound planes).
+negative end of the one above it.  The enumerator generates every skeleton
+within configured bounds, subject to the combinatorial surrogates of a
+generic almost complex structure (nontrivial somewhere-injective curves
+have index at least one) and of dynamical convexity (contractible orbits
+have Conley-Zehnder index at least three, and only contractible orbits
+bound planes).
 
 Each object carries its indices: an OrbitRef its Conley-Zehnder index, and
 a ComponentSkeleton its Fredholm index and that of its underlying curve; its
@@ -52,7 +53,7 @@ from .errors import (
     PreconditionError,
     SkeletonError,
 )
-from .orbits import OrbitTable, OrbitType, curve_index, orbit_type
+from .orbits import OrbitRef, OrbitTable, OrbitType, curve_index, orbit_type
 
 # Marks "no subtree fits"; larger than any index a bounded search reaches.
 INF = 1 << 62
@@ -101,91 +102,86 @@ def _grouping_exists(cover_ends, under_ends, degree) -> bool:
 class ComponentSkeleton:
     """One curve in a building: cover data plus the ends of cover and base.
 
-    index is the Fredholm index of the covering curve and underlying_index
-    that of the underlying somewhere-injective curve (genus zero unless the
-    component is that curve itself); key is its canonical serialization.
+    Cover and base have genus zero and one positive end each.  index is the
+    Fredholm index of the covering curve and underlying_index that of the
+    underlying somewhere-injective curve; key is its canonical serialization.
     The constructor, the only way to build one, raises SkeletonError on an
     invalid shape and sets all three once, from the ends.
 
     A trivial cylinder has one representation, a BTC with b = 0.  A curve
     whose ends total the same multiplicity of each orbit on both sides has
-    zero d(lambda)-energy; the constructor rejects one case of it, equal
-    multisets of positive and negative ends, as an SI curve and a COV over one.
+    zero d(lambda)-energy; the constructor rejects one case of it, one
+    negative end equal to the positive end, as an SI curve and a COV over one.
     """
 
     kind: ComponentKind
     cover_degree: int
     branch_count: int
-    genus: int
-    positive_ends: tuple
+    positive_end: OrbitRef
     negative_ends: tuple
-    underlying_positive_ends: tuple
+    underlying_positive_end: OrbitRef
     underlying_negative_ends: tuple
     index: int = field(init=False, repr=False, compare=False)
     underlying_index: int = field(init=False, repr=False, compare=False)
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("positive_ends", "negative_ends", "underlying_positive_ends",
-                     "underlying_negative_ends"):
+        for name in ("negative_ends", "underlying_negative_ends"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         self._check()
-        index = curve_index(self.genus, self.positive_ends, self.negative_ends)
+        index = curve_index(0, (self.positive_end,), self.negative_ends)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "underlying_index", index if self.kind is SI else curve_index(
-            0, self.underlying_positive_ends, self.underlying_negative_ends))
-        pos = ",".join(r.key for r in self.positive_ends)
+            0, (self.underlying_positive_end,), self.underlying_negative_ends))
+        pos = self.positive_end.key
         neg = ",".join(r.key for r in _sorted_ends(self.negative_ends))
         head = f"d={self.cover_degree},b={self.branch_count}"
         if self.kind is BTC:
             key = f"btc[{head}]{pos}=>{neg}"
         elif self.kind is SI:
-            key = f"si[g={self.genus}]{pos}=>{neg}"
+            key = f"si[g=0]{pos}=>{neg}"
         else:
-            upos = ",".join(r.key for r in self.underlying_positive_ends)
             uneg = ",".join(r.key for r in _sorted_ends(self.underlying_negative_ends))
-            key = f"cov[{head};{upos}=>{uneg}]{pos}=>{neg}"
+            key = f"cov[{head};{self.underlying_positive_end.key}=>{uneg}]{pos}=>{neg}"
         object.__setattr__(self, "key", key)
 
     def _check(self):
         d, b = self.cover_degree, self.branch_count
-        pos, neg = self.positive_ends, self.negative_ends
-        up, un = self.underlying_positive_ends, self.underlying_negative_ends
-        if d < 1 or b < 0 or self.genus < 0:
+        pos, neg = self.positive_end, self.negative_ends
+        up, un = self.underlying_positive_end, self.underlying_negative_ends
+        if d < 1 or b < 0:
             raise SkeletonError("cover degree, branch count, genus out of range")
-        if not pos or not up:
-            raise SkeletonError("a component needs at least one positive end")
         if self.kind is SI:
             if d != 1 or b != 0:
                 raise SkeletonError("somewhere-injective components have d=1, b=0")
             if (up, un) != (pos, neg):
                 raise SkeletonError("somewhere-injective ends must equal underlying ends")
-            if _sorted_ends(pos) == _sorted_ends(neg):
+            if neg == (pos,):
                 raise SkeletonError("trivial cylinders must use the dedicated kind")
             return
-        chi = 2 - 2 * self.genus - len(pos) - len(neg)
+        chi = 1 - len(neg)
         if self.kind is BTC:
-            if len(up) != 1 or len(un) != 1 or up[0] != un[0] or up[0].multiplicity != 1:
+            if un != (up,) or up.multiplicity != 1:
                 raise SkeletonError(
                     "the underlying trivial cylinder must sit over one embedded orbit"
                 )
-            if any(r.base != up[0].base for r in pos + neg):
+            if any(r.base != up.base for r in (pos, *neg)):
                 raise SkeletonError("all ends must cover the cylinder's orbit")
-            if sum(r.multiplicity for r in pos) != d:
+            if pos.multiplicity != d:
                 raise SkeletonError("positive end multiplicities must partition the degree")
             if sum(r.multiplicity for r in neg) != d:
                 raise SkeletonError("negative end multiplicities must partition the degree")
             if chi != -b:
                 raise SkeletonError("branch count violates Riemann-Hurwitz")
             return
-        # Cover of a nontrivial somewhere-injective curve (underlying genus zero).
+        # Cover of a nontrivial somewhere-injective curve.
         if d < 2:
             raise SkeletonError("covers of nontrivial curves need degree >= 2")
-        if _sorted_ends(up) == _sorted_ends(un):
+        if un == (up,):
             raise SkeletonError("covers of trivial cylinders must use the dedicated kind")
-        if chi != d * (2 - len(up) - len(un)) - b:
+        if chi != d * (1 - len(un)) - b:
             raise SkeletonError("branch count violates Riemann-Hurwitz")
-        if not _grouping_exists(pos, up, d):
+        if pos.base != up.base or pos.multiplicity != d * up.multiplicity:
             raise SkeletonError("positive ends do not cover the underlying positive ends")
         if not _grouping_exists(neg, un, d):
             raise SkeletonError("negative ends do not cover the underlying negative ends")
@@ -197,6 +193,9 @@ class ComponentSkeleton:
 
 
 # ------------------------------------------------------------------ checks
+# Each estimate reads integers of one component, so of a genus-zero curve
+# with one positive end: d and b its cover degree and branch count, n and k
+# the numbers of negative ends of the cover and of its underlying curve.
 
 
 def check_trivial_cover_nonnegative(kind, index) -> bool:
@@ -206,18 +205,14 @@ def check_trivial_cover_nonnegative(kind, index) -> bool:
     return index >= 0
 
 
-def check_cover_index_bound(genus, positives, d, b, index, underlying_index) -> bool:
-    """ind(cover) >= d * ind(underlying) + 2(1 - d + b) for one-positive-end
-    genus-zero components; positives counts the positive ends."""
-    if genus != 0 or positives != 1:
-        raise PreconditionError("the bound needs genus zero and one positive end")
+def check_cover_index_bound(d, b, index, underlying_index) -> bool:
+    """ind(cover) >= d * ind(underlying) + 2(1 - d + b)."""
     return index >= d * underlying_index + 2 * (1 - d + b)
 
 
-def check_nontrivial_cover_bounds(generic_J, kind, genus, positives, n, k, index,
-                                  underlying_index) -> bool:
-    """Two generic-profile estimates on one-positive-end components off
-    covers of trivial cylinders, to which neither applies.
+def check_nontrivial_cover_bounds(generic_J, kind, n, k, index, underlying_index) -> bool:
+    """Two generic-profile estimates on components off covers of trivial
+    cylinders, to which neither applies.
 
     Over an underlying cylinder (k = 1 negative end, nontrivial, as the kind
     is not BTC) the index is at least the number n of negative ends; with
@@ -225,8 +220,6 @@ def check_nontrivial_cover_bounds(generic_J, kind, genus, positives, n, k, index
     """
     if not generic_J:
         raise PreconditionError("the estimates assume a generic profile")
-    if genus != 0 or positives != 1:
-        raise PreconditionError("the estimates need genus zero and one positive end")
     if kind is BTC:
         return True
     if underlying_index < 1:
@@ -236,7 +229,7 @@ def check_nontrivial_cover_bounds(generic_J, kind, genus, positives, n, k, index
     return n < 2 or index >= 5 - 2 * n
 
 
-def check_cylinder_cover_index(generic_J, kind, positives, n, d, index, underlying_index,
+def check_cylinder_cover_index(generic_J, kind, n, d, index, underlying_index,
                                hyperbolic) -> bool:
     """For nontrivial cylinders: 1 <= ind(underlying) <= ind(cover).
 
@@ -249,7 +242,7 @@ def check_cylinder_cover_index(generic_J, kind, positives, n, d, index, underlyi
     """
     if not generic_J:
         raise PreconditionError("the estimate assumes a generic profile")
-    if positives != 1 or n != 1:
+    if n != 1:
         raise PreconditionError("component is not a cylinder")
     if kind is BTC:
         raise PreconditionError("component is a cover of a trivial cylinder")
@@ -412,7 +405,7 @@ def _rows(table, profile, bounds, cap=INF, multisets=None):
 
 def _component(refs, kind, d, b, p, neg, u, uneg, *indices):
     """The ComponentSkeleton of a row of _rows; its constructor recomputes the indices."""
-    return ComponentSkeleton(kind, d, b, 0, (refs[p],), [refs[i] for i in neg], (refs[u],),
+    return ComponentSkeleton(kind, d, b, refs[p], [refs[i] for i in neg], refs[u],
                              [refs[i] for i in uneg])
 
 
@@ -504,7 +497,7 @@ def _canonical_node(node):
         raise SkeletonError("a node needs one subtree per negative end, or none")
     child_data = []
     for end, child in zip(ends, node.children):
-        if child.component.positive_ends != (end,):
+        if child.component.positive_end != end:
             raise SkeletonError("a subtree's positive end must be the end it hangs from")
         child_data.append(_canonical_node(child))
     # The key's end order, then subtrees of equal ends by serialization; each
@@ -559,8 +552,8 @@ class BuildingSkeleton:
         )
 
     @property
-    def positive_ends(self):
-        return self.root.component.positive_ends
+    def positive_end(self):
+        return self.root.component.positive_end
 
     @property
     def negative_ends(self):
@@ -653,7 +646,7 @@ class _Enumerator:
         closed = [[INF] * size]
         # Leaving an end open costs nothing, so no open entry is positive.
         opened = [[0] * size]
-        for _ in range(self.bounds.max_levels):
+        for _ in range(self.bounds.max_levels - 1):
             self._check_deadline()
             prev_closed, prev_open = closed[-1], opened[-1]
             row_closed, row_open = list(prev_closed), list(prev_open)
@@ -825,12 +818,12 @@ class EstimateSweepReport:
 
 def _estimates(generic_J, kind, d, b, n, k, index, under, hyperbolic):
     """Each estimate's verdict, in CHECK_NAMES order, on the argument tuple of
-    an inventory row (genus zero, one positive end); None where it does not apply."""
+    an inventory row; None where it does not apply."""
     return (
         check_trivial_cover_nonnegative(kind, index) if kind is BTC else None,
-        check_cover_index_bound(0, 1, d, b, index, under),
-        check_nontrivial_cover_bounds(generic_J, kind, 0, 1, n, k, index, under),
-        check_cylinder_cover_index(generic_J, kind, 1, n, d, index, under, hyperbolic)
+        check_cover_index_bound(d, b, index, under),
+        check_nontrivial_cover_bounds(generic_J, kind, n, k, index, under),
+        check_cylinder_cover_index(generic_J, kind, n, d, index, under, hyperbolic)
         if kind is not BTC and n == 1 else None,
         check_multi_end_cover_combination(kind, d, b, n, k, index)
         if kind is COV and k > 1 else None,
@@ -965,11 +958,7 @@ def classify_building(b: BuildingSkeleton):
         if nlev == 1:
             return (CASE_ONE_LEVEL, True)
         if nlev == 2:
-            cylinders = all(
-                len(l) == 1 and len(l[0].positive_ends) == 1 and len(l[0].negative_ends) == 1
-                for l in b.levels
-            )
-            if cylinders:
+            if all(len(l) == 1 and len(l[0].negative_ends) == 1 for l in b.levels):
                 return (CASE_TWO_CYLINDERS, True)
             if _is_split_plane_shape(b):
                 return (CASE_SPLIT_PLANE, True)

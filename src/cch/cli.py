@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +37,7 @@ from .orbits import (
     fredholm_index,
 )
 from .scenario import (
+    _is_digits,
     format_rational,
     parse_orbit_key,
     parse_rational,
@@ -59,6 +60,14 @@ TIME_LIMIT_ENV = "CCH_TIME_LIMIT"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message, self.format_usage())
+
+
+def _integer(text):
+    """An integer flag: ASCII digits after at most one "-", as scenario files read them."""
+    if _is_digits(text.removeprefix("-")):
+        with suppress(ValueError):  # more digits than int() converts
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _time_limit():
@@ -145,8 +154,8 @@ def _parse_orbit_flag(text):
     theta_text, _, bound_text = rest.rpartition(":")
     theta = parse_rational(theta_text, f"--orbit {name}")
     try:
-        bound = int(bound_text)
-    except ValueError:
+        bound = _integer(bound_text)
+    except argparse.ArgumentTypeError:
         raise UsageError(f"--orbit bound must be an integer, got {bound_text!r}")
     if bound < 1:
         raise UsageError(f"--orbit bound must be >= 1, got {bound}")
@@ -323,14 +332,14 @@ def _build_parser():
     p = sub.add_parser("cz", help="Conley-Zehnder data of an orbit cover")
     p.set_defaults(run=_cmd_cz)
     p.add_argument("--theta", required=True)
-    p.add_argument("--mult", type=int, required=True)
+    p.add_argument("--mult", type=_integer, required=True)
     p.add_argument("--contractible", action="store_true")
 
     p = sub.add_parser("index", help="Fredholm index of a curve")
     p.set_defaults(run=_cmd_index)
     p.add_argument("--orbit", action="append", default=[], metavar="name=p/q:bound")
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--c-tau", dest="c_tau", type=int, default=0)
+    p.add_argument("--genus", type=_integer, default=0)
+    p.add_argument("--c-tau", dest="c_tau", type=_integer, default=0)
     p.add_argument("--positive", action="append", default=[], metavar="name^m")
     p.add_argument("--negative", action="append", default=[], metavar="name^m")
 
@@ -345,24 +354,24 @@ def _build_parser():
     p = sub.add_parser("no-bad-break", help="breaking-exclusion certificates")
     p.set_defaults(run=_cmd_no_bad_break)
     p.add_argument("--theta")
-    p.add_argument("--d", dest="degree", type=int)
+    p.add_argument("--d", dest="degree", type=_integer)
     p.add_argument("--grid", action="store_true")
-    p.add_argument("--max-degree", type=int)
-    p.add_argument("--max-denominator", type=int)
-    p.add_argument("--theta-upper", type=int)
+    p.add_argument("--max-degree", type=_integer)
+    p.add_argument("--max-denominator", type=_integer)
+    p.add_argument("--theta-upper", type=_integer)
 
     p = sub.add_parser("bounds", help="winding and writhe bounds of a braided end")
     p.set_defaults(run=_cmd_bounds)
     p.add_argument("--theta", required=True)
-    p.add_argument("--mult", type=int, required=True)
+    p.add_argument("--mult", type=_integer, required=True)
     p.add_argument("--side", choices=("positive", "negative"), required=True)
     p.add_argument("--improved", action="store_true")
 
     p = sub.add_parser("gluing", help="index-two gluing end count")
     p.set_defaults(run=_cmd_gluing)
-    p.add_argument("d_plus", type=int)
-    p.add_argument("d_minus", type=int)
-    p.add_argument("d_middle", type=int)
+    p.add_argument("d_plus", type=_integer)
+    p.add_argument("d_minus", type=_integer)
+    p.add_argument("d_middle", type=_integer)
 
     p = sub.add_parser("complex", help="build and verify a chain complex")
     p.set_defaults(run=_cmd_complex)

@@ -126,7 +126,7 @@ def test_criterion_3_low_index_building_classification():
         if tag != "index-two:split-off-plane":
             continue
         planes = [c for c in b.levels[1] if not c.negative_ends]
-        if planes[0].positive_ends[0].multiplicity == 1:
+        if planes[0].positive_end.multiplicity == 1:
             found_embedded_split = True
     assert found_embedded_split
     _stamp(3, "low-index building classification", started, 600.0)

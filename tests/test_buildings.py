@@ -74,7 +74,7 @@ def trivial_cylinder(orbit, m):
     r, base = ref(orbit, m), ref(orbit, 1)
     return ComponentSkeleton(
         ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
-        m, 0, 0, (r,), (r,), (base,), (base,),
+        m, 0, r, (r,), base, (base,),
     )
 
 
@@ -83,16 +83,16 @@ def branched_cover(orbit, parts):
     base = ref(orbit, 1)
     return ComponentSkeleton(
         ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
-        d, len(parts) - 1, 0,
-        (ref(orbit, d),),
+        d, len(parts) - 1,
+        ref(orbit, d),
         tuple(sorted((ref(orbit, p) for p in parts), key=lambda r: r.multiplicity)),
-        (base,), (base,),
+        base, (base,),
     )
 
 
 def si(pos, negs):
     return ComponentSkeleton(
-        ComponentKind.SOMEWHERE_INJECTIVE, 1, 0, 0, (pos,), tuple(negs), (pos,), tuple(negs)
+        ComponentKind.SOMEWHERE_INJECTIVE, 1, 0, pos, tuple(negs), pos, tuple(negs)
     )
 
 
@@ -120,7 +120,7 @@ def test_riemann_hurwitz_violation_rejected():
     with pytest.raises(SkeletonError):
         ComponentSkeleton(
             ComponentKind.BRANCHED_COVER_OF_TRIVIAL_CYLINDER,
-            3, 5, 0, (r,), (ref(ELL, 1), ref(ELL, 2)), (base,), (base,),
+            3, 5, r, (ref(ELL, 1), ref(ELL, 2)), base, (base,),
         )
 
 
@@ -129,38 +129,31 @@ def test_cover_partition_mismatch_rejected():
     with pytest.raises(SkeletonError):
         ComponentSkeleton(
             ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-            2, 1, 0, (pos,), (ref(NEGH, 3),), (ref(POSH, 2),), (ref(NEGH, 1),),
+            2, 1, pos, (ref(NEGH, 3),), ref(POSH, 2), (ref(NEGH, 1),),
         )
 
 
 @pytest.mark.parametrize(
-    "kind, d, b, genus, pos, neg, upos, uneg, message",
+    "kind, d, b, pos, neg, upos, uneg, message",
     [
-        (SI, 0, 0, 0, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
-        (SI, 1, -1, 0, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
-        (SI, 1, 0, -1, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
-        (SI, 1, 0, 0, "", "", "", "", "a component needs at least one positive end"),
-        (SI, 2, 0, 0, "e2", "e1", "e2", "e1", "somewhere-injective components have d=1, b=0"),
-        (SI, 1, 0, 0, "e2", "e1", "e2", "", "somewhere-injective ends must equal underlying"),
-        (SI, 1, 0, 0, "e2", "e2", "e2", "e2", "trivial cylinders must use the dedicated kind"),
-        # Equal end multisets have zero energy, in whichever order they are stored.
-        (SI, 1, 0, 0, "e1 p1", "e1 p1", "e1 p1", "e1 p1", "trivial cylinders must use the"),
-        (SI, 1, 0, 0, "e1 p1", "p1 e1", "e1 p1", "p1 e1", "trivial cylinders must use the"),
-        (BTC, 2, 0, 0, "e2", "e2", "e2", "e2", "the underlying trivial cylinder must sit over"),
-        (BTC, 2, 1, 0, "e2", "e1 h1", "e1", "e1", "all ends must cover the cylinder's orbit"),
-        (BTC, 3, 0, 0, "e2", "e3", "e1", "e1", "positive end multiplicities must partition"),
-        (BTC, 2, 0, 0, "e2", "e1", "e1", "e1", "negative end multiplicities must partition"),
-        (BTC, 3, 5, 0, "e3", "e1 e2", "e1", "e1", "branch count violates Riemann-Hurwitz"),
-        (COV, 1, 0, 0, "p2", "h1", "p2", "h1", "covers of nontrivial curves need degree >= 2"),
-        (COV, 2, 0, 0, "p2", "p2", "p1", "p1", "covers of trivial cylinders must use the"),
-        (COV, 2, 2, 0, "e1 e1 p1 p1", "e1 e1 p1 p1", "e1 p1", "e1 p1",
-         "covers of trivial cylinders must use the"),
-        (COV, 2, 1, 0, "p4", "h2", "p2", "h1", "branch count violates Riemann-Hurwitz"),
-        (COV, 2, 0, 0, "p3", "h2", "p2", "h1", "positive ends do not cover the underlying"),
-        (COV, 2, 0, 0, "p4", "h3", "p2", "h1", "negative ends do not cover the underlying"),
+        (SI, 0, 0, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
+        (SI, 1, -1, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
+        (SI, 2, 0, "e2", "e1", "e2", "e1", "somewhere-injective components have d=1, b=0"),
+        (SI, 1, 0, "e2", "e1", "e2", "", "somewhere-injective ends must equal underlying"),
+        (SI, 1, 0, "e2", "e2", "e2", "e2", "trivial cylinders must use the dedicated kind"),
+        (BTC, 2, 0, "e2", "e2", "e2", "e2", "the underlying trivial cylinder must sit over"),
+        (BTC, 2, 1, "e2", "e1 h1", "e1", "e1", "all ends must cover the cylinder's orbit"),
+        (BTC, 3, 0, "e2", "e3", "e1", "e1", "positive end multiplicities must partition"),
+        (BTC, 2, 0, "e2", "e1", "e1", "e1", "negative end multiplicities must partition"),
+        (BTC, 3, 5, "e3", "e1 e2", "e1", "e1", "branch count violates Riemann-Hurwitz"),
+        (COV, 1, 0, "p2", "h1", "p2", "h1", "covers of nontrivial curves need degree >= 2"),
+        (COV, 2, 0, "p2", "p2", "p1", "p1", "covers of trivial cylinders must use the"),
+        (COV, 2, 1, "p4", "h2", "p2", "h1", "branch count violates Riemann-Hurwitz"),
+        (COV, 2, 0, "p3", "h2", "p2", "h1", "positive ends do not cover the underlying"),
+        (COV, 2, 0, "p4", "h3", "p2", "h1", "negative ends do not cover the underlying"),
     ],
 )
-def test_constructor_rejects_each_invalid_shape(kind, d, b, genus, pos, neg, upos, uneg, message):
+def test_constructor_rejects_each_invalid_shape(kind, d, b, pos, neg, upos, uneg, message):
     # One case per SkeletonError branch of ComponentSkeleton._check, through
     # the public constructor; ends are written "e1 h1" for e^1, h^1.
     orbits = {o.name: o for o in (ELL, NEGH, POSH)}
@@ -169,15 +162,13 @@ def test_constructor_rejects_each_invalid_shape(kind, d, b, genus, pos, neg, upo
         return [ref(orbits[t[0]], int(t[1:])) for t in text.split()]
 
     with pytest.raises(SkeletonError, match="^" + re.escape(message)):
-        ComponentSkeleton(kind, d, b, genus, ends(pos), ends(neg), ends(upos), ends(uneg))
+        ComponentSkeleton(kind, d, b, *ends(pos), ends(neg), *ends(upos), ends(uneg))
 
 
 def test_constructor_stores_list_ends_as_tuples_and_is_frozen():
     p2, h1 = ref(POSH, 2), ref(NEGH, 1)
-    c = ComponentSkeleton(SI, 1, 0, 0, [p2], [h1], [p2], [h1])
-    for name in (
-        "positive_ends", "negative_ends", "underlying_positive_ends", "underlying_negative_ends"
-    ):
+    c = ComponentSkeleton(SI, 1, 0, p2, [h1], p2, [h1])
+    for name in ("negative_ends", "underlying_negative_ends"):
         assert type(getattr(c, name)) is tuple
     assert c == si(p2, (h1,)) and hash(c) == hash(si(p2, (h1,)))
     assert c.index == c.underlying_index == oracle_index(0, (p2,), (h1,)) == 7
@@ -215,7 +206,7 @@ def cylinder_flag(c):
     check_cylinder_cover_index reads; False for any other component."""
     if len(c.negative_ends) != 1 or len(c.underlying_negative_ends) != 1:
         return False
-    under = c.underlying_positive_ends + c.underlying_negative_ends
+    under = (c.underlying_positive_end, *c.underlying_negative_ends)
     return all(orbit_type(r) is not OrbitType.ELLIPTIC for r in under)
 
 
@@ -223,17 +214,14 @@ def cylinder_flag(c):
 # (generic profile); CHECKS applies it to the component.
 ARGS = dict(zip(CHECK_NAMES, (
     lambda c: (c.kind, c.index),
+    lambda c: (c.cover_degree, c.branch_count, c.index, c.underlying_index),
     lambda c: (
-        c.genus, len(c.positive_ends), c.cover_degree, c.branch_count, c.index,
+        True, c.kind, len(c.negative_ends), len(c.underlying_negative_ends), c.index,
         c.underlying_index,
     ),
     lambda c: (
-        True, c.kind, c.genus, len(c.positive_ends), len(c.negative_ends),
-        len(c.underlying_negative_ends), c.index, c.underlying_index,
-    ),
-    lambda c: (
-        True, c.kind, len(c.positive_ends), len(c.negative_ends), c.cover_degree, c.index,
-        c.underlying_index, cylinder_flag(c),
+        True, c.kind, len(c.negative_ends), c.cover_degree, c.index, c.underlying_index,
+        cylinder_flag(c),
     ),
     lambda c: (
         c.kind, c.cover_degree, c.branch_count, len(c.negative_ends),
@@ -280,9 +268,9 @@ def test_cover_index_bound_degree_two_cylinder_cover():
     one = RotationData("q", F(1), 30)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-        2, 1, 0,
-        (ref(ELL, 2),), (ref(one, 1), ref(one, 1)),
-        (ref(ELL, 1),), (ref(one, 1),),
+        2, 1,
+        ref(ELL, 2), (ref(one, 1), ref(one, 1)),
+        ref(ELL, 1), (ref(one, 1),),
     )
     assert cover.underlying_index == 1
     assert cover.index == 2
@@ -294,9 +282,9 @@ def test_nontrivial_cover_bounds_cylinder_case():
     under_pos, under_neg = ref(ELL, 2), ref(ELL, 1)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-        2, 1, 0,
-        (ref(ELL, 4),), (ref(ELL, 1), ref(ELL, 1)),
-        (under_pos,), (under_neg,),
+        2, 1,
+        ref(ELL, 4), (ref(ELL, 1), ref(ELL, 1)),
+        under_pos, (under_neg,),
     )
     assert cover.index >= 2
     assert CHECKS["nontrivial_cover_bounds"](cover)
@@ -313,9 +301,9 @@ def test_nontrivial_cover_bounds_hyperbolic_bottom_equality_case():
     one = RotationData("q", F(1), 30)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-        3, 2, 0,
-        (ref(ELL, 3),), (ref(one, 1),) * 3,
-        (ref(ELL, 1),), (ref(one, 1),),
+        3, 2,
+        ref(ELL, 3), (ref(one, 1),) * 3,
+        ref(ELL, 1), (ref(one, 1),),
     )
     assert cover.underlying_index == 1
     assert cover.index == 3 == len(cover.negative_ends)
@@ -334,9 +322,9 @@ def test_cylinder_cover_index_examples():
     assert check(mixed)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-        2, 0, 0,
-        (ref(NEGH, 2),), (ref(FLAT, 2),),
-        (ref(NEGH, 1),), (ref(FLAT, 1),),
+        2, 0,
+        ref(NEGH, 2), (ref(FLAT, 2),),
+        ref(NEGH, 1), (ref(FLAT, 1),),
     )
     assert cover.index == 2 * cover.underlying_index
     assert check(cover)
@@ -351,16 +339,16 @@ def test_cylinder_cover_index_reads_underlying_orbit_types(monkeypatch):
     top, bottom = RotationData("t", F(7, 4), 3), RotationData("u", F(1, 4), 3)
     cover = ComponentSkeleton(
         ComponentKind.COVER_OF_NONTRIVIAL_CURVE,
-        2, 0, 0,
-        (ref(top, 2),), (ref(bottom, 2),),
-        (ref(top, 1),), (ref(bottom, 1),),
+        2, 0,
+        ref(top, 2), (ref(bottom, 2),),
+        ref(top, 1), (ref(bottom, 1),),
     )
-    assert orbit_type(cover.positive_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
+    assert orbit_type(cover.positive_end) is OrbitType.NEGATIVE_HYPERBOLIC
     assert orbit_type(cover.negative_ends[0]) is OrbitType.NEGATIVE_HYPERBOLIC
     assert (cover.index, cover.underlying_index) == (6, 2)
     assert cylinder_flag(cover) is False
     assert CHECKS["cylinder_cover_index"](cover)
-    assert not check_cylinder_cover_index(True, COV, 1, 1, 2, 6, 2, True)
+    assert not check_cylinder_cover_index(True, COV, 1, 2, 6, 2, True)
     report = sweep_rows([top, bottom], [cover], monkeypatch)
     assert "check cylinder_cover_index: checked=1 violations=0" in report.lines()
 
@@ -374,19 +362,15 @@ def test_cylinder_cover_index_rejects_trivial():
     "check, args, message",
     [
         (check_trivial_cover_nonnegative, (SI, 2), "component is not a cover of a trivial"),
-        (check_cover_index_bound, (1, 1, 1, 0, 2, 2), "the bound needs genus zero and one"),
-        (check_cover_index_bound, (0, 2, 1, 0, 2, 2), "the bound needs genus zero and one"),
-        (check_nontrivial_cover_bounds, (False, SI, 0, 1, 1, 1, 2, 2),
+        (check_nontrivial_cover_bounds, (False, SI, 1, 1, 2, 2),
          "the estimates assume a generic profile"),
-        (check_nontrivial_cover_bounds, (True, SI, 1, 1, 1, 1, 2, 2),
-         "the estimates need genus zero and one positive end"),
-        (check_nontrivial_cover_bounds, (True, COV, 0, 1, 1, 1, 2, 0),
+        (check_nontrivial_cover_bounds, (True, COV, 1, 1, 2, 0),
          "underlying curve violates the generic index bound"),
-        (check_cylinder_cover_index, (False, SI, 1, 1, 1, 2, 2, False),
+        (check_cylinder_cover_index, (False, SI, 1, 1, 2, 2, False),
          "the estimate assumes a generic profile"),
-        (check_cylinder_cover_index, (True, SI, 1, 2, 1, 2, 2, False),
+        (check_cylinder_cover_index, (True, SI, 2, 1, 2, 2, False),
          "component is not a cylinder"),
-        (check_cylinder_cover_index, (True, BTC, 1, 1, 2, 0, 0, False),
+        (check_cylinder_cover_index, (True, BTC, 1, 2, 0, 0, False),
          "component is a cover of a trivial cylinder"),
         (check_multi_end_cover_combination, (SI, 1, 0, 2, 2, 3), "needs a cover of a nontrivial"),
         (check_multi_end_cover_combination, (COV, 2, 0, 2, 1, 3), "needs more than one underlying"),
@@ -406,9 +390,7 @@ def _with_index(c, index):
 
 
 def _cover(d, b, pos, negs, under):
-    return ComponentSkeleton(
-        COV, d, b, 0, (pos,), negs, under.positive_ends, under.negative_ends
-    )
+    return ComponentSkeleton(COV, d, b, pos, negs, under.positive_end, under.negative_ends)
 
 
 def _one_below_a_bound(case):
@@ -446,11 +428,9 @@ INJECTED_ORBITS = [ELL, NEGH, FLAT, POSH, P1, K32, W13]
 def row_of(table, c):
     """c as a row of the inventory over table: its ends as ids, the negative
     ones in the order c stores them."""
-    (p,), neg, (u,), uneg = (
-        tuple(map(table.id_of, ends))
-        for ends in (c.positive_ends, c.negative_ends, c.underlying_positive_ends,
-                     c.underlying_negative_ends)
-    )
+    p, u = table.id_of(c.positive_end), table.id_of(c.underlying_positive_end)
+    neg = tuple(map(table.id_of, c.negative_ends))
+    uneg = tuple(map(table.id_of, c.underlying_negative_ends))
     return c.kind, c.cover_degree, c.branch_count, p, neg, u, uneg, c.index, c.underlying_index
 
 
@@ -529,8 +509,6 @@ def old_trivial_cover_nonnegative(c, profile):
 
 
 def old_cover_index_bound(c, profile):
-    if c.genus != 0 or len(c.positive_ends) != 1:
-        raise PreconditionError("the bound needs genus zero and one positive end")
     d, b = c.cover_degree, c.branch_count
     return c.index >= d * c.underlying_index + 2 * (1 - d + b)
 
@@ -538,8 +516,6 @@ def old_cover_index_bound(c, profile):
 def old_nontrivial_cover_bounds(c, profile):
     if not profile.generic_J:
         raise PreconditionError("the estimates assume a generic profile")
-    if c.genus != 0 or len(c.positive_ends) != 1:
-        raise PreconditionError("the estimates need genus zero and one positive end")
     if c.kind is BTC:
         return True
     if c.underlying_index < 1:
@@ -553,18 +529,18 @@ def old_nontrivial_cover_bounds(c, profile):
 def old_cylinder_cover_index(c, profile):
     if not profile.generic_J:
         raise PreconditionError("the estimate assumes a generic profile")
-    if len(c.positive_ends) != 1 or len(c.negative_ends) != 1:
+    if len(c.negative_ends) != 1:
         raise PreconditionError("component is not a cylinder")
     if c.kind is BTC:
         raise PreconditionError("component is a cover of a trivial cylinder")
     ind, under = c.index, c.underlying_index
     ok = 1 <= under <= ind
     if (
-        orbit_type(c.underlying_positive_ends[0]) is not OrbitType.ELLIPTIC
+        orbit_type(c.underlying_positive_end) is not OrbitType.ELLIPTIC
         and orbit_type(c.underlying_negative_ends[0]) is not OrbitType.ELLIPTIC
     ):
         ok = ok and ind == c.cover_degree * under
-        if ind == 1 and (not is_good(c.positive_ends[0]) or not is_good(c.negative_ends[0])):
+        if ind == 1 and (not is_good(c.positive_end) or not is_good(c.negative_ends[0])):
             ok = ok and c.cover_degree == 1
     return ok
 
@@ -754,10 +730,10 @@ def test_multi_end_and_five_minus_two_n_failures_imply_a_cover_bound_failure():
         for index in range(-40, 41):
             if (
                 not check_multi_end_cover_combination(COV, d, b, n, k, index)
-                or not check_nontrivial_cover_bounds(True, COV, 0, 1, n, k, index, u)
+                or not check_nontrivial_cover_bounds(True, COV, n, k, index, u)
             ):
                 seen += 1
-                assert not check_cover_index_bound(0, 1, d, b, index, u), (d, k, b, u, index)
+                assert not check_cover_index_bound(d, b, index, u), (d, k, b, u, index)
     assert seen
 
 
@@ -768,7 +744,7 @@ def test_index_one_over_hyperbolic_ends_forces_degree_one():
     # end would change no verdict.
     passing = [
         (d, u) for d, u in product(range(1, 9), range(-2, 9))
-        if check_cylinder_cover_index(True, COV, 1, 1, d, 1, u, True)
+        if check_cylinder_cover_index(True, COV, 1, d, 1, u, True)
     ]
     assert passing == [(1, 1)]
 
@@ -857,12 +833,11 @@ def test_component_indices_match_oracle(generic_J):
     kinds = set()
     for c in enumerate_components(orbits, GenericityProfile(generic_J=generic_J), bounds):
         kinds.add(c.kind)
-        under = (c.underlying_positive_ends, c.underlying_negative_ends)
-        for r in c.positive_ends + c.negative_ends + under[0] + under[1]:
+        upos, uneg = c.underlying_positive_end, c.underlying_negative_ends
+        for r in (c.positive_end, *c.negative_ends, upos, *uneg):
             assert r.cz == oracle_cz(r)
-        assert c.index == oracle_index(c.genus, c.positive_ends, c.negative_ends)
-        genus = c.genus if c.kind is ComponentKind.SOMEWHERE_INJECTIVE else 0
-        assert c.underlying_index == oracle_index(genus, *under), c.key
+        assert c.index == oracle_index(0, (c.positive_end,), c.negative_ends)
+        assert c.underlying_index == oracle_index(0, (upos,), uneg), c.key
     assert kinds == set(ComponentKind)
 
 
@@ -881,7 +856,7 @@ def test_component_enumeration_respects_validity_bounds():
     orbits = [ELL]  # validity bound 4 < multiplicity bound 6
     bounds = EnumerationBounds(max_total_multiplicity=6)
     for c in enumerate_components(orbits, GENERIC, bounds):
-        for r in c.positive_ends + c.negative_ends:
+        for r in (c.positive_end, *c.negative_ends):
             assert r.multiplicity <= 4
 
 
@@ -1076,7 +1051,7 @@ def _oracle_components(orbits, generic_J, top):
         d, base = r.multiplicity, covers[at[r.base.name, 1]]
         for parts in oracle_partitions(d, d):
             neg = oracle_sorted(covers[at[r.base.name, t]] for t in parts)
-            out.append((BTC, d, len(parts) - 1, 0, (r,), neg, (base,), (base,)))
+            out.append((BTC, d, len(parts) - 1, r, neg, base, (base,)))
     everything = oracle_multisets(covers, top)
     by_weight = {}
     for ms in everything:
@@ -1085,7 +1060,7 @@ def _oracle_components(orbits, generic_J, top):
         for ms in everything:
             if oracle_kept(covers, generic_J, p, ms):
                 neg = oracle_sorted(covers[i] for i in ms)
-                out.append((SI, 1, 0, 0, (r,), neg, (r,), neg))
+                out.append((SI, 1, 0, r, neg, r, neg))
     for d in range(2, top + 1):
         for u, r in enumerate(covers):
             pos = at.get((r.base.name, d * r.multiplicity))
@@ -1099,7 +1074,7 @@ def _oracle_components(orbits, generic_J, top):
                     b = len(ids) + d - d * len(ms) - 1
                     neg = oracle_sorted(covers[i] for i in ids)
                     if b >= 0 and assignable(neg, uneg, d):
-                        out.append((COV, d, b, 0, (covers[pos],), neg, (r,), uneg))
+                        out.append((COV, d, b, covers[pos], neg, r, uneg))
     return tuple(out)
 
 
@@ -1111,15 +1086,15 @@ def oracle_rows(orbits, generic_J, top):
         return ",".join(f"{r.base.name}^{r.multiplicity}" for r in ends)
 
     rows = []
-    for kind, d, b, genus, pos, neg, upos, uneg in oracle_components(orbits, generic_J, top):
-        ends = f"{text(pos)}=>{text(neg)}"
+    for kind, d, b, pos, neg, upos, uneg in oracle_components(orbits, generic_J, top):
+        ends = f"{text((pos,))}=>{text(neg)}"
         if kind is BTC:
             key = f"btc[d={d},b={b}]{ends}"
         elif kind is SI:
-            key = f"si[g={genus}]{ends}"
+            key = f"si[g=0]{ends}"
         else:
-            key = f"cov[d={d},b={b};{text(upos)}=>{text(uneg)}]{ends}"
-        rows.append((key, oracle_index(genus, pos, neg), oracle_index(0, upos, uneg)))
+            key = f"cov[d={d},b={b};{text((upos,))}=>{text(uneg)}]{ends}"
+        rows.append((key, oracle_index(0, (pos,), neg), oracle_index(0, (upos,), uneg)))
     return sorted(rows)
 
 
@@ -1209,14 +1184,14 @@ def tally_key(kind, d, b, neg, upos, uneg, index, under):
     here: the flag says that the component is a cylinder off BTC over two
     ends with m * theta in (1/2)Z, ends that are not elliptic."""
     flag = kind is not BTC and len(neg) == 1 and all(
-        (r.base.theta * r.multiplicity).denominator <= 2 for r in upos + uneg
+        (r.base.theta * r.multiplicity).denominator <= 2 for r in (upos, *uneg)
     )
     return kind, d, b, len(neg), len(uneg), index, under, flag
 
 
 def component_key(c):
     return tally_key(c.kind, c.cover_degree, c.branch_count, c.negative_ends,
-                     c.underlying_positive_ends, c.underlying_negative_ends, c.index,
+                     c.underlying_positive_end, c.underlying_negative_ends, c.index,
                      c.underlying_index)
 
 
@@ -1248,9 +1223,9 @@ def test_tally_counts_every_row(orbits, contractible, generic_J):
         bounds = EnumerationBounds(max_total_multiplicity=top)
         got = assert_tally_counts_the_rows(orbits, profile, bounds)
         want = Counter(
-            tally_key(kind, d, b, neg, upos, uneg, oracle_index(genus, pos, neg),
-                      oracle_index(0, upos, uneg))
-            for kind, d, b, genus, pos, neg, upos, uneg
+            tally_key(kind, d, b, neg, upos, uneg, oracle_index(0, (pos,), neg),
+                      oracle_index(0, (upos,), uneg))
+            for kind, d, b, pos, neg, upos, uneg
             in oracle_components(orbits, generic_J, top)
         )
         assert got == want, top
@@ -1281,8 +1256,8 @@ def test_sweep_lists_the_rows_of_a_failing_shape_in_row_order(monkeypatch):
     orbits, bounds = [ELL, NEGH, POSH], EnumerationBounds(max_total_multiplicity=4)
     check = buildings.check_nontrivial_cover_bounds
 
-    def failing(generic_J, kind, genus, positives, n, k, index, under):
-        return check(generic_J, kind, genus, positives, n, k, index, under) and not (
+    def failing(generic_J, kind, n, k, index, under):
+        return check(generic_J, kind, n, k, index, under) and not (
             kind is SI and n == 2
         )
 
@@ -1294,7 +1269,7 @@ def test_sweep_lists_the_rows_of_a_failing_shape_in_row_order(monkeypatch):
         "nontrivial_cover_bounds": [c.key for c in pairs]
     }
     # Some positive end has several of those rows at one index: one shape.
-    assert len({(c.positive_ends, c.index) for c in pairs}) < len(pairs)
+    assert len({(c.positive_end, c.index) for c in pairs}) < len(pairs)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -1308,6 +1283,7 @@ def test_single_plane_enumeration():
     assert len(b.levels) == 1
     assert b.total_index == 2
     assert len(b.negative_ends) == 0
+    assert b.positive_end == ref(ELL, 1)
     assert b.root.component.kind is ComponentKind.SOMEWHERE_INJECTIVE
 
 
@@ -1340,7 +1316,6 @@ def test_enumeration_respects_every_bound():
         assert all(len(l) <= bounds.max_components_per_level for l in b.levels)
         assert b.total_index <= bounds.max_index
         assert len(b.negative_ends) <= bounds.max_negative_ends
-        assert len(b.positive_ends) == 1
         assert not b.is_trivial
 
 
@@ -1380,7 +1355,7 @@ def brute_force_keys(orbits, profile, bounds):
     top = bounds.max_total_multiplicity
     for shape in oracle_components(orbits, profile.generic_J, top):
         c = ComponentSkeleton(*shape)
-        by_pos.setdefault(c.positive_ends[0], []).append(c)
+        by_pos.setdefault(c.positive_end, []).append(c)
     least = min([0] + [c.index for group in by_pos.values() for c in group])
     found = {}
 
@@ -1405,7 +1380,7 @@ def brute_force_keys(orbits, profile, bounds):
             if all(c.is_trivial_cylinder for c in assignment):
                 continue
             good = all(
-                c.positive_ends[0] == r for c, r in zip(assignment, frontier)
+                c.positive_end == r for c, r in zip(assignment, frontier)
             )
             assert good
             rec(
@@ -1516,8 +1491,8 @@ FLOOR_ORBITS = [
 def oracle_least_index(orbits, generic_J, top):
     """min(0, the least index of every oracle component)."""
     return min(
-        [0] + [oracle_index(genus, pos, neg)
-               for _, _, _, genus, pos, neg, _, _ in oracle_components(orbits, generic_J, top)]
+        [0] + [oracle_index(0, (pos,), neg)
+               for _, _, _, pos, neg, _, _ in oracle_components(orbits, generic_J, top)]
     )
 
 
@@ -1808,7 +1783,7 @@ def test_bound_tables_match_subtree_oracle(orbits, generic_J, multiplicity, thin
     assert set(enumerator.components) <= set(kept)
     by_pos = {}
     for c in kept:
-        by_pos.setdefault(c.positive_ends[0], []).append(c)
+        by_pos.setdefault(c.positive_end, []).append(c)
 
     @lru_cache(maxsize=None)
     def least(r, end):
@@ -1821,7 +1796,10 @@ def test_bound_tables_match_subtree_oracle(orbits, generic_J, multiplicity, thin
             closed, one_open = min(closed, acc[0]), min(one_open, acc[1])
         return closed, min(closed, one_open)
 
-    for r in range(bounds.max_levels + 1):
+    # The search reads the tables at r < max_levels levels to go, and only
+    # those are built.
+    assert len(enumerator._closed) == len(enumerator._open) == bounds.max_levels
+    for r in range(bounds.max_levels):
         for i, end in enumerate(OrbitTable(orbits, multiplicity).refs):
             closed = enumerator._closed[r][i]
             got = (math.inf if closed == buildings.INF else closed, enumerator._open[r][i])
@@ -1909,9 +1887,9 @@ def test_building_key_is_independent_of_stored_end_order():
     # Each subtree stays under its own end.
     for building in (a, b):
         node = building.root
-        assert [c.component.positive_ends for c in node.children] == [
-            (e,) for e in node.component.negative_ends
-        ]
+        assert [c.component.positive_end for c in node.children] == list(
+            node.component.negative_ends
+        )
 
 
 def test_classification_of_split_plane_building():

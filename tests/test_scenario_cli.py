@@ -394,6 +394,43 @@ def test_strict_numbers_keep_the_accepted_forms():
         parse_rational("1/-2")
 
 
+# Each integer flag, its value written as V; every one of these runs exits 0
+# with V = 4.
+INTEGER_FLAGS = {
+    "--mult": ["cz", "--theta", "6/5", "--mult", "V"],
+    "--genus": ["index", "--genus", "V", "--orbit", "a=6/5:4", "--positive", "a^3"],
+    "--c-tau": ["index", "--c-tau", "V", "--orbit", "a=6/5:4", "--positive", "a^3"],
+    "--d": ["no-bad-break", "--theta", "3/10", "--d", "V"],
+    "--max-degree": ["no-bad-break", "--grid", "--max-degree", "V"],
+    "--max-denominator": ["no-bad-break", "--grid", "--max-denominator", "V"],
+    "--theta-upper": ["no-bad-break", "--grid", "--theta-upper", "V"],
+    "bounds --mult": ["bounds", "--theta", "6/5", "--mult", "V", "--side", "positive"],
+    "d_plus": ["gluing", "V", "2", "4"],
+    "d_minus": ["gluing", "2", "V", "4"],
+    "d_middle": ["gluing", "2", "4", "V"],
+    "--orbit": ["index", "--orbit", "a=6/5:V", "--positive", "a^3", "--negative", "a^1"],
+}
+
+
+@pytest.mark.parametrize("value", ["0_4", "+4", " 4", "\u0664"])
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_integer_flags_are_ascii_digits(flag, value):
+    # As in scenario files, "_", "+", a space and a non-ASCII digit, all of
+    # which int() takes, are a usage error naming the flag.
+    def argv(v):
+        return [a.replace("V", v) for a in INTEGER_FLAGS[flag]]
+
+    assert run_command(argv("4"))[0] == 0
+    code, text = run_command(argv(value))
+    assert code == 2
+    assert text.startswith("usage:")
+    if flag == "--orbit":
+        assert text.endswith(f"error: --orbit bound must be an integer, got {value!r}\n")
+    else:
+        name = flag.split()[-1]
+        assert text.endswith(f"error: argument {name}: invalid int value: {value!r}\n")
+
+
 def test_json_syntax_error_carries_position():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("{ nope }")
