@@ -4,12 +4,13 @@ A component is a genus-zero curve with one positive end, the only curves a
 cylinder breaks into: a branched cover of a trivial cylinder, a cover of a
 nontrivial somewhere-injective curve, or a somewhere-injective curve
 itself.  A building is the tree of its components, each hanging from a
-negative end of the one above it.  The enumerator generates every skeleton
-within configured bounds, subject to the combinatorial surrogates of a
-generic almost complex structure (nontrivial somewhere-injective curves
-have index at least one) and of dynamical convexity (contractible orbits
-have Conley-Zehnder index at least three, and only contractible orbits
-bound planes).
+negative end of the one above it; each node's constructor orders its
+subtrees canonically, and the search builds a building only for a new key.
+The enumerator generates every skeleton within configured bounds, subject
+to the combinatorial surrogates of a generic almost complex structure
+(nontrivial somewhere-injective curves have index at least one) and of
+dynamical convexity (contractible orbits have Conley-Zehnder index at
+least three, and only contractible orbits bound planes).
 
 Each object carries its indices: an OrbitRef its Conley-Zehnder index, and
 a ComponentSkeleton its Fredholm index and that of its underlying curve; its
@@ -134,14 +135,14 @@ class ComponentSkeleton:
         object.__setattr__(self, "underlying_index", index if self.kind is SI else curve_index(
             0, (self.underlying_positive_end,), self.underlying_negative_ends))
         pos = self.positive_end.key
-        neg = ",".join(r.key for r in _sorted_ends(self.negative_ends))
+        neg = ",".join(r.key for r in sorted(self.negative_ends, key=_end_order))
         head = f"d={self.cover_degree},b={self.branch_count}"
         if self.kind is BTC:
             key = f"btc[{head}]{pos}=>{neg}"
         elif self.kind is SI:
             key = f"si[g=0]{pos}=>{neg}"
         else:
-            uneg = ",".join(r.key for r in _sorted_ends(self.underlying_negative_ends))
+            uneg = ",".join(r.key for r in sorted(self.underlying_negative_ends, key=_end_order))
             key = f"cov[{head};{self.underlying_positive_end.key}=>{uneg}]{pos}=>{neg}"
         object.__setattr__(self, "key", key)
 
@@ -150,7 +151,7 @@ class ComponentSkeleton:
         pos, neg = self.positive_end, self.negative_ends
         up, un = self.underlying_positive_end, self.underlying_negative_ends
         if d < 1 or b < 0:
-            raise SkeletonError("cover degree, branch count, genus out of range")
+            raise SkeletonError("cover degree or branch count out of range")
         if self.kind is SI:
             if d != 1 or b != 0:
                 raise SkeletonError("somewhere-injective components have d=1, b=0")
@@ -168,7 +169,7 @@ class ComponentSkeleton:
             if any(r.base != up.base for r in (pos, *neg)):
                 raise SkeletonError("all ends must cover the cylinder's orbit")
             if pos.multiplicity != d:
-                raise SkeletonError("positive end multiplicities must partition the degree")
+                raise SkeletonError("the positive end's multiplicity must equal the degree")
             if sum(r.multiplicity for r in neg) != d:
                 raise SkeletonError("negative end multiplicities must partition the degree")
             if chi != -b:
@@ -182,7 +183,7 @@ class ComponentSkeleton:
         if chi != d * (1 - len(un)) - b:
             raise SkeletonError("branch count violates Riemann-Hurwitz")
         if pos.base != up.base or pos.multiplicity != d * up.multiplicity:
-            raise SkeletonError("positive ends do not cover the underlying positive ends")
+            raise SkeletonError("the positive end does not cover the underlying positive end")
         if not _grouping_exists(neg, un, d):
             raise SkeletonError("negative ends do not cover the underlying negative ends")
 
@@ -350,8 +351,8 @@ def _shapes(table, budget):
     return shapes
 
 
-def _sorted_ends(ends):
-    return tuple(sorted(ends, key=lambda ref: (ref.base.name, ref.multiplicity)))
+def _end_order(ref):
+    return ref.base.name, ref.multiplicity
 
 
 def _rows(table, profile, bounds, cap=INF, multisets=None):
@@ -458,13 +459,15 @@ def _cover_shapes(table, p, ids, d, ways):
     """(sorted negative end ids, b, index) of each genus-zero degree-d cover
     with positive end refs[p] of a curve with negative ends refs[ids], once
     per negative-end multiset, by Riemann-Hurwitz b = n + d - d*k - 1 >= 0
-    for n ends over k; ways is _cover_ways."""
+    for n ends over k, tested before the ends are sorted; ways is _cover_ways."""
     g, k = table.grading, len(ids)
     seen = set()
     for groups in product(*[ways[i] for i in ids]):
+        b = sum(map(len, groups)) + d - d * k - 1
+        if b < 0:
+            continue
         key = tuple(sorted(chain.from_iterable(groups)))
-        b = len(key) + d - d * k - 1
-        if b >= 0 and key not in seen:
+        if key not in seen:
             seen.add(key)
             yield key, b, g[p] - sum(g[e] for e in key)
 
@@ -476,39 +479,36 @@ def _cover_shapes(table, p, ids, d, ways):
 class BuildingNode:
     """A component of a building and the subtrees at its negative ends.
 
-    children holds one subtree per negative end, in end order; a node on
-    the bottom level has none.
+    children holds one subtree per negative end; a node on the bottom level
+    has none.  The constructor orders them canonically: by end, subtrees of
+    equal ends by key, each end's subtrees, in that order, filling its own
+    slots in stored end order.  key, written from the children's keys, is
+    then equal exactly for isomorphic subtrees.
     """
 
     component: ComponentSkeleton
     children: tuple = ()
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-def _canonical_node(node):
-    """Return (serialization, node with children canonically ordered)."""
-    comp = node.component
-    ends = comp.negative_ends
-    if not node.children:
-        return comp.key + "(" + ",".join(["!"] * len(ends)) + ")", node
-    if len(node.children) != len(ends):
-        raise SkeletonError("a node needs one subtree per negative end, or none")
-    child_data = []
-    for end, child in zip(ends, node.children):
-        if child.component.positive_end != end:
-            raise SkeletonError("a subtree's positive end must be the end it hangs from")
-        child_data.append(_canonical_node(child))
-    # The key's end order, then subtrees of equal ends by serialization; each
-    # end's subtrees, in that order, fill its own slots in stored end order.
-    end_key = [(r.base.name, r.multiplicity) for r in ends]
-    order = sorted(range(len(ends)), key=lambda i: (end_key[i], child_data[i][0]))
-    children = [None] * len(ends)
-    for slot, i in zip(sorted(range(len(ends)), key=end_key.__getitem__), order):
-        children[slot] = child_data[i][1]
-    text = comp.key + "(" + ",".join(child_data[i][0] for i in order) + ")"
-    return text, BuildingNode(comp, tuple(children))
+        comp, children = self.component, tuple(self.children)
+        ends = comp.negative_ends
+        texts = ["!"] * len(ends)
+        if children:
+            if len(children) != len(ends):
+                raise SkeletonError("a node needs one subtree per negative end, or none")
+            if any(c.component.positive_end != e for e, c in zip(ends, children)):
+                raise SkeletonError("a subtree's positive end must be the end it hangs from")
+            if len(ends) == 1:  # nothing to order
+                texts = [children[0].key]
+            else:
+                end_key = [_end_order(r) for r in ends]
+                order = sorted(range(len(ends)), key=lambda i: (end_key[i], children[i].key))
+                slots = dict(zip(sorted(range(len(ends)), key=end_key.__getitem__), order))
+                texts = [children[i].key for i in order]
+                children = tuple(children[slots[j]] for j in range(len(ends)))
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "key", comp.key + "(" + ",".join(texts) + ")")
 
 
 @dataclass(frozen=True)
@@ -517,8 +517,8 @@ class BuildingSkeleton:
 
     The root is the top level's one component.  Genus zero and
     connectedness make the component graph a tree, so the tree is the whole
-    building: level i holds the components at depth i, and the constructor
-    orders every node's subtrees canonically.  key is then equal exactly
+    building: level i holds the components at depth i.  Every node orders
+    its own subtrees canonically, so key, the root's key, is equal exactly
     for isomorphic buildings, and equality and hash read key alone.
     """
 
@@ -528,8 +528,7 @@ class BuildingSkeleton:
     total_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        key, root = _canonical_node(self.root)
-        nodes = [root]
+        nodes = [self.root]
         levels = []
         while nodes:
             levels.append(nodes)
@@ -544,9 +543,8 @@ class BuildingSkeleton:
                 "every level of a multi-level building needs a nontrivial component"
             )
         levels = tuple(tuple(n.component for n in level) for level in levels)
-        object.__setattr__(self, "root", root)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "key", self.root.key)
         object.__setattr__(
             self, "total_index", sum(c.index for l in levels for c in l)
         )
@@ -565,7 +563,8 @@ class BuildingSkeleton:
 
 
 def building_key(building: BuildingSkeleton) -> str:
-    """Canonical serialization; equal exactly for isomorphic buildings."""
+    """Canonical serialization, equal exactly for isomorphic buildings; kept
+    only because the benchmark's tracer, perfbench/tracing.py, times it by name."""
     return building.key
 
 
@@ -599,7 +598,8 @@ class _Enumerator:
     nothing, unless some index is negative.
 
     The search has no symmetry rule: it emits every assignment of components
-    to the frontier ends, and _emit keeps one building per key.  That is
+    to the frontier ends, whose nodes order their own subtrees, and _emit
+    builds a BuildingSkeleton only for a key it has not seen.  That is
     exact, as every building is some assignment and the key is equal exactly
     for isomorphic buildings.  It costs the assignments that differ only in
     the order of subtrees at equal ends: 921 emits for 861 buildings on the
@@ -704,21 +704,17 @@ class _Enumerator:
         # above them, so the tree is built from the bottom level up.
         below = [BuildingNode(self.components[n]) for n in stack[-1]]
         for level in reversed(stack[:-1]):
-            nodes = []
-            pos = 0
-            for n in level:
-                k = len(self.ends[n])
-                nodes.append(BuildingNode(self.components[n], below[pos : pos + k]))
-                pos += k
-            below = nodes
-        b = BuildingSkeleton(below[0])
-        if b.key in self.results:
+            subtrees = iter(below)
+            below = [BuildingNode(self.components[n], [next(subtrees) for _ in self.ends[n]])
+                     for n in level]
+        (root,) = below
+        if root.key in self.results:
             return
         if len(self.results) >= self.bounds.max_buildings:
             raise EnumerationLimitError(
                 "enumeration building limit exceeded", self._partial()
             )
-        self.results[b.key] = b
+        self.results[root.key] = BuildingSkeleton(root)
 
     def _partial(self):
         return [self.results[k] for k in sorted(self.results)]

@@ -88,7 +88,8 @@ class Scenario:
     def count_table(self) -> tuple:
         """(counts, covers) as build_complex takes them: the count rows
         (alpha, beta, sign, cover_degree) in file order, and the cover that
-        each alpha and beta indexes."""
+        each alpha and beta indexes.  The CLI could read both fields; kept
+        only because perfbench/tracing.py times it by name."""
         return self.counts, tuple(ref for _, ref in self.covers)
 
 

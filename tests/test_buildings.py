@@ -136,20 +136,20 @@ def test_cover_partition_mismatch_rejected():
 @pytest.mark.parametrize(
     "kind, d, b, pos, neg, upos, uneg, message",
     [
-        (SI, 0, 0, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
-        (SI, 1, -1, "e1", "", "e1", "", "cover degree, branch count, genus out of range"),
+        (SI, 0, 0, "e1", "", "e1", "", "cover degree or branch count out of range"),
+        (SI, 1, -1, "e1", "", "e1", "", "cover degree or branch count out of range"),
         (SI, 2, 0, "e2", "e1", "e2", "e1", "somewhere-injective components have d=1, b=0"),
         (SI, 1, 0, "e2", "e1", "e2", "", "somewhere-injective ends must equal underlying"),
         (SI, 1, 0, "e2", "e2", "e2", "e2", "trivial cylinders must use the dedicated kind"),
         (BTC, 2, 0, "e2", "e2", "e2", "e2", "the underlying trivial cylinder must sit over"),
         (BTC, 2, 1, "e2", "e1 h1", "e1", "e1", "all ends must cover the cylinder's orbit"),
-        (BTC, 3, 0, "e2", "e3", "e1", "e1", "positive end multiplicities must partition"),
+        (BTC, 3, 0, "e2", "e3", "e1", "e1", "the positive end's multiplicity must equal the"),
         (BTC, 2, 0, "e2", "e1", "e1", "e1", "negative end multiplicities must partition"),
         (BTC, 3, 5, "e3", "e1 e2", "e1", "e1", "branch count violates Riemann-Hurwitz"),
         (COV, 1, 0, "p2", "h1", "p2", "h1", "covers of nontrivial curves need degree >= 2"),
         (COV, 2, 0, "p2", "p2", "p1", "p1", "covers of trivial cylinders must use the"),
         (COV, 2, 1, "p4", "h2", "p2", "h1", "branch count violates Riemann-Hurwitz"),
-        (COV, 2, 0, "p3", "h2", "p2", "h1", "positive ends do not cover the underlying"),
+        (COV, 2, 0, "p3", "h2", "p2", "h1", "the positive end does not cover the underlying"),
         (COV, 2, 0, "p4", "h3", "p2", "h1", "negative ends do not cover the underlying"),
     ],
 )
@@ -1822,17 +1822,16 @@ def test_building_validation_matched_ends():
     # Subtrees at equal ends are ordered by their keys: "btc[..." < "si[...".
     assert good.levels == ((pants,), (tcyl, plane))
     lopsided = branched_cover(ELL, (1, 2))
-    with pytest.raises(SkeletonError):
-        # Matched ends must reference equal orbits: e^2 cannot meet a plane at e^1.
-        BuildingSkeleton(
-            BuildingNode(lopsided, [BuildingNode(tcyl), BuildingNode(plane)])
-        )
+    # Matched ends must reference equal orbits: e^2 cannot meet a plane at
+    # e^1.  The node itself raises, before any building is made of it.
+    with pytest.raises(SkeletonError, match="^a subtree's positive end must be the end"):
+        BuildingNode(lopsided, [BuildingNode(tcyl), BuildingNode(plane)])
 
 
 def test_building_rejects_wrong_number_of_subtrees():
     pants = branched_cover(ELL, (1, 1))
-    with pytest.raises(SkeletonError):
-        BuildingSkeleton(BuildingNode(pants, [BuildingNode(si(ref(ELL, 1), ()))]))
+    with pytest.raises(SkeletonError, match="^a node needs one subtree per negative end"):
+        BuildingNode(pants, [BuildingNode(si(ref(ELL, 1), ()))])
 
 
 def test_building_rejects_branch_stopping_above_bottom_level():
@@ -1890,6 +1889,53 @@ def test_building_key_is_independent_of_stored_end_order():
         assert [c.component.positive_end for c in node.children] == list(
             node.component.negative_ends
         )
+
+
+def test_node_orders_subtrees_of_equal_ends_by_key():
+    # Swapped subtrees at the two e^1 ends of a pair of pants give one node:
+    # "btc[..." sorts before "si[...", whichever was passed first.
+    pants = branched_cover(ELL, (1, 1))
+    tcyl, plane = BuildingNode(trivial_cylinder(ELL, 1)), BuildingNode(si(ref(ELL, 1), ()))
+    a, b = BuildingNode(pants, [tcyl, plane]), BuildingNode(pants, [plane, tcyl])
+    assert a.children == b.children == (tcyl, plane)
+    assert a.key == b.key == pants.key + "(" + tcyl.key + "," + plane.key + ")"
+    assert tcyl.key == trivial_cylinder(ELL, 1).key + "(!)"
+    assert plane.key == plane.component.key + "()"
+
+
+def test_building_keeps_the_root_it_is_given():
+    pants = branched_cover(ELL, (1, 1))
+    tcyl, plane = trivial_cylinder(ELL, 1), si(ref(ELL, 1), ())
+    for children in ([tcyl, plane], [plane, tcyl]):
+        node = BuildingNode(pants, [BuildingNode(c) for c in children])
+        b = BuildingSkeleton(node)
+        assert b.root is node
+        assert b.key == node.key
+
+
+def test_search_builds_one_building_per_new_key(monkeypatch):
+    # convex_small at levels 4, multiplicity 7, index 4: the search emits
+    # 921 assignments of 861 buildings, and a BuildingSkeleton is built only
+    # for a key not seen before.
+    built, emits = [], []
+
+    class Counting(BuildingSkeleton):
+        def __post_init__(self):
+            built.append(self.root.key)
+            super().__post_init__()
+
+    emit = buildings._Enumerator._emit
+
+    def counting_emit(self, stack):
+        emits.append(len(stack))
+        emit(self, stack)
+
+    monkeypatch.setattr(buildings, "BuildingSkeleton", Counting)
+    monkeypatch.setattr(buildings._Enumerator, "_emit", counting_emit)
+    bounds = EnumerationBounds(max_levels=4, max_total_multiplicity=7, max_index=4)
+    found = enumerate_buildings([ELL, POSH, NEGH], CONVEX, bounds)
+    assert (len(emits), len(built), len(found)) == (921, 861, 861)
+    assert sorted(built) == [b.key for b in found]
 
 
 def test_classification_of_split_plane_building():
