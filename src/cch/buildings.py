@@ -5,7 +5,8 @@ cylinder breaks into: a branched cover of a trivial cylinder, a cover of a
 nontrivial somewhere-injective curve, or a somewhere-injective curve
 itself.  A building is the tree of its components, each hanging from a
 negative end of the one above it; each node's constructor orders its
-subtrees canonically, and the search builds a building only for a new key.
+subtrees canonically.  A search builds one node per distinct subtree, shared
+by every building that holds it, and a building only for a new key.
 The enumerator generates every skeleton within configured bounds, subject
 to the combinatorial surrogates of a generic almost complex structure
 (nontrivial somewhere-injective curves have index at least one) and of
@@ -483,7 +484,8 @@ class BuildingNode:
     has none.  The constructor orders them canonically: by end, subtrees of
     equal ends by key, each end's subtrees, in that order, filling its own
     slots in stored end order.  key, written from the children's keys, is
-    then equal exactly for isomorphic subtrees.
+    then equal exactly for isomorphic subtrees.  A search builds one node per
+    distinct subtree, which serves every building that holds it (_Enumerator).
     """
 
     component: ComponentSkeleton
@@ -528,26 +530,30 @@ class BuildingSkeleton:
     total_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = [self.root]
-        levels = []
+        # A missing subtree raises at once, an all-trivial level after all levels.
+        nodes, levels, total, flat = [self.root], [], 0, False
         while nodes:
-            levels.append(nodes)
-            nodes = [child for node in nodes for child in node.children]
-        for level in levels[:-1]:
-            if any(n.component.negative_ends and not n.children for n in level):
+            level, below, gap, trivial = [], [], False, True
+            for node in nodes:
+                c = node.component
+                level.append(c)
+                total += c.index
+                trivial = trivial and c.is_trivial_cylinder
+                if node.children:
+                    below += node.children
+                elif c.negative_ends:
+                    gap = True
+            if gap and below:
                 raise SkeletonError("an end above the bottom level needs a subtree")
-        if len(levels) > 1 and any(
-            all(n.component.is_trivial_cylinder for n in level) for level in levels
-        ):
+            levels.append(tuple(level))
+            flat, nodes = flat or trivial, below
+        if flat and len(levels) > 1:
             raise SkeletonError(
                 "every level of a multi-level building needs a nontrivial component"
             )
-        levels = tuple(tuple(n.component for n in level) for level in levels)
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "levels", tuple(levels))
         object.__setattr__(self, "key", self.root.key)
-        object.__setattr__(
-            self, "total_index", sum(c.index for l in levels for c in l)
-        )
+        object.__setattr__(self, "total_index", total)
 
     @property
     def positive_end(self):
@@ -597,19 +603,27 @@ class _Enumerator:
     completions of the components before it: both are zero, and change
     nothing, unless some index is negative.
 
+    _emit builds one node per distinct subtree (hash-consing): a table that
+    lives for one search keys a leaf on its component number, an inner node
+    on that and its children's sorted id()s.  Nodes are frozen, a node
+    depends only on its component and the multiset of its children, each at
+    the end equal to its positive end, and each child is the table's one
+    node for its subtree; the table holds every node it keys, so those id()s
+    stay valid while it lives.  The search builds 979 nodes on the input below.
+
     The search has no symmetry rule: it emits every assignment of components
-    to the frontier ends, whose nodes order their own subtrees, and _emit
-    builds a BuildingSkeleton only for a key it has not seen.  That is
-    exact, as every building is some assignment and the key is equal exactly
-    for isomorphic buildings.  It costs the assignments that differ only in
-    the order of subtrees at equal ends: 921 emits for 861 buildings on the
-    search benchmark's seed-1 input.  Ordering equal ends across the whole
-    frontier emitted 849 for 849 there, and missed 12: swapping subtrees of
-    equal ends of different components gives a different building.
+    to the frontier ends, and _emit builds a BuildingSkeleton only for a key
+    it has not seen.  That is exact, as every building is some assignment
+    and the key is equal exactly for isomorphic buildings.  It costs the
+    assignments that differ only in the order of subtrees at equal ends: 921
+    emits for 861 buildings on the search benchmark's seed-1 input.  Ordering
+    equal ends across the whole frontier emitted 849 for 849 there, and
+    missed 12: swapping subtrees of equal ends of different components gives
+    a different building.
     """
 
     def __init__(self, orbits, profile, bounds, time_limit):
-        self.bounds, self.results = bounds, {}
+        self.bounds, self.results, self._nodes = bounds, {}, {}
         # Exact nanoseconds for an int or a Fraction of seconds; None: no limit.
         self.deadline = None if time_limit is None else time.monotonic_ns() + time_limit * 10**9
         table = OrbitTable(orbits, bounds.max_total_multiplicity)
@@ -701,19 +715,25 @@ class _Enumerator:
     def _emit(self, stack):
         self._check_deadline()
         # The stack holds each level's components in the order of the ends
-        # above them, so the tree is built from the bottom level up.
-        below = [BuildingNode(self.components[n]) for n in stack[-1]]
-        for level in reversed(stack[:-1]):
-            subtrees = iter(below)
-            below = [BuildingNode(self.components[n], [next(subtrees) for _ in self.ends[n]])
-                     for n in level]
+        # above them, so the tree is read from the table from the bottom up.
+        nodes, comps, ends, below = self._nodes, self.components, self.ends, []
+        for level in reversed(stack):
+            above, i = [], 0
+            for n in level:
+                j = i + len(ends[n]) if below else i  # the bottom level's ends stay open
+                kids = below[i:j]
+                key = (n, *sorted(map(id, kids))) if kids else n
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = BuildingNode(comps[n], kids)
+                above.append(node)
+                i = j
+            below = above
         (root,) = below
         if root.key in self.results:
             return
         if len(self.results) >= self.bounds.max_buildings:
-            raise EnumerationLimitError(
-                "enumeration building limit exceeded", self._partial()
-            )
+            raise EnumerationLimitError("enumeration building limit exceeded", self._partial())
         self.results[root.key] = BuildingSkeleton(root)
 
     def _partial(self):

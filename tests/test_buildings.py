@@ -1915,8 +1915,10 @@ def test_building_keeps_the_root_it_is_given():
 
 def test_search_builds_one_building_per_new_key(monkeypatch):
     # convex_small at levels 4, multiplicity 7, index 4: the search emits
-    # 921 assignments of 861 buildings, and a BuildingSkeleton is built only
-    # for a key not seen before.
+    # 921 assignments of 861 buildings.  An assignment that only reorders
+    # subtrees at equal ends reads the same nodes from the search's table,
+    # so its root is a node already built, and a BuildingSkeleton is built
+    # only for a key not seen before.
     built, emits = [], []
 
     class Counting(BuildingSkeleton):
@@ -1936,6 +1938,95 @@ def test_search_builds_one_building_per_new_key(monkeypatch):
     found = enumerate_buildings([ELL, POSH, NEGH], CONVEX, bounds)
     assert (len(emits), len(built), len(found)) == (921, 861, 861)
     assert sorted(built) == [b.key for b in found]
+
+
+SEARCH_INPUT = ([ELL, POSH, NEGH], EnumerationBounds(max_levels=4, max_total_multiplicity=7,
+                                                      max_index=4))
+
+
+def _subtrees(node):
+    yield node
+    for child in node.children:
+        yield from _subtrees(child)
+
+
+def test_buildings_of_one_search_share_each_subtree(monkeypatch):
+    # One node per distinct subtree, counted by wrapping the constructor:
+    # 979 on the search benchmark's input, which 861 buildings hold 2,762
+    # times.  Two buildings that hold equal subtrees hold one object.
+    built = []
+    init = BuildingNode.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(BuildingNode, "__post_init__", counting_init)
+    orbits, bounds = SEARCH_INPUT
+    found = enumerate_buildings(orbits, CONVEX, bounds)
+    held = [node for b in found for node in _subtrees(b.root)]
+    first = {}
+    for node in held:
+        assert first.setdefault(node.key, node) is node
+    assert (len(built), len(first), len(held), len(found)) == (979, 979, 2762, 861)
+    assert {id(node) for node in built} == {id(node) for node in held}
+
+
+def test_searches_on_other_scenarios_share_no_node():
+    # Each search has its own table: component numbers of one scenario name
+    # other components in another, and the same scenario searched again
+    # gives the same buildings.
+    orbits, bounds = SEARCH_INPUT
+    keys = [b.key for b in enumerate_buildings(orbits, CONVEX, bounds)]
+    other = [RotationData("e", F(6, 5), 4, contractible=True), RotationData("h", F(1, 2), 4)]
+    small = EnumerationBounds(max_levels=3, max_total_multiplicity=4, max_index=3,
+                              max_components_per_level=3)
+    got = {b.key: b.total_index for b in enumerate_buildings(other, CONVEX, small)}
+    assert got == brute_force_keys(other, CONVEX, small)
+    assert [b.key for b in enumerate_buildings(orbits, CONVEX, bounds)] == keys
+    assert len(keys) == 861
+
+
+def test_found_buildings_copy_and_pickle_with_their_keys_and_levels():
+    orbits, bounds = SEARCH_INPUT
+    found = enumerate_buildings(orbits, CONVEX, bounds)
+    for twin in (pickle.loads(pickle.dumps(found)), copy.deepcopy(found)):
+        assert [b.key for b in twin] == [b.key for b in found]
+        assert [b.levels for b in twin] == [b.levels for b in found]
+        assert [b.total_index for b in twin] == [b.total_index for b in found]
+    assert all(b.total_index == sum(c.index for l in b.levels for c in l) for b in found)
+
+
+def test_missing_subtree_is_reported_before_an_all_trivial_level():
+    # An e^2 trivial cylinder (an all-trivial level) over a pair of pants
+    # whose second end stops above the bottom level.
+    pants, e1, p1 = branched_cover(ELL, (1, 1)), ref(ELL, 1), ref(POSH, 1)
+    branch = BuildingNode(si(e1, (p1,)), [BuildingNode(si(p1, ()))])
+    node = BuildingNode(pants, [branch, BuildingNode(trivial_cylinder(ELL, 1))])
+    with pytest.raises(SkeletonError, match="^an end above the bottom level needs a subtree$"):
+        BuildingSkeleton(BuildingNode(trivial_cylinder(ELL, 2), [node]))
+    with pytest.raises(SkeletonError, match="^an end above the bottom level needs a subtree$"):
+        BuildingSkeleton(node)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_an_all_trivial_level_above_the_bottom_is_rejected(depth):
+    # A trivial cylinder at e^1 on level `depth`, above a plane: neither
+    # level is the bottom's alone to check.
+    e1 = ref(ELL, 1)
+    node = BuildingNode(trivial_cylinder(ELL, 1), [BuildingNode(si(e1, ()))])
+    if depth:
+        node = BuildingNode(si(ref(ELL, 2), (e1,)), [node])
+    with pytest.raises(SkeletonError, match="^every level of a multi-level building needs a"
+                                            " nontrivial component$"):
+        BuildingSkeleton(node)
+
+
+def test_one_level_trivial_cylinder_is_a_building():
+    tcyl = trivial_cylinder(ELL, 1)
+    b = BuildingSkeleton(BuildingNode(tcyl))
+    assert b.levels == ((tcyl,),) and b.is_trivial
+    assert b.total_index == sum(c.index for l in b.levels for c in l) == 0
 
 
 def test_classification_of_split_plane_building():
