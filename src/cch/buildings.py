@@ -27,7 +27,8 @@ enumerate_components builds one per row, guarded by an independent oracle
 (test_components_match_oracle) and by test_enumerated_components_are_their_rows,
 as each object recomputes the indices its row carries; the building search
 builds one per row it keeps, the estimate sweep, which counts SI rows by
-shape with a knapsack (_shapes), one per failing row.  In the search the
+shape with a knapsack (_shapes) and COV rows by shape with a convolution over
+base orbits (_cover_counts), one per failing row.  In the search the
 ends of a component are a tuple of ids and the bound tables are lists indexed
 by id; the least index that can still hang below each component at each
 number of levels to go is computed once, before the search.  An unreachable
@@ -46,7 +47,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, groupby, product
 from typing import Iterator
 
 from .errors import (
@@ -766,12 +767,13 @@ class _Enumerator:
         rest = [0] * len(frontier)
         for pos in range(len(frontier) - 1, 0, -1):
             rest[pos - 1] = rest[pos] + opened[frontier[pos]]
-        self._assign(stack, frontier, rest, 0, [], depth, total, 0)
+        self._assign(stack, frontier, rest, 0, [], depth, total, 0, False)
 
-    def _assign(self, stack, frontier, rest, pos, chosen, depth, total, pending):
+    def _assign(self, stack, frontier, rest, pos, chosen, depth, total, pending, nontrivial):
+        """nontrivial: some component in chosen is not a trivial cylinder."""
         b = self.bounds
         if pos == len(frontier):
-            if all(self.trivial[n] for n in chosen):
+            if not nontrivial:
                 return
             new_frontier = [e for n in chosen for e in self.ends[n]]
             stack.append(chosen)
@@ -780,6 +782,7 @@ class _Enumerator:
             return
         down = self._down[b.max_levels - depth - 1]
         budget = b.max_index - total - pending - rest[pos]
+        trivial = self.trivial
         for n in self.by_pos[frontier[pos]]:
             ind = self.ind[n]
             below = down[n]
@@ -787,7 +790,7 @@ class _Enumerator:
                 continue
             chosen.append(n)
             self._assign(stack, frontier, rest, pos + 1, chosen, depth,
-                         total + ind, pending + min(below, 0))
+                         total + ind, pending + min(below, 0), nontrivial or not trivial[n])
             chosen.pop()
 
 
@@ -854,17 +857,68 @@ def _arguments(hyperbolic, kind, d, b, p, neg, u, uneg, index, under):
 
 def _tally(table, profile, bounds, hyperbolic):
     """{argument tuple: its number of rows in _rows(...)} in order of first
-    sight; SI rows run over shapes, ranked by least id tuple (run_estimate_sweep)."""
-    shapes = [(least, t, count) for (n, t), (count, least)
-              in _shapes(table, bounds.max_total_multiplicity).items() if n != 1]
-    shapes += [((i,), g, 1) for i, g in enumerate(table.grading)]  # one end of any cover
+    sight; SI rows run over shapes, ranked by least id tuple, and COV rows,
+    which _rows yields last, are counted by shape (run_estimate_sweep)."""
+    top, g = bounds.max_total_multiplicity, table.grading
+    shapes = [(least, t, count) for (n, t), (count, least) in _shapes(table, top).items() if n != 1]
+    shapes += [((i,), t, 1) for i, t in enumerate(g)]  # one end of any cover
     shapes.sort()
     size = {ids: count for ids, _, count in shapes}
     tally = {}
     for row in _rows(table, profile, bounds, multisets=[s[:2] for s in shapes]):
+        if row[0] is COV:
+            break
         args = _arguments(hyperbolic, *row)
         tally[args] = tally.get(args, 0) + (size[row[4]] if row[0] is SI else 1)
+    blocks, curves, covers = {}, {}, {}  # covers: COV tuples but the kind, an Enum slow to hash
+    for d, u, p, ids, ways, under in _cover_bases(table, 1 if profile.generic_J else -INF, top):
+        k = len(ids)
+        if (d, ids) not in curves:
+            curves[d, ids] = _cover_counts(table, d, ids, ways, blocks)
+        flag = k == 1 and hyperbolic[u] and hyperbolic[ids[0]]
+        for b, n, t, count in curves[d, ids]:
+            args = d, b, n, k, g[p] - t, under, n == 1 and flag
+            covers[args] = covers.get(args, 0) + count
+    tally.update(((COV, *args), count) for args, count in covers.items())
     return tally
+
+
+def _cover_counts(table, d, ids, ways, blocks):
+    """[(b, n, t, count)]: how many of _cover_shapes' negative-end multisets
+    of a degree-d cover of a curve with negative ends refs[ids] have n ends of
+    grading sum t, and b branch points, in _cover_shapes' order of first sight.
+    A multiset splits into one multiset per base orbit, so the counts convolve
+    those of each run of ids over one orbit (_orbit_counts, kept in blocks);
+    Riemann-Hurwitz reads the total n.  Each count keeps its shapes in order
+    of first sight and the runs come in the order of ids, so the pairs of
+    shapes come in the product order of their least groupings, and each
+    shape enters at its first sight."""
+    refs, k = table.refs, len(ids)
+    total = {(0, 0): 1}
+    for _, run in groupby(ids, key=lambda i: i - refs[i].multiplicity):  # one run per orbit
+        run = tuple(run)
+        if (d, run) not in blocks:
+            blocks[d, run] = _orbit_counts(table.grading, run, ways)
+        into = {}
+        for (n, t), count in total.items():
+            for (m, s), more in blocks[d, run].items():
+                into[n + m, t + s] = into.get((n + m, t + s), 0) + count * more
+        total = into
+    return [(b, n, t, count) for (n, t), count in total.items() if (b := n + d - d * k - 1) >= 0]
+
+
+def _orbit_counts(g, block, ways):
+    """{(n, t): count} in order of first sight: how many distinct multisets
+    of the degree-d covers of the underlying ends refs[block], each a cover
+    of one orbit, have n ends of grading sum t, in _cover_shapes' order."""
+    counts, seen = {}, set()
+    for groups in product(*[ways[e] for e in block]):
+        key = tuple(sorted(chain.from_iterable(groups)))
+        if key not in seen:
+            seen.add(key)
+            n, t = len(key), sum(g[i] for i in key)
+            counts[n, t] = counts.get((n, t), 0) + 1
+    return counts
 
 
 def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
@@ -884,8 +938,24 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     budget.  So is the order: the listing runs through the multisets in
     lexicographic order of id tuples, so a shape is first seen at its least
     tuple, and ranked by it the shapes keep the rows' order of first sight;
-    errors come in the same order.  Rows are listed, for keys, only if some
-    tuple fails."""
+    errors come in the same order.
+
+    A COV row of degree d over the curve u => ids (k ends) with n negative
+    ends of grading sum t has the tuple (COV, d, n + d - d*k - 1, n, k,
+    g[p] - t, g[u] less the grading sum of ids, flag), the flag read off n,
+    u and ids, and _cover_shapes admits it by Riemann-Hurwitz b >= 0, a
+    test on n.  So for one curve and d the rows of one shape (n, t) share
+    tuple and admission, and only their number counts: that of the distinct
+    negative-end multisets of that shape, not of the groupings, as two
+    groupings of one multiset can differ by more than a swap of equal
+    underlying ends.  Covers of distinct base orbits are distinct, so a
+    multiset splits uniquely into one multiset per base orbit, and the
+    count is a convolution over the orbits of ids of one count per orbit,
+    each computed once per degree and run of ids; b >= 0 reads the total n,
+    so it is tested after the convolution (_cover_counts).  Each shape is
+    weighed as an SI shape, in the listing's order of first sight, and COV
+    tuples, whose kind differs, come after all others as the rows do.  Rows
+    are listed, for keys, only if some tuple fails."""
     table = OrbitTable(orbits, bounds.max_total_multiplicity)
     hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in table.refs]
     tally = _tally(table, profile, bounds, hyperbolic)

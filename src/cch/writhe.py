@@ -161,18 +161,19 @@ def _index_zero_residues(p: int, q: int, count: int):
     With d = k*q + j, floor(d*p/q) = k*p + floor(j*p/q), so condition A
     depends on j alone and the writhe slack at d is s_j + k*c_j: s_j is the
     slack formula at d = j, c_j = q*(floor((j+1)p/q) - floor(j*p/q) -
-    2*floor(p/q) - 1) + p.  With p = p0 + n*q and 0 < p0 < q, A reads
-    floor((j+1)p0/q) == floor(j*p0/q), where s_j = floor(j*p0/q) - j and
-    c_j = p0 - q: the result is the same for p and p % q.
+    2*floor(p/q) - 1) + p.  With p0 = p mod q and r = j*p mod q,
+    floor((j+1)p/q) - floor(j*p/q) = floor(p/q) + [r + p0 >= q], so A holds
+    at j exactly when r < q - p0.  As gcd(p, q) = 1, j -> r is a bijection
+    of Z/q, so the walk runs over those r alone, with j = r*u mod q for u
+    the inverse of p mod q, and keeps j < count.  There c_j is the one
+    constant c = p - q*(floor(p/q) + 1) = p0 - q, and s_j = (j*c - r)/q
+    exactly, since floor(j*p/q) = (j*p - r)/q.  The triples come in order
+    of r and depend on p only through p0.
     """
-    ft = p // q
-    t = 2 * ft + 1
-    floors = [x // q for x in range(0, (count + 1) * p, p)]
-    return [
-        (j, j * (b - a - t) + a, q * (b - a - t) + p)
-        for j, a, b in zip(range(count), floors, floors[1:])
-        if b - a == ft
-    ]
+    p0 = p % q
+    u = pow(p, -1, q)
+    c = p0 - q
+    return [(j, (j * c - r) // q, c) for r in range(q - p0) if (j := r * u % q) < count]
 
 
 def sweep_no_bad_break(
@@ -183,14 +184,14 @@ def sweep_no_bad_break(
     Covers every theta = p/q with q <= max_denominator, 0 < theta <
     theta_upper, theta not an integer or half-integer, and every degree up
     to max_degree.  Each theta is decided per residue class j of d mod q
-    (`_index_zero_residues`): where A holds, s_j + k*c_j >= 0 is solved
-    exactly over the admissible k (k >= 1 when j = 0, k*q + j <=
-    max_degree).  It is linear in k, so it holds somewhere in that range
-    iff it holds at an end; the sign of c_j is not assumed.  That data, the
-    k ranges and gcd(p, q) depend on p only through p0 = p mod q, so each
-    theta is decided once per theta mod 1 and replicated over the
-    theta_upper shifts p0 + n*q.  The certificate count is the number of
-    degrees those ranges cover.
+    (`_index_zero_residues`, which lists only the residues where A holds):
+    at each, s_j + k*c_j >= 0 is solved exactly over the admissible k
+    (k >= 1 when j = 0, k*q + j <= max_degree).  It is linear in k, so it
+    holds somewhere in that range iff it holds at an end; the sign of c_j
+    is not assumed.  That data, the k ranges and gcd(p, q) depend on p only
+    through p0 = p mod q, so each theta is decided once per theta mod 1 and
+    replicated over the theta_upper shifts p0 + n*q.  The certificate count
+    is the number of degrees those ranges cover.
     Counterexamples come sorted by (theta, degree).  Integer arithmetic
     throughout.
     """

@@ -1682,6 +1682,94 @@ def test_shape_grid_holds_negative_gradings():
     assert sum(max(g) < 0 for g in gradings) >= 1
 
 
+def listed_cover_shapes(table, p, ids, d, ways):
+    """The COV listing of _cover_shapes as it stood when the sweep listed
+    every COV row, kept here as the oracle of the sweep's COV counts: one
+    (sorted end ids, b, index) per negative-end multiset, in product order."""
+    g, k = table.grading, len(ids)
+    seen = set()
+    for groups in product(*[ways[i] for i in ids]):
+        b = sum(map(len, groups)) + d - d * k - 1
+        if b < 0:
+            continue
+        key = tuple(sorted(e for group in groups for e in group))
+        if key not in seen:
+            seen.add(key)
+            yield key, b, g[p] - sum(g[e] for e in key)
+
+
+def listed_cover_counts(table, p, ids, d, ways):
+    """[(b, n, t, count)] over the listed shapes, in order of first sight."""
+    counts = Counter(
+        (b, len(key), sum(table.grading[e] for e in key))
+        for key, b, _ in listed_cover_shapes(table, p, ids, d, ways)
+    )
+    return [(*shape, count) for shape, count in counts.items()]
+
+
+def cover_orbit_set(seed):
+    """Two or three orbits whose covers reach multiplicity 10 more often than
+    random_orbit_set's, so curves over repeated base orbits have many covers."""
+    rng = random.Random(f"covers:{seed}")
+    orbits = []
+    for name in "abc"[: rng.randint(2, 3)]:
+        den = rng.choice([1, 2, 11, 13])
+        theta = F(rng.randint(-2 * den, 3 * den), den)
+        top = 10 if theta.denominator <= 2 else min(10, theta.denominator - 1)
+        orbits.append(RotationData(name, theta, rng.randint(3, top), contractible=rng.random() < 0.5))
+    return orbits
+
+
+COVER_ORBIT_SETS = [[ELL, NEGH, POSH]] + [cover_orbit_set(seed) for seed in range(8)]
+
+
+@pytest.mark.parametrize("orbits", COVER_ORBIT_SETS, ids=orbit_names)
+def test_cover_counts_match_the_listed_cover_shapes(orbits):
+    # For every underlying curve of any index and every degree, the counts
+    # by shape equal the listing's, shape for shape and in its order of
+    # first sight.  The grid holds curves whose ends lie over two orbits or
+    # repeat one, and multisets reached by several groupings.
+    seen = Counter()
+    for top in range(6, 11):
+        table = OrbitTable(orbits, top)
+        blocks = {}
+        for d, u, p, ids, ways, _ in buildings._cover_bases(table, -buildings.INF, top):
+            got = buildings._cover_counts(table, d, ids, ways, blocks)
+            assert got == listed_cover_counts(table, p, ids, d, ways), (top, d, u, ids)
+            bases = [table.refs[i].base for i in ids]
+            seen["two orbits"] += len(set(bases)) > 1
+            seen["repeated base orbit"] += len(set(bases)) < len(bases)
+            groupings = sum(
+                sum(map(len, groups)) + d - d * len(ids) - 1 >= 0
+                for groups in product(*[ways[i] for i in ids])
+            )
+            seen["shared multiset"] += groupings > sum(c for *_, c in got)
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
+
+
+def test_cover_counts_are_of_multisets_not_groupings():
+    # Degree-4 covers of curves with ends e^1, e^2 and e^1, e^1.  Over e^1,
+    # e^2 the groupings {e^4} over e^1 with {e^2 x4} over e^2, and {e^2,
+    # e^2} over e^1 with {e^4, e^2, e^2} over e^2, give one multiset.  Over
+    # e^1, e^1 so do {e^2, e^1, e^1} twice and {e^2, e^2} with {e^1 x4},
+    # which are no swap of one another.  Each multiset is one row, so each
+    # counts once: 1 of shape (b, n, t) = (0, 5, 12) and (1, 6, 4), where
+    # the groupings, also up to swaps, number 2.
+    e = RotationData("e", F(7, 13), 12)
+    for mults, top, want in [
+        ((1, 2), 12, [(0, 5, 12, 1), (0, 5, 10, 3), (1, 6, 10, 2), (1, 6, 12, 1), (2, 7, 10, 1),
+                      (0, 5, 8, 1), (1, 6, 8, 2), (2, 7, 8, 1), (3, 8, 8, 1)]),
+        ((1, 1), 8, [(0, 5, 4, 2), (1, 6, 2, 1), (0, 5, 6, 1), (1, 6, 4, 1), (2, 7, 2, 1),
+                     (3, 8, 0, 1)]),
+    ]:
+        table = OrbitTable([e], top)
+        ways = _cover_ways(table.refs, {"e": top}, 4)
+        ids = tuple(table.id_of(ref(e, m)) for m in mults)
+        got = buildings._cover_counts(table, 4, ids, ways, {})
+        assert got == want
+        assert got == listed_cover_counts(table, table.id_of(ref(e, 4)), ids, 4, ways)
+
+
 def test_tally_keeps_each_one_end_multiset_apart():
     # Three covers of grading 0, a^1 elliptic and b^1, c^1 negative
     # hyperbolic, so the six cylinders between them have index 0 and the

@@ -255,6 +255,33 @@ def test_residue_data_depends_on_theta_mod_one():
                 assert _index_zero_residues(p, q, q) == _index_zero_residues(p % q, q, q)
 
 
+def _floors_index_zero_residues(p, q, count):
+    """The residue data by way of every floor(j*p/q), j <= count: A is tested
+    at each residue j < count, and s_j, c_j read off the two floors."""
+    ft = p // q
+    t = 2 * ft + 1
+    floors = [x // q for x in range(0, (count + 1) * p, p)]
+    return [
+        (j, j * (b - a - t) + a, q * (b - a - t) + p)
+        for j, a, b in zip(range(count), floors, floors[1:])
+        if b - a == ft
+    ]
+
+
+def test_residue_walk_matches_the_floors():
+    # The walk visits only the r = j*p mod q below q - p mod q; the floors
+    # test A at every j.  Counts below q cut residues off at both sides.
+    for q in range(3, 41):
+        for p in range(1, 4 * q):
+            if gcd(p, q) != 1:
+                continue
+            for count in sorted({1, q // 2, q}):
+                got = _index_zero_residues(p, q, count)
+                want = _floors_index_zero_residues(p, q, count)
+                assert len(got) == len(set(got))
+                assert set(got) == set(want), (p, q, count)
+
+
 def test_sweep_decides_each_theta_mod_one_once(monkeypatch):
     calls = []
 
