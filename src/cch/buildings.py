@@ -47,9 +47,10 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, groupby, product
+from itertools import chain
 from typing import Iterator
 
+from .covers import _cover_counts, _cover_shapes
 from .errors import (
     DynamicalConvexityError,
     EnumerationLimitError,
@@ -457,23 +458,6 @@ def _cover_ways(refs, cap, d):
     return ways
 
 
-def _cover_shapes(table, p, ids, d, ways):
-    """(sorted negative end ids, b, index) of each genus-zero degree-d cover
-    with positive end refs[p] of a curve with negative ends refs[ids], once
-    per negative-end multiset, by Riemann-Hurwitz b = n + d - d*k - 1 >= 0
-    for n ends over k, tested before the ends are sorted; ways is _cover_ways."""
-    g, k = table.grading, len(ids)
-    seen = set()
-    for groups in product(*[ways[i] for i in ids]):
-        b = sum(map(len, groups)) + d - d * k - 1
-        if b < 0:
-            continue
-        key = tuple(sorted(chain.from_iterable(groups)))
-        if key not in seen:
-            seen.add(key)
-            yield key, b, g[p] - sum(g[e] for e in key)
-
-
 # ------------------------------------------------------------------ buildings
 
 
@@ -870,55 +854,17 @@ def _tally(table, profile, bounds, hyperbolic):
             break
         args = _arguments(hyperbolic, *row)
         tally[args] = tally.get(args, 0) + (size[row[4]] if row[0] is SI else 1)
-    blocks, curves, covers = {}, {}, {}  # covers: COV tuples but the kind, an Enum slow to hash
+    runs, curves, covers = {}, {}, {}  # covers: COV tuples but the kind, an Enum slow to hash
     for d, u, p, ids, ways, under in _cover_bases(table, 1 if profile.generic_J else -INF, top):
         k = len(ids)
         if (d, ids) not in curves:
-            curves[d, ids] = _cover_counts(table, d, ids, ways, blocks)
+            curves[d, ids] = _cover_counts(table, d, ids, ways, runs)
         flag = k == 1 and hyperbolic[u] and hyperbolic[ids[0]]
         for b, n, t, count in curves[d, ids]:
             args = d, b, n, k, g[p] - t, under, n == 1 and flag
             covers[args] = covers.get(args, 0) + count
     tally.update(((COV, *args), count) for args, count in covers.items())
     return tally
-
-
-def _cover_counts(table, d, ids, ways, blocks):
-    """[(b, n, t, count)]: how many of _cover_shapes' negative-end multisets
-    of a degree-d cover of a curve with negative ends refs[ids] have n ends of
-    grading sum t, and b branch points, in _cover_shapes' order of first sight.
-    A multiset splits into one multiset per base orbit, so the counts convolve
-    those of each run of ids over one orbit (_orbit_counts, kept in blocks);
-    Riemann-Hurwitz reads the total n.  Each count keeps its shapes in order
-    of first sight and the runs come in the order of ids, so the pairs of
-    shapes come in the product order of their least groupings, and each
-    shape enters at its first sight."""
-    refs, k = table.refs, len(ids)
-    total = {(0, 0): 1}
-    for _, run in groupby(ids, key=lambda i: i - refs[i].multiplicity):  # one run per orbit
-        run = tuple(run)
-        if (d, run) not in blocks:
-            blocks[d, run] = _orbit_counts(table.grading, run, ways)
-        into = {}
-        for (n, t), count in total.items():
-            for (m, s), more in blocks[d, run].items():
-                into[n + m, t + s] = into.get((n + m, t + s), 0) + count * more
-        total = into
-    return [(b, n, t, count) for (n, t), count in total.items() if (b := n + d - d * k - 1) >= 0]
-
-
-def _orbit_counts(g, block, ways):
-    """{(n, t): count} in order of first sight: how many distinct multisets
-    of the degree-d covers of the underlying ends refs[block], each a cover
-    of one orbit, have n ends of grading sum t, in _cover_shapes' order."""
-    counts, seen = {}, set()
-    for groups in product(*[ways[e] for e in block]):
-        key = tuple(sorted(chain.from_iterable(groups)))
-        if key not in seen:
-            seen.add(key)
-            n, t = len(key), sum(g[i] for i in key)
-            counts[n, t] = counts.get((n, t), 0) + 1
-    return counts
 
 
 def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
@@ -943,19 +889,14 @@ def run_estimate_sweep(orbits, profile, bounds) -> EstimateSweepReport:
     A COV row of degree d over the curve u => ids (k ends) with n negative
     ends of grading sum t has the tuple (COV, d, n + d - d*k - 1, n, k,
     g[p] - t, g[u] less the grading sum of ids, flag), the flag read off n,
-    u and ids, and _cover_shapes admits it by Riemann-Hurwitz b >= 0, a
-    test on n.  So for one curve and d the rows of one shape (n, t) share
-    tuple and admission, and only their number counts: that of the distinct
-    negative-end multisets of that shape, not of the groupings, as two
-    groupings of one multiset can differ by more than a swap of equal
-    underlying ends.  Covers of distinct base orbits are distinct, so a
-    multiset splits uniquely into one multiset per base orbit, and the
-    count is a convolution over the orbits of ids of one count per orbit,
-    each computed once per degree and run of ids; b >= 0 reads the total n,
-    so it is tested after the convolution (_cover_counts).  Each shape is
-    weighed as an SI shape, in the listing's order of first sight, and COV
-    tuples, whose kind differs, come after all others as the rows do.  Rows
-    are listed, for keys, only if some tuple fails."""
+    u and ids, and Riemann-Hurwitz b >= 0 admits it by n.  So for one curve
+    and d the rows of one shape (n, t) share tuple and admission, and only
+    their number counts: that of the distinct negative-end multisets, not
+    of the groupings (covers.py), a convolution over base orbits tested by
+    b >= 0 after it (_cover_counts).  Each shape is weighed as an SI shape,
+    in the listing's order of first sight, and COV tuples come after all
+    others as the rows do.  Rows are listed, for keys, only if some tuple
+    fails."""
     table = OrbitTable(orbits, bounds.max_total_multiplicity)
     hyperbolic = [orbit_type(r) is not OrbitType.ELLIPTIC for r in table.refs]
     tally = _tally(table, profile, bounds, hyperbolic)

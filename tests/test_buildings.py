@@ -1724,17 +1724,20 @@ COVER_ORBIT_SETS = [[ELL, NEGH, POSH]] + [cover_orbit_set(seed) for seed in rang
 
 
 @pytest.mark.parametrize("orbits", COVER_ORBIT_SETS, ids=orbit_names)
-def test_cover_counts_match_the_listed_cover_shapes(orbits):
-    # For every underlying curve of any index and every degree, the counts
-    # by shape equal the listing's, shape for shape and in its order of
+def test_cover_shapes_and_counts_match_the_listed_cover_shapes(orbits):
+    # For every underlying curve of any index and every degree, the shapes
+    # listed one orbit at a time are the listing's over all groupings, in
+    # its order, and the counts by shape are its counts, in its order of
     # first sight.  The grid holds curves whose ends lie over two orbits or
     # repeat one, and multisets reached by several groupings.
     seen = Counter()
     for top in range(6, 11):
         table = OrbitTable(orbits, top)
-        blocks = {}
+        runs = {}
         for d, u, p, ids, ways, _ in buildings._cover_bases(table, -buildings.INF, top):
-            got = buildings._cover_counts(table, d, ids, ways, blocks)
+            listed = list(listed_cover_shapes(table, p, ids, d, ways))
+            assert list(_cover_shapes(table, p, ids, d, ways)) == listed, (top, d, u, ids)
+            got = buildings._cover_counts(table, d, ids, ways, runs)
             assert got == listed_cover_counts(table, p, ids, d, ways), (top, d, u, ids)
             bases = [table.refs[i].base for i in ids]
             seen["two orbits"] += len(set(bases)) > 1
